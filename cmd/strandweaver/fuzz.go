@@ -18,8 +18,8 @@ import (
 // byte-identical JSON (the CI determinism smoke diffs them).
 // SnapshotBytes qualifies: the cache's retained set is a pure function
 // of the executed schedule set as long as the byte budget never forces
-// an eviction, which the default budget guarantees for smoke-scale
-// searches (see fuzzsched.ExecCache.RetainedBytes).
+// an eviction, which the cache budget guarantees for smoke-scale
+// searches (see crashcut.Cache.RetainedBytes).
 type fuzzSummary struct {
 	Seed          uint64                 `json:"seed"`
 	Targets       []string               `json:"targets"`
@@ -66,15 +66,13 @@ func runFuzz(o options, metrics *sw.SweepReport) error {
 	}
 
 	fo := sw.FuzzOptions{
-		Seed:       uint64(o.seed),
-		Schedules:  o.fuzzSchedules,
-		Targets:    o.fuzzTargets,
-		Mutant:     o.fuzzMutant,
-		Exec:       sw.FuzzExecOptions{Controllers: o.controllers},
-		NoSnapshot: o.noSnapshot,
-		CacheBytes: uint64(o.fuzzCacheBytes),
-		Parallel:   o.workers(),
-		Metrics:    metrics,
+		Seed:      uint64(o.seed),
+		Schedules: o.fuzzSchedules,
+		Targets:   o.fuzzTargets,
+		Mutant:    o.fuzzMutant,
+		Exec:      sw.FuzzExecOptions{Controllers: o.controllers},
+		Parallel:  o.workers(),
+		Metrics:   metrics,
 	}
 	if o.fuzzSchedules == 0 {
 		fo.Schedules = math.MaxInt32 // unbounded; -duration stops the search

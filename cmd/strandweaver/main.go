@@ -41,7 +41,6 @@ type options struct {
 	maxBudgets   int
 	tearAccepted bool
 	skipLitmus   bool
-	noSnapshot   bool
 	stride       uint64
 	parallel     int
 	serial       bool
@@ -53,14 +52,13 @@ type options struct {
 	lintJSON     bool
 	relaxGate    bool
 
-	fuzzSchedules  int
-	fuzzCacheBytes int64
-	fuzzDuration   time.Duration
-	fuzzTargets    []string
-	fuzzMutant     string
-	fuzzRepro      string
-	fuzzMinimize   bool
-	fuzzOut        string
+	fuzzSchedules int
+	fuzzDuration  time.Duration
+	fuzzTargets   []string
+	fuzzMutant    string
+	fuzzRepro     string
+	fuzzMinimize  bool
+	fuzzOut       string
 }
 
 // workers resolves the -parallel/-serial pair into a sweep worker
@@ -102,7 +100,6 @@ func parseArgs(args []string, errw *os.File) (options, error) {
 	fs.IntVar(&o.maxBudgets, "budgets", 96, "max crash-during-recovery budget points per sweep (torture)")
 	fs.BoolVar(&o.tearAccepted, "tear-accepted", false, "add the beyond-ADR plan that tears accepted writes (torture)")
 	fs.BoolVar(&o.skipLitmus, "skip-litmus", false, "skip the litmus phase (torture)")
-	fs.BoolVar(&o.noSnapshot, "no-snapshot", false, "re-simulate every crash prefix from cycle zero instead of forking checkpoints (torture, fuzz); results are byte-identical, only slower")
 	fs.Uint64Var(&o.stride, "stride", 64, "litmus crash-sweep stride in cycles (torture)")
 	fs.IntVar(&o.parallel, "parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = serial)")
 	fs.BoolVar(&o.serial, "serial", false, "force serial sweeps (same as -parallel 1)")
@@ -114,7 +111,6 @@ func parseArgs(args []string, errw *os.File) (options, error) {
 	fs.BoolVar(&o.lintJSON, "json", false, "emit reports and relaxation metrics as JSON (lint, relax, fuzz)")
 	fs.BoolVar(&o.relaxGate, "gate", false, "fail unless the optimizer rediscovers the strand undo recipe from the intel baseline (relax)")
 	fs.IntVar(&o.fuzzSchedules, "schedules", 256, "fuzz schedule budget (0 = unbounded, requires -duration)")
-	fs.Int64Var(&o.fuzzCacheBytes, "cache-bytes", 0, "fuzz execution-cache budget: retained unique checkpoint page bytes before LRU eviction (0 = default; results identical at any budget)")
 	fs.DurationVar(&o.fuzzDuration, "duration", 0, "fuzz wall-clock bound, checked between batches (0 = schedule budget only)")
 	targetList := fs.String("target", "", "comma-separated fuzz targets: undolog, redolog, or a benchmark name (default undolog,redolog)")
 	fs.StringVar(&o.fuzzMutant, "mutate", "", "seeded mutant for fuzz conviction runs: no-data-flush")
@@ -191,9 +187,6 @@ func validate(o options) error {
 	if o.cmd == "fuzz" {
 		if o.fuzzSchedules < 0 {
 			return fmt.Errorf("-schedules must be non-negative (got %d)", o.fuzzSchedules)
-		}
-		if o.fuzzCacheBytes < 0 {
-			return fmt.Errorf("-cache-bytes must be non-negative (got %d)", o.fuzzCacheBytes)
 		}
 		if o.fuzzDuration < 0 {
 			return fmt.Errorf("-duration must be non-negative (got %v)", o.fuzzDuration)
@@ -442,12 +435,10 @@ sweep flags: -parallel N (0 = GOMAXPROCS) -serial -metrics-out FILE
 profiling:   -cpuprofile FILE -memprofile FILE (pprof format; see
              README "Running sweeps and profiling")
 torture flags: -intensity -budgets -tear-accepted -skip-litmus -stride
-               -no-snapshot (crash-prefix checkpoint forking is the
-               default; see docs/SNAPSHOT.md)
 lint flags:    -severity LEVEL (info, warn, error) -json
 relax flags:   -gate -json
 fuzz flags:    -schedules N -duration D -target LIST -mutate NAME
-               -repro FILE [-minimize] -out DIR -json -no-snapshot
+               -repro FILE [-minimize] -out DIR -json
 `)
 }
 
@@ -464,7 +455,6 @@ func runTorture(o options, metrics *sw.SweepReport) error {
 		TearAccepted: o.tearAccepted,
 		SkipLitmus:   o.skipLitmus,
 		LitmusStride: o.stride,
-		NoSnapshot:   o.noSnapshot,
 		Parallel:     o.workers(),
 		Metrics:      metrics,
 	}

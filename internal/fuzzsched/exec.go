@@ -3,17 +3,9 @@ package fuzzsched
 import (
 	"fmt"
 
-	"strandweaver/internal/config"
-	"strandweaver/internal/cpu"
+	"strandweaver/internal/crashcut"
 	"strandweaver/internal/faultinject"
-	"strandweaver/internal/hwdesign"
-	"strandweaver/internal/langmodel"
-	"strandweaver/internal/machine"
-	"strandweaver/internal/mem"
-	"strandweaver/internal/redolog"
 	"strandweaver/internal/sim"
-	"strandweaver/internal/undolog"
-	"strandweaver/internal/workloads"
 )
 
 // ExecOptions bounds one schedule execution.
@@ -30,8 +22,9 @@ type ExecOptions struct {
 	// cache signature, so counts never share cached runs.
 	Controllers int
 	// Cache, when non-nil, memoises crash-free run lengths and
-	// crashed-run checkpoints across executions (see ExecCache).
-	// Outcomes are byte-identical with and without it.
+	// crashed-run checkpoints across executions (see ExecCache); nil
+	// gives the execution a private one. Outcomes are byte-identical
+	// either way.
 	Cache *ExecCache
 }
 
@@ -68,308 +61,52 @@ type Outcome struct {
 	Cov Coverage
 }
 
-// recStats is the recovery-path counter slice shared by both engines.
-type recStats struct {
-	scrubbed    int
-	actions     int
-	commits     int
-	invalidated int
+// ExecCache memoises crash-free run lengths and crashed-run
+// checkpoints across Execute calls: the crash-cut cache the torture
+// sweep uses too (see crashcut.Cache). Share one across a search;
+// fuzzsched.Run wires one into its ExecOptions.
+type ExecCache = crashcut.Cache
+
+// NewExecCache returns an empty execution cache.
+func NewExecCache() *ExecCache { return crashcut.NewCache() }
+
+// runKey identifies the run-visible part of a genome: the target and
+// its shape (threads, ops, mutant) and the fault plan's run-visible
+// part (the draw-stream seed and the media fault knobs), plus the
+// harness-level PM controller count — not a genome knob, but it shapes
+// the machine, so executions at different counts never share cache
+// entries. Everything else — CrashFrac, Torn, DropProbMilli,
+// TearAccepted, RecoveryCut(2) — acts at crash-image time or later, off
+// the simulated machine. Mutation walks those cheap knobs far more
+// often than the expensive ones, so a search re-simulates identical
+// runs constantly; the execution cache serves them instead. Cached
+// results are byte-identical to cold execution (docs/SNAPSHOT.md), so
+// corpus coverage keys, fingerprints and violations are unchanged at
+// any hit rate — hits and misses are observability, never coverage.
+func runKey(g Genome, controllers int) string {
+	return fmt.Sprintf("%s|t%d|o%d|c%d|%s|%d|%d|%d|%d", g.Target, g.Threads, g.Ops, controllers, g.Mutant,
+		g.FaultSeed, g.MediaFaultMilli, g.MediaDelayMilli, g.MediaDelayCycles)
 }
 
-// runSpec adapts one target to the generic crash-and-recover driver.
-type runSpec struct {
-	threads int
-	build   func() (*machine.System, []machine.Worker, error)
-	recover func(img *mem.Image) (recStats, error)
-	verify  func(img *mem.Image) error
-	sig     func(img *mem.Image) uint8
-}
-
-// Direct-target geometry: per-thread groups of generation cells whose
-// invariant is all-or-nothing — after recovery, each thread's cells
-// must all carry the same generation.
-const directCells = 4
-
-func directCellAddr(t, i int) mem.Addr {
-	return mem.PMBase + undolog.HeapOffset + mem.Addr(t*directCells+i)*mem.LineSize
-}
-
-func directGenVal(t, g, i int) uint64 {
-	return uint64(g)*1000 + uint64(t)*100 + uint64(i) + 1
-}
-
-// directVerify checks every thread's cell group sits at one single
-// generation in [0, ops].
-func directVerify(img *mem.Image, threads, ops int) error {
-	for t := 0; t < threads; t++ {
-		found := false
-		for g := 0; g <= ops && !found; g++ {
-			ok := true
-			for i := 0; i < directCells; i++ {
-				if img.Read64(directCellAddr(t, i)) != directGenVal(t, g, i) {
-					ok = false
-					break
-				}
-			}
-			found = ok
-		}
-		if !found {
-			vals := make([]uint64, directCells)
-			for i := range vals {
-				vals[i] = img.Read64(directCellAddr(t, i))
-			}
-			return fmt.Errorf("thread %d cells torn across generations: %v", t, vals)
-		}
-	}
-	return nil
-}
-
-// directSig folds the recovered image's generation structure into a
-// 4-bit signature: how many distinct generations appear across cells
-// (capped at 7) and whether any cell held an unrecognisable value.
-func directSig(img *mem.Image, threads, ops int) uint8 {
-	gens := map[int]bool{}
-	unknown := false
-	for t := 0; t < threads; t++ {
-		for i := 0; i < directCells; i++ {
-			v := img.Read64(directCellAddr(t, i))
-			matched := false
-			for g := 0; g <= ops; g++ {
-				if v == directGenVal(t, g, i) {
-					gens[g] = true
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				unknown = true
-			}
-		}
-	}
-	n := len(gens)
-	if n > 7 {
-		n = 7
-	}
-	sig := uint8(n)
-	if unknown {
-		sig |= 1 << 3
-	}
-	return sig
-}
-
-// seedDirectCells writes generation-0 contents host-side (both
-// images) and warms the lines.
-func seedDirectCells(sys *machine.System, threads int) {
-	for t := 0; t < threads; t++ {
-		for i := 0; i < directCells; i++ {
-			a := directCellAddr(t, i)
-			sys.Mem.Volatile.Write64(a, directGenVal(t, 0, i))
-			sys.Mem.Persistent.Write64(a, directGenVal(t, 0, i))
-			sys.Hier.Preload(mem.LineAddr(a))
-		}
-	}
-}
-
-// buildSpec lowers a genome's target to its runSpec; controllers is
-// the harness-level PM controller count (0 = configuration default).
-func buildSpec(g Genome, controllers int) (runSpec, error) {
+// buildTarget lowers a genome's target to its crash-cut target;
+// controllers is the harness-level PM controller count (0 =
+// configuration default).
+func buildTarget(g Genome, controllers int) (crashcut.Target, error) {
+	threads := max(g.Threads, 1)
+	ops := max(g.Ops, 1)
 	switch g.Target {
 	case TargetUndolog:
-		return undologSpec(g, controllers), nil
+		return crashcut.DirectUndolog(threads, ops, g.Mutant == MutantNoDataFlush, controllers), nil
 	case TargetRedolog:
-		return redologSpec(g, controllers), nil
+		return crashcut.DirectRedolog(ops, controllers), nil
 	default:
-		if _, err := workloads.Find(g.Target); err != nil {
-			return runSpec{}, fmt.Errorf("fuzzsched: unknown target %q: %w", g.Target, err)
+		// A Table II data structure through the TXN runtime, with the
+		// genome's FaultSeed doubling as the operation-mix seed.
+		t, err := crashcut.Workload(g.Target, threads, ops, int64(g.FaultSeed), controllers)
+		if err != nil {
+			return t, fmt.Errorf("fuzzsched: unknown target %q: %w", g.Target, err)
 		}
-		return workloadSpec(g, controllers), nil
-	}
-}
-
-// undologSpec is the direct undo-log generation workload. Each thread
-// drives its own cell group through Ops generations of undo-logged
-// stores with a commit per generation; the MutantNoDataFlush variant
-// deletes the data CLWB, which the search must convict.
-func undologSpec(g Genome, controllers int) runSpec {
-	threads := g.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	ops := g.Ops
-	if ops < 1 {
-		ops = 1
-	}
-	mutant := g.Mutant == MutantNoDataFlush
-	return runSpec{
-		threads: threads,
-		build: func() (*machine.System, []machine.Worker, error) {
-			cfg := config.Default()
-			if threads > cfg.Cores {
-				cfg.Cores = threads
-			}
-			if controllers != 0 {
-				cfg.PMControllers = controllers
-			}
-			sys, err := machine.New(cfg, hwdesign.StrandWeaver)
-			if err != nil {
-				return nil, nil, err
-			}
-			seedDirectCells(sys, threads)
-			logs := undolog.Init(sys, threads, 64)
-			ws := make([]machine.Worker, threads)
-			for t := 0; t < threads; t++ {
-				t := t
-				l := logs.PerThread[t]
-				ws[t] = func(c *cpu.Core) {
-					for gen := 1; gen <= ops; gen++ {
-						for i := 0; i < directCells; i++ {
-							addr := directCellAddr(t, i)
-							val := directGenVal(t, gen, i)
-							if mutant {
-								// LoggedStore with the data flush deleted
-								// (the seeded Figure 5 mutant).
-								undolog.BeginPair(c)
-								old := c.Load64(addr)
-								l.AppendStore(c, addr, old)
-								undolog.LogToUpdate(c)
-								c.Store64(addr, val)
-							} else {
-								l.LoggedStore(c, addr, val)
-							}
-						}
-						l.CommitUpTo(c, l.Tail())
-					}
-					c.DrainAll()
-				}
-			}
-			return sys, ws, nil
-		},
-		recover: func(img *mem.Image) (recStats, error) {
-			rep, err := undolog.Recover(img, threads)
-			if err != nil {
-				return recStats{}, err
-			}
-			return recStats{
-				scrubbed:    rep.TornDiscarded,
-				actions:     len(rep.RolledBack),
-				commits:     rep.CommitsFinished,
-				invalidated: rep.EntriesInvalidated,
-			}, nil
-		},
-		verify: func(img *mem.Image) error { return directVerify(img, threads, ops) },
-		sig:    func(img *mem.Image) uint8 { return directSig(img, threads, ops) },
-	}
-}
-
-// redologSpec is the direct redo-log generation workload
-// (single-threaded by construction, mirroring the torture harness):
-// one transaction per generation, a group commit mid-run.
-func redologSpec(g Genome, controllers int) runSpec {
-	ops := g.Ops
-	if ops < 1 {
-		ops = 1
-	}
-	return runSpec{
-		threads: 1,
-		build: func() (*machine.System, []machine.Worker, error) {
-			cfg := config.Default()
-			cfg.Cores = 1
-			if controllers != 0 {
-				cfg.PMControllers = controllers
-			}
-			sys, err := machine.New(cfg, hwdesign.StrandWeaver)
-			if err != nil {
-				return nil, nil, err
-			}
-			seedDirectCells(sys, 1)
-			logs := redolog.Init(sys, 1, 64)
-			l := logs.PerThread[0]
-			w := func(c *cpu.Core) {
-				for gen := 1; gen <= ops; gen++ {
-					tx := l.Begin(c)
-					for i := 0; i < directCells; i++ {
-						tx.Store(directCellAddr(0, i), directGenVal(0, gen, i))
-					}
-					tx.Commit()
-					if ops >= 2 && gen == ops/2 {
-						l.GroupCommit(c)
-					}
-				}
-				c.DrainAll()
-			}
-			return sys, []machine.Worker{w}, nil
-		},
-		recover: func(img *mem.Image) (recStats, error) {
-			rep, err := redolog.Recover(img, 1)
-			if err != nil {
-				return recStats{}, err
-			}
-			return recStats{
-				scrubbed:    rep.TornDiscarded,
-				actions:     len(rep.Replayed),
-				commits:     rep.CommittedTxs,
-				invalidated: rep.DiscardedTxs,
-			}, nil
-		},
-		verify: func(img *mem.Image) error { return directVerify(img, 1, ops) },
-		sig:    func(img *mem.Image) uint8 { return directSig(img, 1, ops) },
-	}
-}
-
-// workloadSpec runs a Table II persistent data structure through the
-// TXN language runtime (undo-log recovery), with the genome's
-// FaultSeed doubling as the workload's operation-mix seed.
-func workloadSpec(g Genome, controllers int) runSpec {
-	threads := g.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	ops := g.Ops
-	if ops < 1 {
-		ops = 1
-	}
-	var inst workloads.Instance
-	return runSpec{
-		threads: threads,
-		build: func() (*machine.System, []machine.Worker, error) {
-			cfg := config.Default()
-			if threads > cfg.Cores {
-				cfg.Cores = threads
-			}
-			if controllers != 0 {
-				cfg.PMControllers = controllers
-			}
-			sys, err := machine.New(cfg, hwdesign.StrandWeaver)
-			if err != nil {
-				return nil, nil, err
-			}
-			rt := langmodel.New(sys, langmodel.TXN, threads, langmodel.DefaultOptions())
-			f, err := workloads.Find(g.Target)
-			if err != nil {
-				return nil, nil, err
-			}
-			inst = f.New(workloads.Params{Threads: threads, OpsPerThread: ops, Seed: int64(g.FaultSeed)})
-			inst.Setup(sys, rt)
-			ws := make([]machine.Worker, threads)
-			for i := range ws {
-				ws[i] = inst.Worker(i)
-			}
-			return sys, ws, nil
-		},
-		recover: func(img *mem.Image) (recStats, error) {
-			rep, err := undolog.Recover(img, threads)
-			if err != nil {
-				return recStats{}, err
-			}
-			return recStats{
-				scrubbed:    rep.TornDiscarded,
-				actions:     len(rep.RolledBack),
-				commits:     rep.CommitsFinished,
-				invalidated: rep.EntriesInvalidated,
-			}, nil
-		},
-		verify: func(img *mem.Image) error { return inst.Verify(img) },
-		sig:    func(img *mem.Image) uint8 { return 0 },
+		return t, nil
 	}
 }
 
@@ -382,74 +119,43 @@ func workloadSpec(g Genome, controllers int) runSpec {
 // Outcome.Violation / Outcome.BeyondADR instead.
 func Execute(g Genome, o ExecOptions) (*Outcome, error) {
 	o = o.withDefaults()
-	spec, err := buildSpec(g, o.Controllers)
+	target, err := buildTarget(g, o.Controllers)
 	if err != nil {
 		return nil, err
 	}
-
-	// Crash-free run: measures the schedule length and validates the
-	// workload completes under the watchdog. The length is determined by
-	// the genome's run-visible signature alone, so a cache hit skips the
-	// run entirely.
-	sig := sigOf(g, o.Controllers)
-	var end sim.Cycle
-	cachedEnd := false
-	if o.Cache != nil {
-		end, cachedEnd = o.Cache.end(sig)
-	}
-	if !cachedEnd {
-		sys, ws, err := spec.build()
-		if err != nil {
-			return nil, err
-		}
-		faultinject.New(g.Plan()).Arm(sys)
-		sys.SetWatchdog(o.EventBudget)
-		end, err = sys.Run(ws, o.CycleLimit)
-		if err != nil {
-			return nil, fmt.Errorf("fuzzsched: %s crash-free run: %w", g.Target, err)
-		}
-		if o.Cache != nil {
-			o.Cache.putEnd(sig, end)
-		}
+	cache := o.Cache
+	if cache == nil {
+		cache = NewExecCache()
 	}
 
-	// Crashed run at the genome's crash fraction. On a checkpoint hit
-	// the abandoned machine state and the injector's stream position are
-	// restored instead of re-simulated; spec.build still runs so the
-	// recover/verify closures are wired to this schedule's instance.
-	crashAt := sim.Cycle(1 + uint64(end-1)*uint64(g.CrashFrac&0xffff)/65536)
-	var sys *machine.System
-	var fi *faultinject.Injector
-	var hit *execCheckpoint
-	if o.Cache != nil {
-		hit = o.Cache.checkpoint(cpKey{sig, crashAt})
+	// One crash cut at the genome's crash fraction of the crash-free
+	// run, which also validates the workload completes under the
+	// watchdog. The crash image draws from the armed run injector,
+	// restored to its stream position at the cut.
+	p, err := cache.Get(crashcut.Request{
+		Key:      runKey(g, o.Controllers),
+		Build:    target.Build,
+		Plan:     g.Plan(),
+		Limit:    o.CycleLimit,
+		Watchdog: o.EventBudget,
+		Cuts: func(end sim.Cycle) []sim.Cycle {
+			return []sim.Cycle{sim.Cycle(1 + uint64(end-1)*uint64(g.CrashFrac&0xffff)/65536)}
+		},
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fuzzsched: %s %w", g.Target, err)
 	}
-	if hit != nil {
-		sys, _, err = spec.build()
-		if err != nil {
+	end, cut := p.End, p.Cuts[0]
+	crashAt := cut.At
+	sys := p.Sys // captured just now: already positioned at the cut
+	if sys == nil {
+		if sys, _, err = target.Build(); err != nil {
 			return nil, err
 		}
-		sys.Restore(hit.cp)
-		fi = faultinject.New(g.Plan())
-		fi.Restore(hit.fi)
-	} else {
-		var ws []machine.Worker
-		sys, ws, err = spec.build()
-		if err != nil {
-			return nil, err
-		}
-		fi = faultinject.New(g.Plan())
-		fi.Arm(sys)
-		sys.SetWatchdog(o.EventBudget)
-		sys.RunAt(crashAt, sys.Abandon)
-		_, _ = sys.Run(ws, o.CycleLimit) // stopped engine: error expected
-		if o.Cache != nil {
-			// Captured after the run returns, before CrashImage draws:
-			// the capture cannot perturb either.
-			o.Cache.putCheckpoint(cpKey{sig, crashAt},
-				&execCheckpoint{cp: sys.Snapshot(), fi: fi.Snapshot()})
-		}
+		sys.Restore(cut.CP)
 	}
+	fi := faultinject.New(g.Plan())
+	fi.Restore(cut.FI)
 	crash := fi.CrashImage(sys)
 
 	out := &Outcome{End: end, CrashAt: crashAt, Fingerprint: crash.Fingerprint()}
@@ -483,17 +189,17 @@ func Execute(g Genome, o ExecOptions) (*Outcome, error) {
 
 	// Uninterrupted recovery + invariant check.
 	golden := crash.Clone()
-	rs, rerr := spec.recover(golden)
+	rs, rerr := target.Recover(golden)
 	if rerr != nil {
 		fail(ClassRecoveryError, "recovery failed: %v", rerr)
 		return out, nil
 	}
-	out.Cov.TornScrubbed = rs.scrubbed
-	out.Cov.Actions = rs.actions
-	out.Cov.CommitsFinished = rs.commits
-	out.Cov.Invalidated = rs.invalidated
-	out.Cov.StateSig = spec.sig(golden)
-	if verr := spec.verify(golden); verr != nil {
+	out.Cov.TornScrubbed = rs.Scrubbed
+	out.Cov.Actions = rs.Actions
+	out.Cov.CommitsFinished = rs.Commits
+	out.Cov.Invalidated = rs.Invalidated
+	out.Cov.StateSig = target.StateSig(golden)
+	if verr := target.Verify(golden); verr != nil {
 		fail(ClassViolation, "invariant broken after recovery: %v", verr)
 		return out, nil
 	}
@@ -505,7 +211,7 @@ func Execute(g Genome, o ExecOptions) (*Outcome, error) {
 		img := crash.Clone()
 		step := func(budget int) bool {
 			cut, err := faultinject.RunToPowerCut(img, budget, func() error {
-				_, err := spec.recover(img)
+				_, err := target.Recover(img)
 				return err
 			})
 			if err != nil {
@@ -527,7 +233,7 @@ func Execute(g Genome, o ExecOptions) (*Outcome, error) {
 				return out, nil
 			}
 		}
-		if _, err := spec.recover(img); err != nil {
+		if _, err := target.Recover(img); err != nil {
 			fail(ClassRecoveryError, "recovery re-run after cut failed: %v", err)
 			return out, nil
 		}

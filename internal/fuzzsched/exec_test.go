@@ -158,3 +158,58 @@ func TestExecuteRecoveryCutConverges(t *testing.T) {
 		t.Fatal("write budget of 2 never cut recovery; budget accounting broken")
 	}
 }
+
+// TestExecCacheEquivalence: an Execute served from a shared cache must
+// reproduce a fresh execution's Outcome byte for byte, including across
+// the knobs excluded from the run key (crash fraction, tearing,
+// recovery cuts), which are exactly the ones a hit short-circuits past.
+func TestExecCacheEquivalence(t *testing.T) {
+	base := SeedGenome(TargetUndolog)
+	variants := []Genome{base}
+	for _, frac := range []uint32{0, 9000, 32768, 50000, 65535} {
+		g := base
+		g.CrashFrac = frac
+		variants = append(variants, g)
+	}
+	{
+		g := base
+		g.Torn = true
+		g.DropProbMilli = 200
+		variants = append(variants, g)
+	}
+	{
+		g := base
+		g.RecoveryCut = 3
+		g.RecoveryCut2 = 1
+		variants = append(variants, g)
+	}
+	{
+		g := base
+		g.TearAccepted = true
+		g.Torn = true
+		variants = append(variants, g)
+	}
+
+	cache := NewExecCache()
+	for i, g := range variants {
+		fresh, err := Execute(g, ExecOptions{})
+		if err != nil {
+			t.Fatalf("variant %d fresh: %v", i, err)
+		}
+		// Twice through the cache: the first call may miss and capture,
+		// the second must hit; both must equal the fresh outcome.
+		for pass := 0; pass < 2; pass++ {
+			warm, err := Execute(g, ExecOptions{Cache: cache})
+			if err != nil {
+				t.Fatalf("variant %d cached pass %d: %v", i, pass, err)
+			}
+			if !reflect.DeepEqual(fresh, warm) {
+				t.Errorf("variant %d pass %d: cached outcome differs from a fresh execution\nfresh: %+v\nwarm:  %+v",
+					i, pass, fresh, warm)
+			}
+		}
+	}
+	if hits, _ := cache.Stats(); hits == 0 {
+		t.Error("no checkpoint hits across repeated executions")
+	}
+}

@@ -40,16 +40,6 @@ type Options struct {
 	MaxShrinks int
 	// Exec bounds each schedule execution (watchdog, cycle limit).
 	Exec ExecOptions
-	// NoSnapshot disables the execution cache (crash-free run lengths
-	// and crashed-run checkpoints shared across schedules). Corpus,
-	// violations and repro files are byte-identical either way — this is
-	// an escape hatch for debugging the snapshot seam.
-	NoSnapshot bool
-	// CacheBytes budgets the execution cache's retained unique
-	// checkpoint page bytes (0 = DefaultExecCacheBytes). Ignored when
-	// NoSnapshot is set or the caller wired its own Exec.Cache. Shapes
-	// performance only; results are identical at any budget.
-	CacheBytes uint64
 	// Metrics, when non-nil, receives per-schedule sweep metrics.
 	// Observability only.
 	Metrics *sweep.Report
@@ -114,17 +104,16 @@ type Result struct {
 	// the watchdog, build errors), in schedule order.
 	ExecErrors []string
 	// SnapshotHits and SnapshotMisses count crashed-run checkpoint
-	// lookups served from / missed by the execution cache (both zero
-	// under NoSnapshot). Observability only: counts are scheduling-
-	// dependent under a parallel search and never influence the corpus.
+	// lookups served from / missed by the execution cache. Observability
+	// only: counts are scheduling-dependent under a parallel search and
+	// never influence the corpus.
 	SnapshotHits   uint64
 	SnapshotMisses uint64
 	// SnapshotBytes is the unique page bytes the execution cache's
-	// checkpoints retain at search end (zero under NoSnapshot).
-	// Checkpoints are copy-on-write views, so shared pages count once.
-	// A pure function of the executed schedule set — identical at any
-	// worker count — as long as the byte budget never forces an
-	// eviction (see ExecCache.RetainedBytes).
+	// checkpoints retain at search end. Checkpoints are copy-on-write
+	// views, so shared pages count once. A pure function of the executed
+	// schedule set — identical at any worker count — as long as the byte
+	// budget never forces an eviction (see crashcut.Cache.RetainedBytes).
 	SnapshotBytes uint64
 }
 
@@ -135,10 +124,10 @@ type Result struct {
 // minimal repros as they are found.
 func Run(o Options) (*Result, error) {
 	o = o.withDefaults()
-	if !o.NoSnapshot && o.Exec.Cache == nil {
+	if o.Exec.Cache == nil {
 		// One cache for the whole search: batch cells and shrink runs
 		// (Shrink receives o.Exec) all share it.
-		o.Exec.Cache = NewExecCacheBytes(o.CacheBytes)
+		o.Exec.Cache = NewExecCache()
 	}
 	r := newRng(o.Seed)
 	res := &Result{Corpus: NewCorpus()}
@@ -238,10 +227,8 @@ func Run(o Options) (*Result, error) {
 		}
 		res.Executed += len(batch)
 	}
-	if o.Exec.Cache != nil {
-		res.SnapshotHits, res.SnapshotMisses = o.Exec.Cache.Stats()
-		res.SnapshotBytes = o.Exec.Cache.RetainedBytes()
-	}
+	res.SnapshotHits, res.SnapshotMisses = o.Exec.Cache.Stats()
+	res.SnapshotBytes = o.Exec.Cache.RetainedBytes()
 	return res, nil
 }
 

@@ -217,7 +217,7 @@ func TestCorpusEntriesReplay(t *testing.T) {
 // Controller count reaches every executed machine, so the search must
 // stay a pure function of (seed, budget, controllers): worker count
 // must not change anything, and different counts must not collide in
-// the execution cache (execSig includes the count).
+// the execution cache (the run key includes the count).
 func TestRunDeterministicMultiController(t *testing.T) {
 	opts := func(controllers, parallel int) Options {
 		return Options{

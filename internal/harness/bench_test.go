@@ -21,3 +21,16 @@ func BenchmarkGridCell(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTortureSweep measures the experiments-scale torture sweep
+// (threads and ops match the harness.Spec defaults used in
+// EXPERIMENTS.md) over the default benchmark set, serially.
+func BenchmarkTortureSweep(b *testing.B) {
+	o := TortureOptions{Seed: 1, SkipLitmus: true, Parallel: 1,
+		Threads: 8, OpsPerThread: 250, Crashes: 24}
+	for i := 0; i < b.N; i++ {
+		if _, err := Torture(o); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -172,35 +172,4 @@ func TestCheckpointCountersReachCellMetrics(t *testing.T) {
 			t.Errorf("%q missing from the JSON metrics report", key)
 		}
 	}
-	// With snapshots disabled the counters must stay silent (omitempty):
-	// the cold path records no checkpoint traffic at all.
-	cold := sweep.NewReport("cold")
-	o.Metrics = cold
-	o.NoSnapshot = true
-	if _, err := Torture(o); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := cold.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(buf.Bytes(), []byte("checkpoint_")) {
-		t.Error("NoSnapshot sweep leaked checkpoint counters into metrics")
-	}
-	// The cold path still captures crash images (CrashImage is a COW
-	// clone), so cells report frozen pages — but no checkpoint bytes,
-	// since nothing retains checkpoints.
-	coldFrozen := false
-	for _, cell := range cold.Cells {
-		if cell.COW == nil {
-			continue
-		}
-		coldFrozen = coldFrozen || cell.COW.PagesFrozen > 0
-		if cell.COW.CheckpointBytes != 0 {
-			t.Errorf("cell %s: NoSnapshot cell reported retained checkpoint bytes", cell.Key)
-		}
-	}
-	if !coldFrozen {
-		t.Error("NoSnapshot sweep counted no pages frozen (CrashImage clones freeze)")
-	}
 }

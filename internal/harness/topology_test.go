@@ -117,42 +117,33 @@ func TestGridParallelMatchesSerialMultiController(t *testing.T) {
 
 // TestTortureDeterminismMultiController: the torture sweep's
 // ImageDigest (every crash image's bytes) must be identical across
-// runs and worker counts at a sharded controller count, and the
-// crash-prefix snapshot path must stay equivalent to cold execution.
+// runs and worker counts at a sharded controller count.
 func TestTortureDeterminismMultiController(t *testing.T) {
 	o := TortureOptions{Seed: 5, Benchmarks: []string{"queue"}, Crashes: 5,
-		SkipLitmus: true, ConvergeEvery: 2, Controllers: 2}
-
-	cold := o
-	cold.NoSnapshot = true
-	cold.Parallel = 1
-	rc, err := Torture(cold)
+		SkipLitmus: true, ConvergeEvery: 2, Controllers: 2, Parallel: 1}
+	serial, err := Torture(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 4} {
-		snap := o
-		snap.Parallel = workers
-		rs, err := Torture(snap)
-		if err != nil {
-			t.Fatalf("parallel=%d: %v", workers, err)
-		}
-		if rc.ImageDigest != rs.ImageDigest {
-			t.Errorf("parallel=%d: image digest %016x differs from serial cold %016x",
-				workers, rs.ImageDigest, rc.ImageDigest)
-		}
-		if !reflect.DeepEqual(rc, rs) {
-			t.Errorf("parallel=%d snapshot report differs from serial cold report", workers)
-		}
+	o.Parallel = 4
+	wide, err := Torture(o)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(rc.Violations) != 0 {
-		t.Errorf("violations at 2 controllers: %v", rc.Violations)
+	if serial.ImageDigest != wide.ImageDigest {
+		t.Errorf("parallel=4: image digest %016x differs from serial %016x", wide.ImageDigest, serial.ImageDigest)
+	}
+	if !reflect.DeepEqual(serial, wide) {
+		t.Error("parallel=4 report differs from serial report")
+	}
+	if len(serial.Violations) != 0 {
+		t.Errorf("violations at 2 controllers: %v", serial.Violations)
 	}
 }
 
 // TestTortureControllerCountChangesDigest: controller count reaches the
 // fault model (per-controller cut points and draw streams), so sweeps
-// at different counts must not collide — and must not share prefix
+// at different counts must not collide — and must not share crash-cut
 // cache entries (planRunKey includes the count).
 func TestTortureControllerCountChangesDigest(t *testing.T) {
 	run := func(n int) uint64 {

@@ -4,20 +4,14 @@ import (
 	"fmt"
 	"io"
 
-	"strandweaver/internal/config"
-	"strandweaver/internal/cpu"
+	"strandweaver/internal/crashcut"
 	"strandweaver/internal/faultinject"
-	"strandweaver/internal/hwdesign"
-	"strandweaver/internal/langmodel"
 	"strandweaver/internal/litmus"
 	"strandweaver/internal/machine"
 	"strandweaver/internal/mem"
 	"strandweaver/internal/pmem"
-	"strandweaver/internal/redolog"
 	"strandweaver/internal/sim"
 	"strandweaver/internal/sweep"
-	"strandweaver/internal/undolog"
-	"strandweaver/internal/workloads"
 )
 
 // The torture driver is the crash-recovery torture harness: it sweeps
@@ -70,12 +64,6 @@ type TortureOptions struct {
 	// their invariant failures are counted separately, not as
 	// violations.
 	TearAccepted bool
-	// NoSnapshot disables crash-prefix checkpointing and re-simulates
-	// every crash prefix from cycle zero (the pre-checkpoint behavior).
-	// The report is byte-identical either way — the escape hatch exists
-	// for debugging the snapshot seam itself and for the CI equivalence
-	// smoke; see docs/SNAPSHOT.md.
-	NoSnapshot bool
 	// SkipLitmus drops the litmus phase (for quick runs).
 	SkipLitmus bool
 	// LitmusStride is the litmus crash-sweep stride (default 64).
@@ -254,8 +242,31 @@ type tortureCell struct {
 	fold func(rep *TortureReport, out *tortureOutcome)
 }
 
+// validate rejects negative sizes and rates up front, naming the field.
+func (o TortureOptions) validate() error {
+	for _, f := range []struct {
+		name string
+		val  float64
+	}{
+		{"Crashes", float64(o.Crashes)},
+		{"MaxBudgets", float64(o.MaxBudgets)},
+		{"ConvergeEvery", float64(o.ConvergeEvery)},
+		{"Threads", float64(o.Threads)},
+		{"OpsPerThread", float64(o.OpsPerThread)},
+		{"Intensity", o.Intensity},
+	} {
+		if f.val < 0 {
+			return fmt.Errorf("harness: torture %s must be non-negative (got %v)", f.name, f.val)
+		}
+	}
+	return nil
+}
+
 // Torture runs the full sweep.
 func Torture(o TortureOptions) (*TortureReport, error) {
+	if err := o.validate(); err != nil {
+		return nil, err
+	}
 	o = o.withDefaults()
 	plans := o.plans()
 	rep := &TortureReport{Seed: o.Seed, Plans: len(plans)}
@@ -267,22 +278,22 @@ func Torture(o TortureOptions) (*TortureReport, error) {
 	// Workload and redolog combos are numbered globally in enumeration
 	// order; the every-Nth-combo convergence schedule keys off that
 	// number, so each cell can decide its own convergence sweeps
-	// without a shared counter. The prefix cache shares crash-prefix
+	// without a shared counter. The crash-cut cache shares crash-prefix
 	// checkpoints across cells whose plans replay the same run (all
-	// media-free plans of a benchmark); it is the one sanctioned piece
-	// of cross-cell state — a pure memoisation whose entries are
-	// identical no matter which cell builds them, so results stay
-	// byte-identical at any worker count (docs/SNAPSHOT.md).
-	pc := newPrefixCache()
-	for bi, b := range o.Benchmarks {
-		for pi, plan := range plans {
-			base := (bi*len(plans) + pi) * o.Crashes
-			tcells = append(tcells, workloadCell(o, pc, b, pi, plan, base))
-		}
+	// media-free plans of a subject); it is the one sanctioned piece of
+	// cross-cell state — a pure memoisation whose entries are identical
+	// no matter which cell builds them, so results stay byte-identical
+	// at any worker count (docs/SNAPSHOT.md).
+	cache := crashcut.NewCache()
+	subjects := make([]subject, 0, len(o.Benchmarks)+1)
+	for _, b := range o.Benchmarks {
+		subjects = append(subjects, workloadSubject(o, b))
 	}
-	redoBase := len(o.Benchmarks) * len(plans) * o.Crashes
-	for pi, plan := range plans {
-		tcells = append(tcells, redologCell(o, pc, pi, plan, redoBase+pi*o.Crashes))
+	subjects = append(subjects, redologSubject(o))
+	for si, s := range subjects {
+		for pi, plan := range plans {
+			tcells = append(tcells, cutCell(o, cache, s, pi, plan, (si*len(plans)+pi)*o.Crashes))
+		}
 	}
 
 	cells := make([]sweep.Cell[*tortureOutcome], len(tcells))
@@ -347,170 +358,166 @@ func litmusCells(o TortureOptions, plans []faultinject.Plan, rep *TortureReport)
 	return tcells
 }
 
-// buildWorkload assembles a system + runtime + instance for one torture
-// run.
-func buildWorkload(o TortureOptions, bench string) (*machine.System, workloads.Instance, []machine.Worker, error) {
-	cfg := config.Default()
-	cfg.Cores = o.Threads
-	if o.Controllers != 0 {
-		cfg.PMControllers = o.Controllers
-	}
-	sys, err := machine.New(cfg, hwdesign.StrandWeaver)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	rt := langmodel.New(sys, langmodel.TXN, o.Threads, langmodel.DefaultOptions())
-	f, err := workloads.Find(bench)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	inst := f.New(workloads.Params{Threads: o.Threads, OpsPerThread: o.OpsPerThread, Seed: int64(o.Seed)})
-	inst.Setup(sys, rt)
-	ws := make([]machine.Worker, o.Threads)
-	for i := range ws {
-		ws[i] = inst.Worker(i)
-	}
-	return sys, inst, ws, nil
-}
-
 // crashCycles spaces o.Crashes crash points evenly over a crash-free
 // run of end cycles.
-func crashCycles(o TortureOptions, end sim.Cycle, ci int) sim.Cycle {
-	crashAt := sim.Cycle(uint64(end) * uint64(ci) / uint64(o.Crashes+1))
-	if crashAt == 0 {
-		crashAt = 1
+func crashCycles(o TortureOptions, end sim.Cycle) []sim.Cycle {
+	cuts := make([]sim.Cycle, o.Crashes)
+	for i := range cuts {
+		cuts[i] = sim.Cycle(uint64(end) * uint64(i+1) / uint64(o.Crashes+1))
+		if cuts[i] == 0 {
+			cuts[i] = 1
+		}
 	}
-	return crashAt
+	return cuts
 }
 
-// workloadCell sweeps crash cycles over one (pds benchmark, fault plan)
-// pair. On the checkpoint path (the default) the cell forks every
-// crash cut off a shared prefix: a discovery run finds the schedule
-// length, a capture run snapshots the machine at each cut (both shared
-// with every other media-free plan of the benchmark via the prefix
-// cache), and each cut restores its checkpoint into one warm system.
-// With NoSnapshot set, every cut re-simulates its prefix from cycle
-// zero. Both paths produce byte-identical combo outcomes — the
-// differential tests in snapshot_test.go hold them to that.
-func workloadCell(o TortureOptions, pc *prefixCache, bench string, pi int, plan faultinject.Plan, comboBase int) tortureCell {
+// subject is one crash-cut target of the sweep: a pds workload or the
+// redo-log record.
+type subject struct {
+	// name prefixes violations; cell prefixes cell keys and the
+	// subject's run keys in the sweep's crash-cut cache.
+	name, cell string
+	// target constructs the subject's crash-cut target; every cell gets
+	// its own (a workload target verifies against its latest build).
+	target func() (crashcut.Target, error)
+	limit  sim.Cycle
+	redo   bool
+}
+
+func workloadSubject(o TortureOptions, bench string) subject {
+	return subject{
+		name: bench, cell: "workload/" + bench,
+		target: func() (crashcut.Target, error) {
+			return crashcut.Workload(bench, o.Threads, o.OpsPerThread, int64(o.Seed), o.Controllers)
+		},
+		limit: 2_000_000_000,
+	}
+}
+
+func redologSubject(o TortureOptions) subject {
+	return subject{
+		name: "redolog", cell: "redolog",
+		target: func() (crashcut.Target, error) { return crashcut.RedoRecord(o.Controllers), nil },
+		limit:  500_000_000,
+		redo:   true,
+	}
+}
+
+// cutCell sweeps crash cuts over one (subject, fault plan) pair. One
+// request to the sweep's crash-cut cache places o.Crashes cuts evenly
+// over the crash-free run — the first cell to ask captures them, every
+// other cell whose plan replays the same run (all media-free plans)
+// reuses them — and each cut's checkpoint is restored into one warm
+// system and turned into a combo outcome.
+func cutCell(o TortureOptions, cache *crashcut.Cache, s subject, pi int, plan faultinject.Plan, comboBase int) tortureCell {
 	return tortureCell{
 		cell: sweep.Cell[*tortureOutcome]{
-			Key: fmt.Sprintf("workload/%s/plan%d", bench, pi),
+			Key: fmt.Sprintf("%s/plan%d", s.cell, pi),
 			Run: func(m *sweep.CellMetrics) (*tortureOutcome, error) {
-				// comboAt turns a system positioned at its cut — plus the
-				// armed run injector's counters there — into the combo's
-				// outcome: crash image, recovery, invariant check, and the
-				// every-Nth convergence sweep.
-				comboAt := func(ci int, crashAt sim.Cycle, sys *machine.System, inst workloads.Instance, runStats faultinject.Stats) comboOutcome {
-					crash, fault := crashOutcome(plan, crashAt, sys, runStats)
-					co := comboOutcome{
-						fingerprint: crash.Fingerprint(),
-						fault:       fault,
-						ctrl:        sys.PM.Stats(),
-					}
-					co.torn = co.fault.TornLines > 0
-					img := crash.Clone()
-					rrep, rerr := undolog.Recover(img, o.Threads)
-					verr := rerr
-					if verr == nil {
-						verr = inst.Verify(img)
-					}
-					if verr != nil {
-						if plan.TearAccepted {
-							co.beyondADR = true
-						} else {
-							co.violation = fmt.Sprintf("%s plan %d crash@%d: %v", bench, pi, crashAt, verr)
-						}
-						return co
-					}
-					co.tornDiscarded = rrep.TornDiscarded
-					co.actions = len(rrep.RolledBack)
-					if (comboBase+ci)%o.ConvergeEvery == 0 {
-						cv, err := faultinject.CheckConvergence(crash, func(im *mem.Image) error {
-							_, err := undolog.Recover(im, o.Threads)
-							return err
-						}, o.MaxBudgets)
-						conv := &convOutcome{budgets: cv.BudgetsTried, cuts: cv.CutsObserved}
-						if err != nil {
-							conv.violation = fmt.Sprintf("%s plan %d crash@%d convergence: %v", bench, pi, crashAt, err)
-						} else if cv.BudgetsTried == o.MaxBudgets && o.MaxBudgets > 0 {
-							conv.capped = true
-						}
-						co.conv = conv
-					}
-					return co
-				}
-
-				combos := make([]comboOutcome, 0, o.Crashes)
-				if o.NoSnapshot {
-					sys, _, ws, err := buildWorkload(o, bench)
-					if err != nil {
-						return nil, err
-					}
-					faultinject.New(plan).Arm(sys)
-					end, err := sys.Run(ws, 2_000_000_000)
-					if err != nil {
-						return nil, fmt.Errorf("harness: torture %s plan %d crash-free: %w", bench, pi, err)
-					}
-					m.AddRun(uint64(end), sys.PM.Stats())
-					m.AddEngine(sys.Eng.Stats())
-					for ci := 1; ci <= o.Crashes; ci++ {
-						crashAt := crashCycles(o, end, ci)
-						sys, inst, ws, err := buildWorkload(o, bench)
-						if err != nil {
-							return nil, err
-						}
-						fi := faultinject.New(plan)
-						fi.Arm(sys)
-						sys.RunAt(crashAt, sys.Abandon)
-						_, _ = sys.Run(ws, 2_000_000_000) // stopped engine: error expected
-						m.AddRun(uint64(crashAt), sys.PM.Stats())
-						m.AddEngine(sys.Eng.Stats())
-						combos = append(combos, comboAt(ci, crashAt, sys, inst, fi.Stats()))
-						m.AddCOW(sys.Mem.CowStats()) // after comboAt: CrashImage's clone freezes pages
-					}
-					return &tortureOutcome{combos: combos}, nil
-				}
-
-				pe, built := pc.get("workload|"+bench+"|"+planRunKey(o, plan), func(pe *prefixEntry) {
-					buildPrefix(pe, o, plan, 2_000_000_000, fmt.Sprintf("%s plan %d", bench, pi),
-						func() (*machine.System, []machine.Worker, error) {
-							sys, _, ws, err := buildWorkload(o, bench)
-							return sys, ws, err
-						})
-				})
-				if pe.err != nil {
-					return nil, pe.err
-				}
-				m.PrefixReused = !built
-				if built {
-					m.CheckpointMisses += uint64(len(pe.cps))
-				}
-				m.AddRun(uint64(pe.end), pe.freeCtrl)
-				m.AddEngine(pe.freeEng)
-				sys, inst, _, err := buildWorkload(o, bench)
+				target, err := s.target()
 				if err != nil {
 					return nil, err
 				}
-				for ci := 1; ci <= o.Crashes; ci++ {
-					crashAt := pe.cuts[ci-1]
-					sys.Restore(pe.cps[ci-1])
+				p, err := cache.Get(crashcut.Request{
+					Key:   s.cell + "|" + planRunKey(o, plan),
+					Build: target.Build,
+					Plan:  plan,
+					Limit: s.limit,
+					Cuts:  func(end sim.Cycle) []sim.Cycle { return crashCycles(o, end) },
+				})
+				if err != nil {
+					return nil, fmt.Errorf("harness: torture %s plan %d: %w", s.name, pi, err)
+				}
+				m.PrefixReused = p.Captured == 0
+				m.CheckpointMisses += uint64(p.Captured)
+				m.AddRun(uint64(p.End), p.Ctrl)
+				m.AddEngine(p.Eng)
+				sys, _, err := target.Build()
+				if err != nil {
+					return nil, err
+				}
+				combos := make([]comboOutcome, len(p.Cuts))
+				for i, cut := range p.Cuts {
+					sys.Restore(cut.CP)
 					m.CheckpointHits++
-					m.AddRun(uint64(crashAt), sys.PM.Stats())
-					m.AddEngine(pe.cps[ci-1].Eng.Stats)
-					combos = append(combos, comboAt(ci, crashAt, sys, inst, pe.fis[ci-1].Stats))
+					m.AddRun(uint64(cut.At), sys.PM.Stats())
+					m.AddEngine(cut.CP.Eng.Stats)
+					combos[i] = comboAt(o, s, target, pi, plan, comboBase+i+1, cut, sys)
 				}
 				cow := sys.Mem.CowStats()
-				if built {
-					cow.Add(pe.cow)
-					cow.Add(mem.Stats{CheckpointBytes: pe.cpBytes})
-				}
+				cow.Add(p.COW)
 				m.AddCOW(cow)
-				return &tortureOutcome{combos: combos}, nil
+				return &tortureOutcome{combos: combos, redo: s.redo}, nil
 			},
 		},
 		fold: foldCombos,
 	}
+}
+
+// planRunKey names the parts of the sweep options and a fault plan
+// that can influence the simulated run itself (the rest of the options
+// are fixed for the sweep, whose cache this key indexes). The PM
+// controller count shapes the machine (and the checkpoints'
+// []ControllerState), so it is always part of the key; beyond that only
+// media faults perturb the machine — torn and dropped persists are
+// decided at crash-image time against the controllers' tracked writes.
+// An armed injector whose media probabilities are zero draws nothing —
+// chanceFrom(p) returns without consuming generator state for p <= 0 —
+// so every media-free plan shares one run regardless of seed, and its
+// injector snapshots (all-zero counters) are plan-independent.
+func planRunKey(o TortureOptions, plan faultinject.Plan) string {
+	if plan.MediaFaultProb <= 0 && plan.MediaDelayProb <= 0 {
+		return fmt.Sprintf("ctrl%d|media-free", o.Controllers)
+	}
+	return fmt.Sprintf("ctrl%d|media/%d/%v/%v/%d",
+		o.Controllers, plan.Seed, plan.MediaFaultProb, plan.MediaDelayProb, plan.MediaDelayCycles)
+}
+
+// comboAt turns a system positioned at a crash cut into the combo's
+// outcome: crash image, recovery, invariant check, and — on every
+// ConvergeEvery-th combo of the sweep (combo numbers it globally) — the
+// crash-during-recovery convergence sweep. The crash image draws from a
+// fresh per-cut injector, decorrelated across cuts via perRunSeed,
+// while media-fault counters come from the armed run injector's
+// snapshot at the cut; the two touch disjoint Stats fields, so the
+// merge is exact.
+func comboAt(o TortureOptions, s subject, target crashcut.Target, pi int, plan faultinject.Plan,
+	combo int, cut crashcut.Cut, sys *machine.System) comboOutcome {
+	fiImg := faultinject.New(perRunSeed(plan, uint64(cut.At)))
+	crash := fiImg.CrashImage(sys)
+	co := comboOutcome{fingerprint: crash.Fingerprint(), fault: fiImg.Stats(), ctrl: sys.PM.Stats()}
+	co.fault.MediaFaults = cut.FI.Stats.MediaFaults
+	co.fault.MediaDelays = cut.FI.Stats.MediaDelays
+	co.torn = co.fault.TornLines > 0
+	img := crash.Clone()
+	rec, verr := target.Recover(img)
+	if verr == nil {
+		verr = target.Verify(img)
+	}
+	if verr != nil {
+		if plan.TearAccepted {
+			co.beyondADR = true
+		} else {
+			co.violation = fmt.Sprintf("%s plan %d crash@%d: %v", s.name, pi, cut.At, verr)
+		}
+		return co
+	}
+	co.tornDiscarded = rec.Scrubbed
+	co.actions = rec.Actions
+	if combo%o.ConvergeEvery == 0 {
+		cv, err := faultinject.CheckConvergence(crash, func(im *mem.Image) error {
+			_, err := target.Recover(im)
+			return err
+		}, o.MaxBudgets)
+		conv := &convOutcome{budgets: cv.BudgetsTried, cuts: cv.CutsObserved}
+		if err != nil {
+			conv.violation = fmt.Sprintf("%s plan %d crash@%d convergence: %v", s.name, pi, cut.At, err)
+		} else if cv.BudgetsTried == o.MaxBudgets && o.MaxBudgets > 0 {
+			conv.capped = true
+		}
+		co.conv = conv
+	}
+	return co
 }
 
 // foldCombos merges a workload or redolog cell's combo outcomes into
@@ -562,180 +569,6 @@ func foldCombos(rep *TortureReport, out *tortureOutcome) {
 				rep.BudgetSweepsCapped++
 			}
 		}
-	}
-}
-
-// Redolog torture workload: one thread advances a 4-cell record through
-// generations, each generation one redo transaction. The invariant is
-// all-or-nothing per generation: after recovery every cell must carry
-// the same generation.
-const redoCells = 4
-
-func redoCellAddr(i int) mem.Addr {
-	return mem.PMBase + undolog.HeapOffset + mem.Addr(i)*mem.LineSize
-}
-
-func redoGenVal(g, i int) uint64 { return uint64(g)*100 + uint64(i) + 1 }
-
-func redoVerify(img *mem.Image, gens int) error {
-	for g := 0; g <= gens; g++ {
-		ok := true
-		for i := 0; i < redoCells; i++ {
-			if img.Read64(redoCellAddr(i)) != redoGenVal(g, i) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return nil
-		}
-	}
-	vals := make([]uint64, redoCells)
-	for i := range vals {
-		vals[i] = img.Read64(redoCellAddr(i))
-	}
-	return fmt.Errorf("redolog cells torn across generations: %v", vals)
-}
-
-// redologCell sweeps crash cycles over the redo-log engine under one
-// fault plan, forking cuts off a shared prefix exactly like
-// workloadCell (NoSnapshot restores the cold re-simulation path).
-func redologCell(o TortureOptions, pc *prefixCache, pi int, plan faultinject.Plan, comboBase int) tortureCell {
-	const gens = 4
-	build := func() (*machine.System, *redolog.Logs) {
-		cfg := config.Default()
-		cfg.Cores = 1
-		if o.Controllers != 0 {
-			cfg.PMControllers = o.Controllers
-		}
-		sys := machine.MustNew(cfg, hwdesign.StrandWeaver)
-		for i := 0; i < redoCells; i++ {
-			a := redoCellAddr(i)
-			sys.Mem.Volatile.Write64(a, redoGenVal(0, i))
-			sys.Mem.Persistent.Write64(a, redoGenVal(0, i))
-			sys.Hier.Preload(mem.LineAddr(a))
-		}
-		return sys, redolog.Init(sys, 1, 64)
-	}
-	worker := func(l *redolog.Log) machine.Worker {
-		return func(c *cpu.Core) {
-			for g := 1; g <= gens; g++ {
-				tx := l.Begin(c)
-				for i := 0; i < redoCells; i++ {
-					tx.Store(redoCellAddr(i), redoGenVal(g, i))
-				}
-				tx.Commit()
-				if g == gens/2 {
-					l.GroupCommit(c)
-				}
-			}
-			c.DrainAll()
-		}
-	}
-	return tortureCell{
-		cell: sweep.Cell[*tortureOutcome]{
-			Key: fmt.Sprintf("redolog/plan%d", pi),
-			Run: func(m *sweep.CellMetrics) (*tortureOutcome, error) {
-				comboAt := func(ci int, crashAt sim.Cycle, sys *machine.System, runStats faultinject.Stats) comboOutcome {
-					crash, fault := crashOutcome(plan, crashAt, sys, runStats)
-					co := comboOutcome{
-						fingerprint: crash.Fingerprint(),
-						fault:       fault,
-						ctrl:        sys.PM.Stats(),
-					}
-					co.torn = co.fault.TornLines > 0
-					img := crash.Clone()
-					rrep, rerr := redolog.Recover(img, 1)
-					verr := rerr
-					if verr == nil {
-						verr = redoVerify(img, gens)
-					}
-					if verr != nil {
-						if plan.TearAccepted {
-							co.beyondADR = true
-						} else {
-							co.violation = fmt.Sprintf("redolog plan %d crash@%d: %v", pi, crashAt, verr)
-						}
-						return co
-					}
-					co.tornDiscarded = rrep.TornDiscarded
-					co.actions = len(rrep.Replayed)
-					if (comboBase+ci)%o.ConvergeEvery == 0 {
-						cv, err := faultinject.CheckConvergence(crash, func(im *mem.Image) error {
-							_, err := redolog.Recover(im, 1)
-							return err
-						}, o.MaxBudgets)
-						conv := &convOutcome{budgets: cv.BudgetsTried, cuts: cv.CutsObserved}
-						if err != nil {
-							conv.violation = fmt.Sprintf("redolog plan %d crash@%d convergence: %v", pi, crashAt, err)
-						} else if cv.BudgetsTried == o.MaxBudgets && o.MaxBudgets > 0 {
-							conv.capped = true
-						}
-						co.conv = conv
-					}
-					return co
-				}
-
-				combos := make([]comboOutcome, 0, o.Crashes)
-				if o.NoSnapshot {
-					sys, logs := build()
-					faultinject.New(plan).Arm(sys)
-					end, err := sys.Run([]machine.Worker{worker(logs.PerThread[0])}, 500_000_000)
-					if err != nil {
-						return nil, fmt.Errorf("harness: redolog torture plan %d crash-free: %w", pi, err)
-					}
-					m.AddRun(uint64(end), sys.PM.Stats())
-					m.AddEngine(sys.Eng.Stats())
-					for ci := 1; ci <= o.Crashes; ci++ {
-						crashAt := crashCycles(o, end, ci)
-						sys, logs := build()
-						fi := faultinject.New(plan)
-						fi.Arm(sys)
-						sys.RunAt(crashAt, sys.Abandon)
-						_, _ = sys.Run([]machine.Worker{worker(logs.PerThread[0])}, 500_000_000)
-						m.AddRun(uint64(crashAt), sys.PM.Stats())
-						m.AddEngine(sys.Eng.Stats())
-						combos = append(combos, comboAt(ci, crashAt, sys, fi.Stats()))
-						m.AddCOW(sys.Mem.CowStats()) // after comboAt: CrashImage's clone freezes pages
-					}
-					return &tortureOutcome{combos: combos, redo: true}, nil
-				}
-
-				pe, built := pc.get("redolog|"+planRunKey(o, plan), func(pe *prefixEntry) {
-					buildPrefix(pe, o, plan, 500_000_000, fmt.Sprintf("redolog plan %d", pi),
-						func() (*machine.System, []machine.Worker, error) {
-							sys, logs := build()
-							return sys, []machine.Worker{worker(logs.PerThread[0])}, nil
-						})
-				})
-				if pe.err != nil {
-					return nil, pe.err
-				}
-				m.PrefixReused = !built
-				if built {
-					m.CheckpointMisses += uint64(len(pe.cps))
-				}
-				m.AddRun(uint64(pe.end), pe.freeCtrl)
-				m.AddEngine(pe.freeEng)
-				sys, _ := build()
-				for ci := 1; ci <= o.Crashes; ci++ {
-					crashAt := pe.cuts[ci-1]
-					sys.Restore(pe.cps[ci-1])
-					m.CheckpointHits++
-					m.AddRun(uint64(crashAt), sys.PM.Stats())
-					m.AddEngine(pe.cps[ci-1].Eng.Stats)
-					combos = append(combos, comboAt(ci, crashAt, sys, pe.fis[ci-1].Stats))
-				}
-				cow := sys.Mem.CowStats()
-				if built {
-					cow.Add(pe.cow)
-					cow.Add(mem.Stats{CheckpointBytes: pe.cpBytes})
-				}
-				m.AddCOW(cow)
-				return &tortureOutcome{combos: combos, redo: true}, nil
-			},
-		},
-		fold: foldCombos,
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -82,5 +83,33 @@ func TestTortureTearAcceptedIsBeyondADR(t *testing.T) {
 	}
 	if rep.Plans != 4 {
 		t.Errorf("Plans = %d, want 4 with TearAccepted", rep.Plans)
+	}
+}
+
+// TestTortureRejectsNegativeOptions: negative sizes and rates are
+// rejected up front with an error naming the field, never a panic deep
+// inside a sweep cell.
+func TestTortureRejectsNegativeOptions(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		o     TortureOptions
+	}{
+		{"Crashes", TortureOptions{Crashes: -1}},
+		{"MaxBudgets", TortureOptions{MaxBudgets: -2}},
+		{"ConvergeEvery", TortureOptions{ConvergeEvery: -3}},
+		{"Threads", TortureOptions{Threads: -1}},
+		{"OpsPerThread", TortureOptions{OpsPerThread: -10}},
+		{"Intensity", TortureOptions{Intensity: -0.5}},
+	} {
+		tc.o.Benchmarks = []string{"queue"}
+		tc.o.SkipLitmus = true
+		_, err := Torture(tc.o)
+		if err == nil {
+			t.Errorf("%s: negative value accepted", tc.field)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: error does not name the field: %v", tc.field, err)
+		}
 	}
 }

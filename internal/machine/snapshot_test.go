@@ -77,7 +77,7 @@ func observe(s *System) observed {
 }
 
 // coldAt runs the workload on a fresh system and abandons it at cut,
-// exactly as a no-snapshot torture combo does.
+// exactly as the crash-cut differential tests' cold reference does.
 func coldAt(t *testing.T, d hwdesign.Design, cut sim.Cycle) *System {
 	t.Helper()
 	s := MustNew(smallConfig(), d)
