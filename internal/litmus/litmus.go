@@ -186,7 +186,10 @@ func CheckWithFaults(p pmo.Program, stride uint64, mk func(crashCycle uint64) Fa
 	if stride == 0 {
 		stride = 64
 	}
-	allowed := pmo.AllowedStates(p)
+	allowed, err := pmo.NewBuilder(p).States()
+	if err != nil {
+		return nil, fmt.Errorf("litmus: %w", err)
+	}
 
 	// Crash-free run (also validates the final state). Media faults and
 	// latency spikes apply here too, so the crash sweep below covers the

@@ -11,7 +11,7 @@ import (
 // way to the formal model's abstract program, with the stream's
 // declared persist-order requirements resolved onto stable store
 // ordinals. The optimizer searches rewrites of the abstract program
-// and proves each step against pmo.AllowedPersistSets — the same
+// and proves each step against pmo.CutMasks — the same
 // lowering the static analyzer uses, so the two tools agree on what
 // the stream means.
 
@@ -50,39 +50,25 @@ func AbstractStream(s Stream) (pmo.Program, []AbstractRequirement, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("persistcheck: %s: %w", s.Name, err)
 	}
-	prog := make(pmo.Program, len(threads))
 	refOf := make(map[string]pmo.StoreRef)
 	dup := make(map[string]bool)
-	nextVal := uint64(1)
 	for t, ops := range threads {
 		ord := 0
 		for _, op := range ops {
-			var o pmo.Op
-			switch op.kind {
-			case irStore:
-				if !op.flushed {
-					return nil, nil, fmt.Errorf("persistcheck: %s: store %s is never flushed; the abstract model has no unpersisted stores (fix the stream or run AnalyzeStream)", s.Name, op.render())
-				}
-				o = pmo.Op{Kind: pmo.KStore, Loc: op.loc, Val: nextVal, Label: op.label}
-				nextVal++
-				if op.label != "" {
-					if _, seen := refOf[op.label]; seen {
-						dup[op.label] = true
-					} else {
-						refOf[op.label] = pmo.StoreRef{Thread: t, Ord: ord}
-					}
-				}
-				ord++
-			case irLoad:
-				o = pmo.Op{Kind: pmo.KLoad, Loc: op.loc, Label: op.label}
-			case irPB:
-				o = pmo.Op{Kind: pmo.KPB, Label: op.label}
-			case irNS:
-				o = pmo.Op{Kind: pmo.KNS, Label: op.label}
-			case irJS:
-				o = pmo.Op{Kind: pmo.KJS, Label: op.label}
+			if op.kind != pmo.KStore {
+				continue
 			}
-			prog[t] = append(prog[t], o) //strandvet:ok construction of the freshly allocated program, never rewritten
+			if !op.flushed {
+				return nil, nil, fmt.Errorf("persistcheck: %s: store %s is never flushed; the abstract model has no unpersisted stores (fix the stream or run AnalyzeStream)", s.Name, op.render())
+			}
+			if op.label != "" {
+				if _, seen := refOf[op.label]; seen {
+					dup[op.label] = true
+				} else {
+					refOf[op.label] = pmo.StoreRef{Thread: t, Ord: ord}
+				}
+			}
+			ord++
 		}
 	}
 	var reqs []AbstractRequirement
@@ -101,5 +87,5 @@ func AbstractStream(s Stream) (pmo.Program, []AbstractRequirement, error) {
 			Reason: r.Reason,
 		})
 	}
-	return prog, reqs, nil
+	return toProgram(threads), reqs, nil
 }

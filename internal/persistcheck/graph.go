@@ -2,30 +2,21 @@ package persistcheck
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"strandweaver/internal/isa"
 	"strandweaver/internal/pmo"
 )
 
-// irKind is the analyzer's internal op classification. Barrier kinds
-// collapse to their Equation 1-2 edge semantics: irPB is a strand-
-// scoped barrier (PersistBarrier, OFENCE: orders across it unless a
-// NewStrand intervenes), irJS is a strand-insensitive one (JoinStrand,
-// SFENCE, DFENCE: orders across it unconditionally).
-type irKind uint8
-
-const (
-	irStore irKind = iota
-	irLoad
-	irPB
-	irNS
-	irJS
-)
-
-// irOp is one op of the analyzer's per-thread intermediate form.
+// irOp is one op of the analyzer's per-thread intermediate form. Its
+// kind is the formal model's: barrier kinds collapse to their Equation
+// 1-2 edge semantics. pmo.KPB is a strand-scoped barrier
+// (PersistBarrier, OFENCE: orders across it unless a NewStrand
+// intervenes), pmo.KJS a strand-insensitive one (JoinStrand, SFENCE,
+// DFENCE: orders across it unconditionally).
 type irOp struct {
-	kind irKind
+	kind pmo.Kind
 	// src is the original mnemonic (OpPersistBarrier vs OpOFence, ...)
 	// for diagnostics and per-kind policies.
 	src isa.OpKind
@@ -43,7 +34,7 @@ type irOp struct {
 // render prints the op in litmus notation for findings.
 func (o irOp) render() string {
 	switch o.kind {
-	case irStore, irLoad:
+	case pmo.KStore, pmo.KLoad:
 		if o.label != "" {
 			return fmt.Sprintf("%s %q", o.src, o.label)
 		}
@@ -53,6 +44,15 @@ func (o irOp) render() string {
 	}
 }
 
+// srcOf is the mnemonic each abstract op kind lowers to.
+var srcOf = [...]isa.OpKind{
+	pmo.KStore: isa.OpStore,
+	pmo.KLoad:  isa.OpLoad,
+	pmo.KPB:    isa.OpPersistBarrier,
+	pmo.KNS:    isa.OpNewStrand,
+	pmo.KJS:    isa.OpJoinStrand,
+}
+
 // fromProgram lowers an abstract pmo program to IR: every store is an
 // implicitly flushed persist.
 func fromProgram(p pmo.Program) [][]irOp {
@@ -60,153 +60,78 @@ func fromProgram(p pmo.Program) [][]irOp {
 	for t, ops := range p {
 		ir := make([]irOp, 0, len(ops))
 		for i, op := range ops {
-			o := irOp{thread: t, pos: i, label: op.Label, loc: op.Loc}
-			switch op.Kind {
-			case pmo.KStore:
-				o.kind, o.src, o.flushed = irStore, isa.OpStore, true
-			case pmo.KLoad:
-				o.kind, o.src = irLoad, isa.OpLoad
-			case pmo.KPB:
-				o.kind, o.src = irPB, isa.OpPersistBarrier
-			case pmo.KNS:
-				o.kind, o.src = irNS, isa.OpNewStrand
-			case pmo.KJS:
-				o.kind, o.src = irJS, isa.OpJoinStrand
-			default:
+			if int(op.Kind) >= len(srcOf) {
 				continue
 			}
-			ir = append(ir, o)
+			ir = append(ir, irOp{
+				kind: op.Kind, src: srcOf[op.Kind], loc: op.Loc, label: op.Label,
+				flushed: op.Kind == pmo.KStore, thread: t, pos: i,
+			})
 		}
 		threads[t] = ir
 	}
 	return threads
 }
 
-// opPos identifies one IR op by thread and position in the thread's IR
-// sequence (not the source stream).
-type opPos struct{ t, i int }
-
-// graph is the static must-persist-before DAG over the memory nodes.
-type graph struct {
-	threads [][]irOp
-	// nodes flattens the memory ops (stores and loads) of all threads.
-	nodes []irOp
-	// nodeAt maps an IR position to its node index (-1 for barriers).
-	nodeAt map[opPos]int
-	// closure[i][j] reports a must-persist-before path node i -> j.
-	closure [][]bool
-}
-
-// buildGraph constructs the per-thread prescribed persist-order DAG
-// (the static projection of Equations 1-4: only edges that hold in
-// every interleaving) and its transitive closure. When skip is
-// non-nil, the barrier at that IR position is ignored — the delta
-// against the full graph is a barrier's edge contribution.
-func buildGraph(threads [][]irOp, visOrdered bool, skip *opPos) *graph {
-	g := &graph{threads: threads, nodeAt: make(map[opPos]int)}
+// toProgram lifts the IR to the formal model's abstract program, one
+// op per IR op, so IR positions are program indexes. Stores get unique
+// values in (thread, program) order; labels carry over.
+func toProgram(threads [][]irOp) pmo.Program {
+	prog := make(pmo.Program, len(threads))
+	val := uint64(1)
 	for t, ops := range threads {
+		lifted := make([]pmo.Op, len(ops))
 		for i, op := range ops {
-			if op.kind == irStore || op.kind == irLoad {
-				g.nodeAt[opPos{t, i}] = len(g.nodes)
-				g.nodes = append(g.nodes, op)
+			lifted[i] = pmo.Op{Kind: op.kind, Loc: op.loc, Label: op.label}
+			if op.kind == pmo.KStore {
+				lifted[i].Val = val
+				val++
 			}
 		}
+		prog[t] = lifted //strandvet:ok construction of the freshly allocated program, never rewritten
 	}
-	n := len(g.nodes)
-	g.closure = make([][]bool, n)
-	for i := range g.closure {
-		g.closure[i] = make([]bool, n)
-	}
-	// Equations 1-2, restricted to edges independent of the
-	// interleaving: same-thread pairs separated by barriers. A strand-
-	// insensitive barrier (irJS) orders unconditionally; a strand-
-	// scoped one (irPB) orders unless a NewStrand shares the interval.
-	// Equation 3's static projection: same-thread same-location store
-	// pairs (TSO visibility follows program order). Cross-thread
-	// Equation 3 edges depend on the interleaving and are never "must".
-	for t, ops := range threads {
-		for i := 0; i < len(ops); i++ {
-			a := ops[i]
-			if a.kind != irStore && a.kind != irLoad {
-				continue
-			}
-			for j := i + 1; j < len(ops); j++ {
-				b := ops[j]
-				if b.kind != irStore && b.kind != irLoad {
-					continue
-				}
-				hasPB, hasNS, hasJS := false, false, false
-				for k := i + 1; k < j; k++ {
-					if skip != nil && skip.t == t && skip.i == k {
-						continue
-					}
-					switch ops[k].kind {
-					case irPB:
-						hasPB = true
-					case irNS:
-						hasNS = true
-					case irJS:
-						hasJS = true
-					}
-				}
-				ordered := hasJS || (hasPB && !hasNS)
-				if a.kind == irStore && b.kind == irStore {
-					if a.loc == b.loc {
-						ordered = true
-					}
-					if visOrdered {
-						ordered = true
-					}
-				}
-				if ordered {
-					g.closure[g.nodeAt[opPos{t, i}]][g.nodeAt[opPos{t, j}]] = true
-				}
-			}
-		}
-	}
-	// Equation 4: transitivity (loads relay ordering even though they
-	// never persist).
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			if !g.closure[i][k] {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if g.closure[k][j] {
-					g.closure[i][j] = true
-				}
-			}
-		}
-	}
-	return g
+	return prog
 }
 
-// storePairs counts store->store ordered pairs in a closure.
-func (g *graph) storePairs() int {
-	count := 0
-	for i, u := range g.nodes {
-		if u.kind != irStore {
-			continue
-		}
-		for j, v := range g.nodes {
-			if v.kind == irStore && g.closure[i][j] {
-				count++
+// graph is the static must-persist-before relation over the stores.
+type graph struct {
+	build      *pmo.Builder
+	visOrdered bool
+	// stores lists the store ops in (thread, program) order: the store
+	// numbering of order's rows.
+	stores []irOp
+	order  *pmo.Relation
+}
+
+// buildGraph builds the static projection of Equations 1-4 (only the
+// edges that hold in every interleaving) with the formal model's PMO
+// builder: same-thread barrier and same-location edges, closed
+// transitively with loads relaying order. Cross-thread Equation 3
+// edges depend on the interleaving and are never "must". With
+// visOrdered, every same-thread store pair is ordered.
+func buildGraph(threads [][]irOp, visOrdered bool) *graph {
+	g := &graph{build: pmo.NewBuilder(toProgram(threads)), visOrdered: visOrdered}
+	for _, ops := range threads {
+		for _, op := range ops {
+			if op.kind == pmo.KStore {
+				g.stores = append(g.stores, op)
 			}
 		}
 	}
-	return count
+	g.order = g.build.MustOrder(visOrdered, nil)
+	return g
 }
 
 // analyze runs the four finding passes over the IR.
 func analyze(name string, threads [][]irOp, requires []Requirement, visOrdered bool) (*Report, error) {
-	g := buildGraph(threads, visOrdered, nil)
+	g := buildGraph(threads, visOrdered)
 	rep := &Report{Name: name, Threads: len(threads)}
 	for _, ops := range threads {
 		for _, op := range ops {
 			switch op.kind {
-			case irStore:
+			case pmo.KStore:
 				rep.Stores++
-			case irLoad:
+			case pmo.KLoad:
 				rep.Loads++
 			default:
 				rep.Barriers++
@@ -216,33 +141,30 @@ func analyze(name string, threads [][]irOp, requires []Requirement, visOrdered b
 			}
 		}
 	}
-	rep.MustEdges = g.storePairs()
+	rep.MustEdges = g.order.Pairs()
 
-	// Resolve requirement labels to node indexes up front.
-	labelNode := make(map[string]int)
+	// Resolve requirement labels to store numbers up front.
+	labelStore := make(map[string]int)
 	dupLabel := make(map[string]bool)
-	for idx, nd := range g.nodes {
-		if nd.kind != irStore || nd.label == "" {
+	for idx, nd := range g.stores {
+		if nd.label == "" {
 			continue
 		}
-		if _, seen := labelNode[nd.label]; seen {
+		if _, seen := labelStore[nd.label]; seen {
 			dupLabel[nd.label] = true
 			continue
 		}
-		labelNode[nd.label] = idx
+		labelStore[nd.label] = idx
 	}
-	required := make([][]bool, len(g.nodes))
-	for i := range required {
-		required[i] = make([]bool, len(g.nodes))
-	}
+	required := pmo.NewRelation(len(g.stores))
 	type reqEdge struct {
 		before, after int
 		req           Requirement
 	}
 	var reqEdges []reqEdge
 	for _, r := range requires {
-		bi, bok := labelNode[r.Before]
-		ai, aok := labelNode[r.After]
+		bi, bok := labelStore[r.Before]
+		ai, aok := labelStore[r.After]
 		if !bok || !aok {
 			return nil, fmt.Errorf("requirement %q -> %q references an unknown store label", r.Before, r.After)
 		}
@@ -250,36 +172,18 @@ func analyze(name string, threads [][]irOp, requires []Requirement, visOrdered b
 			return nil, fmt.Errorf("requirement %q -> %q references an ambiguous (duplicated) store label", r.Before, r.After)
 		}
 		reqEdges = append(reqEdges, reqEdge{before: bi, after: ai, req: r})
-		required[bi][ai] = true
+		required.Add(bi, ai)
 	}
 	// The requirements compose transitively: log -> update and
 	// update -> marker imply log -> marker is also load-bearing.
-	for k := range required {
-		for i := range required {
-			if !required[i][k] {
-				continue
-			}
-			for j := range required {
-				if required[k][j] {
-					required[i][j] = true
-				}
-			}
-		}
-	}
-	rep.RequiredEdges = 0
-	for i := range required {
-		for j := range required[i] {
-			if required[i][j] {
-				rep.RequiredEdges++
-			}
-		}
-	}
+	required.Close()
+	rep.RequiredEdges = required.Pairs()
 
 	var findings []Finding
 
 	// Class 1: unpersisted stores.
-	for _, nd := range g.nodes {
-		if nd.kind == irStore && !nd.flushed {
+	for _, nd := range g.stores {
+		if !nd.flushed {
 			findings = append(findings, Finding{
 				Class:    ClassUnpersistedStore,
 				Severity: SevError,
@@ -293,7 +197,7 @@ func analyze(name string, threads [][]irOp, requires []Requirement, visOrdered b
 
 	// Class 2: missing ordering.
 	for _, e := range reqEdges {
-		before, after := g.nodes[e.before], g.nodes[e.after]
+		before, after := g.stores[e.before], g.stores[e.after]
 		reason := ""
 		if e.req.Reason != "" {
 			reason = " (" + e.req.Reason + ")"
@@ -309,7 +213,7 @@ func analyze(name string, threads [][]irOp, requires []Requirement, visOrdered b
 				Message: fmt.Sprintf("required predecessor %q is never flushed: a crash can persist %q without it%s",
 					e.req.Before, e.req.After, reason),
 			})
-		case !g.closure[e.before][e.after]:
+		case !g.order.Has(e.before, e.after):
 			findings = append(findings, Finding{
 				Class:    ClassMissingOrdering,
 				Severity: SevError,
@@ -323,7 +227,7 @@ func analyze(name string, threads [][]irOp, requires []Requirement, visOrdered b
 	}
 
 	// Classes 3 and 4: walk the barriers.
-	findings = append(findings, barrierFindings(g, threads, visOrdered, required, len(requires) > 0)...)
+	findings = append(findings, barrierFindings(g, threads, required, len(requires) > 0)...)
 
 	sort.SliceStable(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -341,7 +245,7 @@ func analyze(name string, threads [][]irOp, requires []Requirement, visOrdered b
 
 // barrierFindings produces the redundant-barrier and strand-misuse
 // findings.
-func barrierFindings(g *graph, threads [][]irOp, visOrdered bool, required [][]bool, haveReqs bool) []Finding {
+func barrierFindings(g *graph, threads [][]irOp, required *pmo.Relation, haveReqs bool) []Finding {
 	var findings []Finding
 	for t, ops := range threads {
 		seenNS := false
@@ -351,13 +255,13 @@ func barrierFindings(g *graph, threads [][]irOp, visOrdered bool, required [][]b
 		strandStart := 0
 		for i, op := range ops {
 			switch op.kind {
-			case irStore, irLoad:
+			case pmo.KStore, pmo.KLoad:
 				continue
-			case irNS:
+			case pmo.KNS:
 				seenNS = true
 				// Degenerate NS;JS pair: a strand opened and joined
 				// with nothing on it.
-				if j, next := nextMeaningful(ops, i); next != nil && next.kind == irJS {
+				if j, next := nextMeaningful(ops, i); next != nil && next.kind == pmo.KJS {
 					findings = append(findings, Finding{
 						Class:    ClassStrandMisuse,
 						Severity: SevWarn,
@@ -369,7 +273,7 @@ func barrierFindings(g *graph, threads [][]irOp, visOrdered bool, required [][]b
 				}
 				strandStart = i + 1
 				continue
-			case irJS:
+			case pmo.KJS:
 				strandStart = i + 1
 				if op.src == isa.OpJoinStrand {
 					// JoinStrand is the strand model's durability point;
@@ -388,13 +292,13 @@ func barrierFindings(g *graph, threads [][]irOp, visOrdered bool, required [][]b
 					continue
 				}
 				// SFENCE/DFENCE fall through to edge measurement.
-			case irPB:
+			case pmo.KPB:
 				// Barrier on an empty strand: nothing before it since
 				// the strand opened, so it orders nothing on this
 				// strand.
 				empty := true
 				for k := strandStart; k < i; k++ {
-					if ops[k].kind == irStore || ops[k].kind == irLoad {
+					if ops[k].kind == pmo.KStore || ops[k].kind == pmo.KLoad {
 						empty = false
 						break
 					}
@@ -420,7 +324,7 @@ func barrierFindings(g *graph, threads [][]irOp, visOrdered bool, required [][]b
 				// proceeding/returning), not a redundant barrier.
 				continue
 			}
-			contributed, excess := contribution(g, threads, visOrdered, opPos{t, i}, required)
+			contributed, excess := g.contribution(pmo.OpPos{Thread: t, Index: i}, required)
 			if contributed == 0 {
 				findings = append(findings, Finding{
 					Class:    ClassRedundantBarrier,
@@ -459,7 +363,7 @@ func barrierFindings(g *graph, threads [][]irOp, visOrdered bool, required [][]b
 // thread.
 func storesAfter(ops []irOp, i int) bool {
 	for j := i + 1; j < len(ops); j++ {
-		if ops[j].kind == irStore {
+		if ops[j].kind == pmo.KStore {
 			return true
 		}
 	}
@@ -470,7 +374,7 @@ func storesAfter(ops []irOp, i int) bool {
 // an otherwise empty strand do not make it meaningful for persists).
 func nextMeaningful(ops []irOp, i int) (int, *irOp) {
 	for j := i + 1; j < len(ops); j++ {
-		if ops[j].kind == irLoad {
+		if ops[j].kind == pmo.KLoad {
 			continue
 		}
 		return j, &ops[j]
@@ -479,24 +383,16 @@ func nextMeaningful(ops []irOp, i int) (int, *irOp) {
 }
 
 // contribution measures a barrier's edge contribution: the store pairs
-// present in the full closure but absent when the barrier is skipped,
+// present in the full order but absent when the barrier is skipped,
 // and how many of those no declared requirement needs.
-func contribution(g *graph, threads [][]irOp, visOrdered bool, at opPos, required [][]bool) (contributed, excess int) {
-	without := buildGraph(threads, visOrdered, &at)
-	for i, u := range g.nodes {
-		if u.kind != irStore {
-			continue
-		}
-		for j, v := range g.nodes {
-			if v.kind != irStore {
-				continue
-			}
-			if g.closure[i][j] && !without.closure[i][j] {
-				contributed++
-				if !required[i][j] {
-					excess++
-				}
-			}
+func (g *graph) contribution(at pmo.OpPos, required *pmo.Relation) (contributed, excess int) {
+	without := g.build.MustOrder(g.visOrdered, &at)
+	for s := range g.stores {
+		full, wo, req := g.order.Row(s), without.Row(s), required.Row(s)
+		for w := range full {
+			diff := full[w] &^ wo[w]
+			contributed += bits.OnesCount64(diff)
+			excess += bits.OnesCount64(diff &^ req[w])
 		}
 	}
 	return contributed, excess

@@ -5,6 +5,7 @@ import (
 
 	"strandweaver/internal/isa"
 	"strandweaver/internal/mem"
+	"strandweaver/internal/pmo"
 )
 
 // lowerISA lowers a recorded ISA instruction stream to the analyzer's
@@ -70,7 +71,7 @@ func lowerISA(ops []isa.Op) ([][]irOp, error) {
 			}
 			line := mem.LineAddr(mem.Addr(op.Addr))
 			threads[t] = append(threads[t], irOp{
-				kind: irStore, src: op.Kind, loc: loc(mem.Addr(op.Addr)),
+				kind: pmo.KStore, src: op.Kind, loc: loc(mem.Addr(op.Addr)),
 				label: op.Label, thread: t, pos: p,
 			})
 			key := tline{t, line}
@@ -80,7 +81,7 @@ func lowerISA(ops []isa.Op) ([][]irOp, error) {
 				continue
 			}
 			threads[t] = append(threads[t], irOp{
-				kind: irLoad, src: op.Kind, loc: loc(mem.Addr(op.Addr)),
+				kind: pmo.KLoad, src: op.Kind, loc: loc(mem.Addr(op.Addr)),
 				label: op.Label, thread: t, pos: p,
 			})
 		case isa.OpCLWB:
@@ -91,11 +92,11 @@ func lowerISA(ops []isa.Op) ([][]irOp, error) {
 			}
 			delete(unflushed, key)
 		case isa.OpPersistBarrier, isa.OpOFence:
-			threads[t] = append(threads[t], irOp{kind: irPB, src: op.Kind, label: op.Label, thread: t, pos: p})
+			threads[t] = append(threads[t], irOp{kind: pmo.KPB, src: op.Kind, label: op.Label, thread: t, pos: p})
 		case isa.OpNewStrand:
-			threads[t] = append(threads[t], irOp{kind: irNS, src: op.Kind, label: op.Label, thread: t, pos: p})
+			threads[t] = append(threads[t], irOp{kind: pmo.KNS, src: op.Kind, label: op.Label, thread: t, pos: p})
 		case isa.OpJoinStrand, isa.OpSFence, isa.OpDFence:
-			threads[t] = append(threads[t], irOp{kind: irJS, src: op.Kind, label: op.Label, thread: t, pos: p})
+			threads[t] = append(threads[t], irOp{kind: pmo.KJS, src: op.Kind, label: op.Label, thread: t, pos: p})
 		case isa.OpCompute, isa.OpNone:
 			// No ordering semantics.
 		default:

@@ -313,7 +313,7 @@ func AnalyzeStream(s Stream) (*Report, error) {
 	if s.PersistAtVisibility {
 		for _, ops := range threads {
 			for i := range ops {
-				if ops[i].kind == irStore {
+				if ops[i].kind == pmo.KStore {
 					ops[i].flushed = true
 				}
 			}
@@ -331,21 +331,16 @@ func AnalyzeStream(s Stream) (*Report, error) {
 // execution persists a before b. This is the analyzer-side half of the
 // static/dynamic differential check.
 func MustEdges(p pmo.Program) [][2]pmo.StoreID {
-	threads := fromProgram(p)
-	g := buildGraph(threads, false, nil)
+	g := buildGraph(fromProgram(p), false)
 	var out [][2]pmo.StoreID
-	for ui, u := range g.nodes {
-		if u.kind != irStore {
-			continue
-		}
-		for vi, v := range g.nodes {
-			if v.kind != irStore || !g.closure[ui][vi] {
-				continue
+	for ui, u := range g.stores {
+		for vi, v := range g.stores {
+			if g.order.Has(ui, vi) {
+				out = append(out, [2]pmo.StoreID{
+					{Thread: u.thread, Index: u.pos},
+					{Thread: v.thread, Index: v.pos},
+				})
 			}
-			out = append(out, [2]pmo.StoreID{
-				{Thread: u.thread, Index: u.pos},
-				{Thread: v.thread, Index: v.pos},
-			})
 		}
 	}
 	return out

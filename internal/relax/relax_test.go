@@ -280,6 +280,43 @@ func TestRelaxFindsStrandSplit(t *testing.T) {
 	}
 }
 
+// TestOptimizeLimitsAreErrors: programs beyond the crash-cut oracle's
+// limits come back as errors that name the limit, never as panics.
+func TestOptimizeLimitsAreErrors(t *testing.T) {
+	// stores returns n stores to loc (or to distinct locations when
+	// loc < 0), each behind a NewStrand so no two are ordered.
+	stores := func(n, loc int, val uint64) []pmo.Op {
+		var ops []pmo.Op
+		for i := 0; i < n; i++ {
+			l := loc
+			if l < 0 {
+				l = i
+			}
+			ops = append(ops, pmo.St(l, val+uint64(i)), pmo.NS())
+		}
+		return ops
+	}
+	for _, c := range []struct {
+		name string
+		p    pmo.Program
+		want string
+	}{
+		{"65 stores", pmo.Program{stores(65, -1, 1)}, "limited to 64 stores"},
+		{"conflicting interleavings", pmo.Program{stores(8, 0, 1), stores(8, 0, 101), stores(8, 0, 201)}, "the cap is 131072"},
+		{"crash cuts", pmo.Program{stores(23, -1, 1)}, "more than 4194304 crash cuts"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Optimize(Input{Name: c.name, Program: c.p})
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Optimize error = %v, want one containing %q", err, c.want)
+			}
+			if err := Validate(c.p, nil, c.p); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Validate error = %v, want one containing %q", err, c.want)
+			}
+		})
+	}
+}
+
 func BenchmarkOptimizeIntelUndo(b *testing.B) {
 	plan, err := backend.PlanFor(hwdesign.IntelX86)
 	if err != nil {
@@ -290,6 +327,28 @@ func BenchmarkOptimizeIntelUndo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := OptimizeStream(s); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOptimizeAllSubjects optimizes the undo and redo recipes of
+// every design at four pairs: the benchmark's relax pass.
+func BenchmarkOptimizeAllSubjects(b *testing.B) {
+	var streams []persistcheck.Stream
+	for _, d := range hwdesign.All {
+		plan, err := backend.PlanFor(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		streams = append(streams, undolog.AnalysisStream(d, plan, 4), redolog.AnalysisStream(d, plan, 4))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range streams {
+			if _, err := OptimizeStream(s); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -431,8 +431,9 @@ const (
 // strand annotations: it greedily demotes, deletes, and strand-splits
 // barriers, accepting only rewrites whose allowed crash cuts are a
 // superset of the original's and still satisfy every requirement —
-// each step proved against the exact crash-cut oracle
-// (AllowedPersistSets).
+// each step proved against the exact crash-cut oracle. Programs past
+// the oracle's limits (more than 64 stores, among others) return an
+// error naming the limit.
 func RelaxLitmusProgram(name string, p LitmusProgram, reqs []RelaxRequirement) (*RelaxResult, error) {
 	return relax.Optimize(relax.Input{Name: name, Program: p, Requires: reqs})
 }

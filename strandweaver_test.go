@@ -95,6 +95,18 @@ func TestPublicAPILitmus(t *testing.T) {
 	}
 }
 
+// TestPublicAPIRelaxLimit: a program past the crash-cut oracle's
+// 64-store limit is an error, not a panic.
+func TestPublicAPIRelaxLimit(t *testing.T) {
+	p := sw.LitmusProgram{nil}
+	for i := 0; i < 65; i++ {
+		p[0] = append(p[0], sw.LSt(i, uint64(i+1)))
+	}
+	if _, err := sw.RelaxLitmusProgram("big", p, nil); err == nil || !strings.Contains(err.Error(), "64") {
+		t.Fatalf("RelaxLitmusProgram error = %v, want the 64-store limit", err)
+	}
+}
+
 func TestPublicAPIHarness(t *testing.T) {
 	r, err := sw.Run(sw.Spec{Benchmark: "queue", Model: sw.TXN, Design: sw.HOPS, Threads: 2, OpsPerThread: 5})
 	if err != nil {
