@@ -15,7 +15,7 @@ import (
 // The engine counters must reach the -metrics-out side channel: every
 // measured cell folds its run's sim.Stats into CellMetrics.Engine, and
 // the counters must be non-trivial (a real run schedules events, takes
-// the same-cycle fast path, and context-switches its workers).
+// the timing wheel, and context-switches its workers).
 func TestEngineCountersReachCellMetrics(t *testing.T) {
 	rep := sweep.NewReport("test")
 	o := ExpOptions{Benchmarks: []string{"arrayswap"}, Designs: []hwdesign.Design{hwdesign.StrandWeaver},
@@ -38,7 +38,7 @@ func TestEngineCountersReachCellMetrics(t *testing.T) {
 			t.Errorf("cell %s: fired %d > scheduled %d", cell.Key, eng.EventsFired, eng.EventsScheduled)
 		}
 		if eng.FastPathHits == 0 {
-			t.Errorf("cell %s: same-cycle fast path never hit", cell.Key)
+			t.Errorf("cell %s: timing wheel never taken", cell.Key)
 		}
 		if eng.CoroutineSwitches == 0 {
 			t.Errorf("cell %s: no coroutine switches counted", cell.Key)

@@ -68,8 +68,8 @@ const goldenPath = "testdata/golden_digests.json"
 //
 // Coverage note: these digests are also the enforcement mechanism for
 // the sim-engine ordering contract (docs/DETERMINISM.md): any event
-// core change that perturbs the (cycle, seq) fire order — heap layout,
-// same-cycle fast path, coroutine handshake, entry pooling — moves
+// core change that perturbs the (cycle, seq) fire order — wheel or heap
+// layout, coroutine handshake, entry pooling — moves
 // cycle counts or stall totals somewhere in this grid and fails here.
 // Result.Engine (the event-core counters) is deliberately excluded
 // from the marshalled form via `json:"-"`: the counters describe the

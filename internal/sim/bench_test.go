@@ -2,21 +2,33 @@ package sim
 
 import "testing"
 
-// BenchmarkEngineSchedule exercises the heap path: events land at
-// spread-out future cycles so the same-cycle ring never applies. Must
-// report 0 allocs/op in steady state (value heap plus capacity reuse).
+// BenchmarkEngineSchedule exercises the timing wheel: events land at
+// spread-out future cycles within its span, one FIFO append each. Must
+// report 0 allocs/op in steady state (value entries from the recycled
+// node pool).
 func BenchmarkEngineSchedule(b *testing.B) {
+	benchmarkSchedule(b, func(i int) Cycle { return Cycle(i%64 + 1) })
+}
+
+// BenchmarkEngineScheduleFar exercises the far heap: every event is due
+// at least a wheel span ahead, the crash-cut case. Must report 0
+// allocs/op in steady state (value heap plus capacity reuse).
+func BenchmarkEngineScheduleFar(b *testing.B) {
+	benchmarkSchedule(b, func(i int) Cycle { return wheelSpan + Cycle(i%64) })
+}
+
+func benchmarkSchedule(b *testing.B, delay func(i int) Cycle) {
 	e := NewEngine()
 	fn := func() {}
-	// Warm the heap's backing array.
+	// Warm the pool and the heap's backing array.
 	for i := 0; i < 1024; i++ {
-		e.Schedule(Cycle(i%64+1), fn)
+		e.Schedule(delay(i), fn)
 	}
 	e.Run(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Schedule(Cycle(i%64+1), fn)
+		e.Schedule(delay(i), fn)
 		if i%1024 == 1023 {
 			b.StopTimer()
 			e.Run(0)
@@ -27,8 +39,8 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	e.Run(0)
 }
 
-// BenchmarkEngineScheduleZeroDelay exercises the same-cycle FIFO ring
-// fast path (the kick/Broadcast pattern). Must report 0 allocs/op.
+// BenchmarkEngineScheduleZeroDelay exercises the same-cycle slot of the
+// wheel (the kick/Broadcast pattern). Must report 0 allocs/op.
 func BenchmarkEngineScheduleZeroDelay(b *testing.B) {
 	e := NewEngine()
 	var fired int
@@ -51,10 +63,11 @@ func BenchmarkEngineScheduleZeroDelay(b *testing.B) {
 	e.Run(0)
 }
 
-// BenchmarkCoroutineYield measures one full engine<->coroutine round
-// trip (WaitCycles(1) per iteration). Must report 0 allocs/op: the
-// handshake is a single ping-pong channel and the wakeup reuses the
-// coroutine's cached resume thunk.
+// BenchmarkCoroutineYield measures one full host<->coroutine round trip
+// (WaitCycles(1) per iteration, driven by Step). Must report 0
+// allocs/op: Step's manual Resume hands the baton over on the
+// coroutine's own channel and gets it back on the engine's host
+// channel, and the wakeup is a resume event, with no closure.
 func BenchmarkCoroutineYield(b *testing.B) {
 	e := NewEngine()
 	co := NewCoroutine(e, func(co *Coroutine) {

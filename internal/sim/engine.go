@@ -8,19 +8,20 @@
 // exactly one goroutine — the engine's or a coroutine's — runs at any
 // instant.
 //
-// The event core is allocation-free in steady state: events are value
-// entries in an inline 4-ary min-heap (no per-event boxing), same-cycle
-// zero-delay bursts — the kick/Broadcast pattern every queue pump
-// generates — bypass the heap through a FIFO ring, and both structures
-// recycle their backing storage instead of releasing it. The ordering
-// contract is exactly (cycle, seq) regardless of which structure holds
-// an event; docs/DETERMINISM.md states the contract, and the golden
+// The event core is allocation-free in steady state. Events are value
+// entries in a hashed timing wheel: one FIFO per cycle slot, drawn from a
+// freelisted pool, so scheduling and popping are O(1) whatever the delay
+// up to the wheel's span. The rare event due further ahead (a crash cut
+// placed with ScheduleAt) waits in an inline 4-ary min-heap instead. The
+// ordering contract is exactly (cycle, seq) regardless of which structure
+// holds an event; docs/DETERMINISM.md states the contract, and the golden
 // digests in internal/harness enforce it.
 package sim
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Cycle is a point in simulated time, measured in CPU cycles.
@@ -39,16 +40,42 @@ var ErrBudgetExceeded = errors.New("sim: event budget exceeded (watchdog)")
 type Event func()
 
 // eventEntry is one scheduled event, stored by value: scheduling does
-// not allocate once the heap and ring have grown to the simulation's
-// working depth. Exactly one of fn and co is set: fn for a plain
-// callback, co for a coroutine resumption (the baton handoff the event
-// loop performs itself; see Coroutine).
+// not allocate once the wheel's pool and the far heap have grown to the
+// simulation's working depth. Exactly one of fn and co is set: fn for a
+// plain callback, co for a coroutine resumption (the baton handoff the
+// event loop performs itself; see Coroutine).
 type eventEntry struct {
 	at  Cycle
 	seq uint64
 	fn  Event
 	co  *Coroutine
 }
+
+// wheelSpan is the timing wheel's size in cycles: an event due fewer
+// than wheelSpan cycles ahead goes to the wheel, a later one to the far
+// heap. The paper's Table I latencies bound almost every delay the
+// simulator schedules, the slowest being the 1000-cycle PM media write.
+// On the Fig 7/8 grid about half of all delays are 0 and a fifth are 1;
+// about one in 2000 lies between 1024 and 2047 cycles, and none reaches
+// 2048 (FastPathHits equals EventsScheduled there). 2048 is thus the
+// smallest power of two that keeps every grid event in the wheel: only
+// crash cuts placed far ahead with ScheduleAt (torture, fuzz, litmus)
+// take the heap. The slot array is 16 KiB.
+const (
+	wheelSpan  = 2048
+	wheelMask  = wheelSpan - 1
+	wheelWords = wheelSpan / 64
+)
+
+// wheelNode is one pooled wheel entry. next links its slot's FIFO by
+// pool index; 0 ends the list (pool[0] is a sentinel).
+type wheelNode struct {
+	ev   eventEntry
+	next int32
+}
+
+// wheelSlot is one slot's FIFO as pool indices; 0 means empty.
+type wheelSlot struct{ head, tail int32 }
 
 // before reports whether a fires before b under the (cycle, seq) total
 // order.
@@ -67,14 +94,15 @@ type Stats struct {
 	// callbacks run.
 	EventsScheduled uint64 `json:"events_scheduled"`
 	EventsFired     uint64 `json:"events_fired"`
-	// FastPathHits counts zero-delay schedules that took the same-cycle
-	// FIFO ring instead of the heap (no sift, O(1)).
+	// FastPathHits counts schedules that took the timing wheel (an O(1)
+	// append, no sift) rather than the far heap. On the Fig 7/8 grid
+	// that is every schedule.
 	FastPathHits uint64 `json:"fast_path_hits"`
-	// FreelistHits counts event slots recycled from previously grown
-	// heap or ring capacity — schedules that allocated nothing.
+	// FreelistHits counts schedules that reused storage: a recycled
+	// wheel pool node, or spare capacity of the far heap.
 	FreelistHits uint64 `json:"freelist_hits"`
-	// PeakHeapDepth is the high-water mark of pending events (heap plus
-	// same-cycle ring).
+	// PeakHeapDepth is the high-water mark of pending events (wheel plus
+	// far heap). The name predates the wheel.
 	PeakHeapDepth int `json:"peak_heap_depth"`
 	// CoroutineSwitches counts coroutine resumptions delivered: resume
 	// events fired on a live coroutine, manual Resume calls, and Abort
@@ -88,16 +116,26 @@ type Stats struct {
 type Engine struct {
 	now Cycle
 	seq uint64
-	// heap is an inline 4-ary min-heap of future events ordered by
-	// (at, seq). Value entries: no allocation per Schedule.
+	// slots is the timing wheel, allocated by the first Schedule. Every
+	// wheel event is due in [now, now+wheelSpan), so slot at&wheelMask
+	// holds the events of exactly one cycle, as a FIFO in seq order
+	// (seq only grows, and the FIFO is only appended to). Slot now is
+	// the same-cycle queue.
+	slots *[wheelSpan]wheelSlot
+	// occ has bit s set iff slot s is non-empty, and occSum bit w iff
+	// occ[w] is non-zero: the next due slot is two TrailingZeros away.
+	occ    [wheelWords]uint64
+	occSum uint32
+	// pool backs the slot FIFOs; free heads the freelist of recycled
+	// nodes (0 = empty). wheelLen counts the events in the wheel.
+	pool     []wheelNode
+	free     int32
+	wheelLen int
+	// heap holds the far events (scheduled wheelSpan or more cycles
+	// ahead) in an inline 4-ary min-heap ordered by (at, seq). They
+	// never migrate into the wheel, which would break its seq order;
+	// popping compares the wheel head with the heap top instead.
 	heap []eventEntry
-	// ring is the same-cycle fast path: zero-delay events appended
-	// while the clock sits at ringAt, consumed FIFO from ringHead.
-	// Entries are in strictly increasing seq order, all at == ringAt,
-	// so the head is comparable against the heap top in O(1).
-	ring     []eventEntry
-	ringHead int
-	ringAt   Cycle
 	// stopped is set by Stop; Run returns promptly once set.
 	stopped bool
 	// eventBudget, when non-zero, bounds EventsFired; crossing it sets
@@ -168,19 +206,8 @@ func (e *Engine) schedule(delay Cycle, entry eventEntry) {
 	e.stats.EventsScheduled++
 	entry.at = e.now + delay
 	entry.seq = e.seq
-	if delay == 0 && (e.ringLen() == 0 || e.ringAt == e.now) {
-		// Same-cycle fast path: the ring holds only entries at the
-		// current cycle, appended in seq order, so no sift is needed.
-		// (The ring cycle is re-pinned whenever the ring is empty; see
-		// Run's limit clamp for why now can move without firing.)
-		if e.ringLen() == 0 {
-			e.ringAt = e.now
-		}
-		if len(e.ring) < cap(e.ring) {
-			e.stats.FreelistHits++
-		}
-		e.ring = append(e.ring, entry)
-		e.stats.FastPathHits++
+	if delay < wheelSpan {
+		e.wheelPush(entry)
 	} else {
 		if len(e.heap) < cap(e.heap) {
 			e.stats.FreelistHits++
@@ -190,6 +217,55 @@ func (e *Engine) schedule(delay Cycle, entry eventEntry) {
 	if depth := e.Pending(); depth > e.stats.PeakHeapDepth {
 		e.stats.PeakHeapDepth = depth
 	}
+}
+
+// wheelPush appends entry to the FIFO of its cycle's slot.
+func (e *Engine) wheelPush(entry eventEntry) {
+	if e.slots == nil {
+		e.slots = new([wheelSpan]wheelSlot)
+		e.pool = make([]wheelNode, 1) // pool[0] is the sentinel
+	}
+	n := e.free
+	if n != 0 {
+		e.free = e.pool[n].next
+		e.pool[n] = wheelNode{ev: entry}
+		e.stats.FreelistHits++
+	} else {
+		n = int32(len(e.pool))
+		e.pool = append(e.pool, wheelNode{ev: entry})
+	}
+	s := int(entry.at & wheelMask)
+	sl := &e.slots[s]
+	if sl.tail == 0 {
+		sl.head = n
+		e.occ[s>>6] |= 1 << (s & 63)
+		e.occSum |= 1 << (s >> 6)
+	} else {
+		e.pool[sl.tail].next = n
+	}
+	sl.tail = n
+	e.wheelLen++
+	e.stats.FastPathHits++
+}
+
+// wheelFirst returns the slot holding the earliest wheel event; the
+// wheel must not be empty. Every wheel event is due in
+// [now, now+wheelSpan), so scanning the slots cyclically from now's slot
+// visits them in cycle order.
+func (e *Engine) wheelFirst() int {
+	p := int(e.now & wheelMask)
+	w := p >> 6
+	if m := e.occ[w] >> (p & 63); m != 0 {
+		return p + bits.TrailingZeros64(m)
+	}
+	if rest := e.occSum >> uint(w+1); rest != 0 {
+		w += 1 + bits.TrailingZeros32(rest)
+	} else {
+		// Wrapped around: the lowest non-empty word, possibly w itself
+		// (its slots before p).
+		w = bits.TrailingZeros32(e.occSum)
+	}
+	return w<<6 + bits.TrailingZeros64(e.occ[w])
 }
 
 // ScheduleAt runs fn at the absolute cycle at, which must not be in the
@@ -227,43 +303,42 @@ func (e *Engine) BudgetExceeded() bool { return e.budgetHit }
 func (e *Engine) Stopped() bool { return e.stopped }
 
 // Pending reports the number of scheduled events not yet fired.
-func (e *Engine) Pending() int { return len(e.heap) + e.ringLen() }
-
-func (e *Engine) ringLen() int { return len(e.ring) - e.ringHead }
-
-// next returns a pointer to the earliest pending event under the
-// (cycle, seq) order, or nil if none is pending. The pointer is valid
-// until the next Schedule or pop.
-func (e *Engine) next() *eventEntry {
-	var best *eventEntry
-	if e.ringHead < len(e.ring) {
-		best = &e.ring[e.ringHead]
-	}
-	if len(e.heap) > 0 && (best == nil || e.heap[0].before(best)) {
-		best = &e.heap[0]
-	}
-	return best
-}
+func (e *Engine) Pending() int { return e.wheelLen + len(e.heap) }
 
 // popNext removes and returns the earliest pending event under the
-// (cycle, seq) order. ok is false if none is pending.
-func (e *Engine) popNext() (ev eventEntry, ok bool) {
-	if h := e.ringHead; h < len(e.ring) &&
-		(len(e.heap) == 0 || e.ring[h].before(&e.heap[0])) {
-		ev = e.ring[h]
-		e.ring[h] = eventEntry{}
-		e.ringHead = h + 1
-		if e.ringHead == len(e.ring) {
-			// Drained: recycle the backing array in place.
-			e.ring = e.ring[:0]
-			e.ringHead = 0
-		}
-		return ev, true
+// (cycle, seq) order, unless it is due after limit (0 means no limit).
+// ok is false when no event is due: none is pending, or the earliest is
+// late and stays queued.
+func (e *Engine) popNext(limit Cycle) (ev eventEntry, ok bool) {
+	var head *wheelNode
+	slot := 0
+	if e.wheelLen != 0 {
+		slot = e.wheelFirst()
+		head = &e.pool[e.slots[slot].head]
 	}
-	if len(e.heap) > 0 {
+	if len(e.heap) != 0 && (head == nil || e.heap[0].before(&head.ev)) {
+		if limit != 0 && e.heap[0].at > limit {
+			return eventEntry{}, false
+		}
 		return e.heapPop(), true
 	}
-	return eventEntry{}, false
+	if head == nil || (limit != 0 && head.ev.at > limit) {
+		return eventEntry{}, false
+	}
+	ev = head.ev
+	sl := &e.slots[slot]
+	n := sl.head
+	if sl.head = head.next; sl.head == 0 {
+		sl.tail = 0
+		e.occ[slot>>6] &^= 1 << (slot & 63)
+		if e.occ[slot>>6] == 0 {
+			e.occSum &^= 1 << (slot >> 6)
+		}
+	}
+	*head = wheelNode{next: e.free}
+	e.free = n
+	e.wheelLen--
+	return ev, true
 }
 
 // fired advances the clock to ev's cycle and applies the watchdog. The
@@ -288,7 +363,7 @@ func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
 	}
-	ev, ok := e.popNext()
+	ev, ok := e.popNext(0)
 	if !ok {
 		return false
 	}
@@ -302,8 +377,9 @@ func (e *Engine) Step() bool {
 }
 
 // Run fires events until none remain, Stop is called, or the clock would
-// pass limit (limit 0 means no limit). It returns the cycle at which it
-// stopped.
+// pass limit (limit 0 means no limit; the clock then rests at limit, or
+// stays put if it is already beyond it). It returns the cycle at which
+// it stopped.
 //
 // Run's caller is the "host" of the baton protocol (see Coroutine): it
 // starts the event loop on its own goroutine, hands the baton off when
@@ -352,15 +428,16 @@ func (e *Engine) loop(g *Coroutine, dying bool) {
 		if e.stopped || (e.runCond != nil && e.runCond()) {
 			break
 		}
-		next := e.next()
-		if next == nil {
+		ev, ok := e.popNext(e.runLimit)
+		if !ok {
+			if e.runLimit > e.now && e.Pending() != 0 {
+				// The next event lies beyond the limit: rest the clock
+				// there. It never runs backwards, which keeps every
+				// wheel event within a span of now.
+				e.now = e.runLimit
+			}
 			break
 		}
-		if e.runLimit != 0 && next.at > e.runLimit {
-			e.now = e.runLimit
-			break
-		}
-		ev, _ := e.popNext()
 		e.fired(&ev)
 		if ev.co == nil {
 			ev.fn()
@@ -442,7 +519,7 @@ func (e *Engine) hostWait() {
 	}
 }
 
-// --- inline 4-ary min-heap ---
+// --- far events: inline 4-ary min-heap ---
 //
 // A 4-ary heap halves the tree depth of a binary heap, trading slightly
 // wider sift-down scans for fewer cache-missing levels — the standard

@@ -33,26 +33,21 @@ func (e *Engine) Snapshot() EngineState {
 	}
 }
 
-// Restore rewinds the engine to a previously captured state. The heap
-// and same-cycle ring are cleared in place (capacity retained, event
-// closures released); the clock resumes at the captured (cycle, seq)
-// pair so events scheduled after Restore extend the captured total
-// order exactly as they would have on the original system.
+// Restore rewinds the engine to a previously captured state. Pending
+// events are dropped by popping them in O(pending) — storage is kept,
+// event closures are released — before the clock moves, since the wheel
+// locates its events relative to the current cycle. The clock then
+// resumes at the captured (cycle, seq) pair so events scheduled after
+// Restore extend the captured total order exactly as they would have on
+// the original system.
 func (e *Engine) Restore(s EngineState) {
+	for e.Pending() != 0 {
+		e.popNext(0)
+	}
 	e.now = s.Now
 	e.seq = s.Seq
 	e.stopped = s.Stopped
 	e.eventBudget = s.EventBudget
 	e.budgetHit = s.BudgetHit
 	e.stats = s.Stats
-	for i := range e.heap {
-		e.heap[i] = eventEntry{}
-	}
-	e.heap = e.heap[:0]
-	for i := range e.ring {
-		e.ring[i] = eventEntry{}
-	}
-	e.ring = e.ring[:0]
-	e.ringHead = 0
-	e.ringAt = s.Now
 }
