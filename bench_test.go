@@ -152,14 +152,9 @@ func BenchmarkLitmusFigure2(b *testing.B) {
 func BenchmarkCrashRecovery(b *testing.B) {
 	spec := sw.Spec{Benchmark: "hashmap", Model: sw.SFR, Design: sw.StrandWeaver,
 		Threads: 4, OpsPerThread: 20}
-	base, err := sw.Run(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		at := sw.Cycle(base.Cycles * uint64(i%7+1) / 8)
-		if _, err := sw.RunWithCrash(spec, at); err != nil {
+		eighth := func(end sw.Cycle) []sw.Cycle { return []sw.Cycle{end * sw.Cycle(i%7+1) / 8} }
+		if _, err := sw.RunWithCrash(spec, eighth); err != nil {
 			b.Fatal(err)
 		}
 	}

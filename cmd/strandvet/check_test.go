@@ -209,11 +209,11 @@ type Checkpoint struct {
 func TestAllowsPassiveCheckpointFields(t *testing.T) {
 	diags := runCheck(t, `package p
 import "strandweaver/internal/sim"
-type CoreState struct {
+type UnitState struct {
 	Seq     uint64
 	Eng     sim.EngineState
 	Entries []struct{ Line uint64 }
-	Backend any
+	Extra   any
 }
 `)
 	wantDiags(t, diags)

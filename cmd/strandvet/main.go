@@ -53,11 +53,14 @@ import (
 )
 
 // defaultDirs is the package list the determinism rules cover. The
-// second group holds the packages with Snapshot/Restore seams, which
-// the passive-checkpoint rule guards; the third group holds the
-// packages that handle pmo.Program values, which the program-mutation
-// rule guards (pmo and relax are the rule's exempt owners but stay
-// listed so the other rules cover them).
+// second group holds the simulator layers under the machine: mem,
+// pmem and machine carry the crash-cut Snapshot/Restore seams the
+// passive-checkpoint rule guards, and strand, cpu and backend (whose
+// state a crash destroys, so they have no seam) stay listed for the
+// other rules. The third group holds the packages that handle
+// pmo.Program values, which the program-mutation rule guards (pmo and
+// relax are the rule's exempt owners but stay listed so the other
+// rules cover them).
 var defaultDirs = []string{
 	"internal/sim",
 	"internal/harness",

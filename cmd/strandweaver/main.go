@@ -578,24 +578,26 @@ func runCrash(opt sw.ExpOptions, crashes int) error {
 		opt.Benchmarks = sw.BenchmarkNames()
 	}
 	fmt.Println("Crash-injection sweep: run, crash, recover, verify structural invariants")
-	for _, b := range opt.Benchmarks {
-		// Find the crash-free length first.
-		base, err := sw.Run(sw.Spec{Benchmark: b, Model: sw.SFR, Design: sw.StrandWeaver,
-			Threads: opt.Threads, OpsPerThread: opt.OpsPerThread, Seed: opt.Seed, Controllers: opt.Controllers})
-		if err != nil {
-			return err
-		}
-		stride := sw.Cycle(base.Cycles / uint64(crashes+1))
+	// crashes cuts evenly spaced over the crash-free run.
+	cuts := func(end sw.Cycle) []sw.Cycle {
+		stride := end / sw.Cycle(crashes+1)
 		if stride == 0 {
 			stride = 1
 		}
+		at := make([]sw.Cycle, crashes)
+		for i := range at {
+			at[i] = sw.Cycle(i+1) * stride
+		}
+		return at
+	}
+	for _, b := range opt.Benchmarks {
+		reps, err := sw.RunWithCrash(sw.Spec{Benchmark: b, Model: sw.SFR, Design: sw.StrandWeaver,
+			Threads: opt.Threads, OpsPerThread: opt.OpsPerThread, Seed: opt.Seed, Controllers: opt.Controllers}, cuts)
+		if err != nil {
+			return fmt.Errorf("%s: %w", b, err)
+		}
 		rolled := 0
-		for i := 1; i <= crashes; i++ {
-			rep, err := sw.RunWithCrash(sw.Spec{Benchmark: b, Model: sw.SFR, Design: sw.StrandWeaver,
-				Threads: opt.Threads, OpsPerThread: opt.OpsPerThread, Seed: opt.Seed, Controllers: opt.Controllers}, sw.Cycle(i)*stride)
-			if err != nil {
-				return fmt.Errorf("%s: %w", b, err)
-			}
+		for _, rep := range reps {
 			rolled += len(rep.RolledBack)
 		}
 		fmt.Printf("  %-12s %3d crashes, %5d mutations rolled back, all invariants held\n", b, crashes, rolled)

@@ -126,11 +126,8 @@ type Core struct {
 	addResult    uint64
 	addFn        func()
 
-	// rng drives lock backoff jitter; rngDraws counts draws so a
-	// checkpoint restore can replay the generator to the same stream
-	// position (docs/SNAPSHOT.md).
-	rng      *rand.Rand
-	rngDraws uint64
+	// rng drives lock backoff jitter.
+	rng *rand.Rand
 
 	stats Stats
 }
@@ -201,9 +198,6 @@ func (c *Core) Design() hwdesign.Design { return c.be.Design() }
 
 // Stats returns a copy of the core's counters.
 func (c *Core) Stats() Stats { return c.stats }
-
-// BackendStats returns the persist backend's design-specific counters.
-func (c *Core) BackendStats() []backend.Stat { return c.be.Stats() }
 
 // OrderingPlan returns the backend's logging-order plan (which
 // primitive discharges each Figure 5 requirement on this design).

@@ -58,12 +58,6 @@ type storeQueue struct {
 	// is re-stepped on every pump while blocked, so this must not
 	// allocate per attempt).
 	popFn func()
-	stats sqStats
-}
-
-type sqStats struct {
-	maxOccupancy int
-	drained      uint64
 }
 
 func newStoreQueue(c *Core) *storeQueue {
@@ -131,9 +125,6 @@ func (q *storeQueue) pushStore(addr mem.Addr, value uint64, size uint8, seq uint
 
 func (q *storeQueue) push(e *sqEntry) {
 	q.buf = append(q.buf, e)
-	if n := q.Len(); n > q.stats.maxOccupancy {
-		q.stats.maxOccupancy = n
-	}
 	q.core.kick()
 }
 
@@ -154,7 +145,6 @@ func (q *storeQueue) pop() {
 		q.buf = q.buf[:n]
 		q.head = 0
 	}
-	q.stats.drained++
 	// Recycle: the drain thunk is kept, everything else resets.
 	*e = sqEntry{drainFn: e.drainFn}
 	q.free = append(q.free, e)

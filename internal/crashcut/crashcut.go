@@ -1,7 +1,6 @@
-// Package crashcut is the crash-cut executor the torture sweep and the
-// fuzz search share: the front half of every crash cut, from building a
-// target's machine to handing back checkpoints positioned at the
-// requested crash cycles.
+// Package crashcut is the one crash-cut executor: the front half of
+// every crash cut, from building a target's machine to handing back
+// checkpoints positioned at the requested crash cycles.
 //
 // A crash cut needs the crash-free run's length (cuts are placed
 // relative to it) and the machine state at the cut. Cache memoises
@@ -12,12 +11,16 @@
 // A capture event fires at the position a cold run's Abandon would
 // (pre-spawn harness events take the lowest sequence numbers of their
 // cycle) and perturbs no machine state, so a restored checkpoint is
-// byte-identical to a cold run abandoned at the same cut.
+// byte-identical, for every post-crash query, to a cold run abandoned
+// at the same cut.
 // docs/SNAPSHOT.md states the argument; the package's tests hold the
 // cache to a cold re-simulation for every target.
 //
-// What happens after the cut — which injector draws the crash image,
-// recovery, invariant checks, cycle limits — stays with each driver.
+// Every crash cut in the tree is a request here: the torture sweep,
+// the fuzz search, litmus cross-validation and the harness's
+// RunWithCrash. What happens after the cut — which injector draws the
+// crash image (CutInjector, or the armed run injector restored to the
+// cut), recovery, invariant checks — stays with each caller.
 package crashcut
 
 import (
@@ -32,10 +35,11 @@ import (
 	"strandweaver/internal/sim"
 )
 
-// Budget is the unique checkpoint page bytes a Cache retains before
-// least-recently-used eviction. It is generous against every driver's
-// working set (a torture benchmark's prefixes, a fuzz search over the
-// direct targets), while still bounding a long run. It shapes
+// Budget is the unique page bytes a Cache's checkpoints retain before
+// least-recently-used eviction. Checkpoints hold persistent-image pages
+// only, so that is what it counts. It is generous against every
+// caller's working set (a torture benchmark's prefixes, a fuzz search
+// over the direct targets), while still bounding a long run. It shapes
 // performance only: results are identical at any budget.
 const Budget = 256 << 20
 
@@ -258,7 +262,7 @@ func (c *Cache) capture(r Request, p *Prefix, ats []sim.Cycle, missing []int) er
 		}
 		cut := p.Cuts[i]
 		c.cps[k] = c.lru.PushFront(&lruEntry{key: k, cut: cut})
-		c.refs.Retain(cut.CP.Mem.Volatile, cut.CP.Mem.Persistent)
+		c.refs.Retain(cut.CP.Mem.Persistent)
 	}
 	p.COW.CheckpointBytes = c.refs.UniqueBytes() - before
 	for c.refs.UniqueBytes() > c.budget && c.lru.Len() > 1 {
@@ -266,9 +270,20 @@ func (c *Cache) capture(r Request, p *Prefix, ats []sim.Cycle, missing []int) er
 		ev := back.Value.(*lruEntry)
 		c.lru.Remove(back)
 		delete(c.cps, ev.key)
-		c.refs.Release(ev.cut.CP.Mem.Volatile, ev.cut.CP.Mem.Persistent)
+		c.refs.Release(ev.cut.CP.Mem.Persistent)
 	}
 	return nil
+}
+
+// CutInjector returns a fresh injector for one cut's crash image under
+// the per-cut seed rule: the plan's seed decorrelated by the cut cycle,
+// so the cuts of one run draw independent power-cut points and tears.
+// The torture sweep and litmus cross-validation both draw their crash
+// images this way; the fuzz search draws from the armed run injector
+// instead, restored to its position at the cut.
+func CutInjector(p faultinject.Plan, at sim.Cycle) *faultinject.Injector {
+	p.Seed += uint64(at) * 0x9e3779b97f4a7c15
+	return faultinject.New(p)
 }
 
 // Stats reports per-cut checkpoint lookups served from the cache

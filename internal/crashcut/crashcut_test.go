@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"strandweaver/internal/cpu"
 	"strandweaver/internal/faultinject"
 	"strandweaver/internal/machine"
 	"strandweaver/internal/mem"
@@ -43,16 +42,18 @@ func quarterCuts(end sim.Cycle) []sim.Cycle {
 }
 
 // state is everything a crash-cut consumer can observe at a cut: the
-// machine state (engine counters excluded — a capture run fires one
-// more harness event than a cold run, visible only in scheduling
-// statistics), the crash images under both drivers' injector rules,
-// and the injector counters.
+// persistent image, the controllers' unaccepted and accepted-in-flight
+// writes and statistics (engine counters excluded — a capture run
+// fires one more harness event than a cold run, visible only in
+// scheduling statistics), the crash images under both callers'
+// injector rules, and the injector counters.
 type state struct {
-	Now      sim.Cycle
-	Mem      *mem.MachineState
-	Ctrls    []*pmem.ControllerState
-	Cores    []*cpu.CoreState
-	RunStats faultinject.Stats
+	Now        sim.Cycle
+	Persistent *mem.Image
+	Unaccepted []pmem.LineWrite
+	Accepted   []pmem.LineWrite
+	Ctrl       []pmem.Stats
+	RunStats   faultinject.Stats
 	// Armed is the crash image drawn by the run's armed injector (the
 	// fuzz rule), Fresh by a fresh injector (the torture rule).
 	Armed, Fresh          uint64
@@ -60,8 +61,14 @@ type state struct {
 }
 
 func observe(sys *machine.System, armed *faultinject.Injector) state {
-	cp := sys.Snapshot()
-	st := state{Now: sys.Eng.Now(), Mem: cp.Mem, Ctrls: cp.Ctrls, Cores: cp.Cores, RunStats: armed.Stats()}
+	st := state{
+		Now:        sys.Eng.Now(),
+		Persistent: sys.Mem.Persistent.Freeze(),
+		Unaccepted: sys.PM.UnacceptedWrites(),
+		Accepted:   sys.PM.AcceptedInFlight(),
+		Ctrl:       sys.PM.PerController(),
+		RunStats:   armed.Stats(),
+	}
 	fresh := faultinject.New(faultinject.Plan{Seed: 99, TornPersists: true, DropProb: 0.5})
 	st.Fresh = fresh.CrashImage(sys).Fingerprint()
 	st.FreshStat = fresh.Stats()
@@ -106,9 +113,10 @@ func request(name string, tg Target, cuts func(sim.Cycle) []sim.Cycle) Request {
 
 // TestForkedMatchesCold is the differential for every target at one and
 // two PM controllers: each served checkpoint, restored, must be
-// indistinguishable from a cold run abandoned at the same cut — machine
-// state, crash images under both injector rules, injector counters —
-// whether the cut was captured by this request or served from cache.
+// indistinguishable from a cold run abandoned at the same cut — the
+// crash-visible machine state, crash images under both injector rules,
+// injector counters — whether the cut was captured by this request or
+// served from cache.
 func TestForkedMatchesCold(t *testing.T) {
 	for _, controllers := range []int{1, 2} {
 		for name, tg := range testTargets(t, controllers) {

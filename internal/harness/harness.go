@@ -8,6 +8,7 @@ import (
 
 	"strandweaver/internal/config"
 	"strandweaver/internal/cpu"
+	"strandweaver/internal/crashcut"
 	"strandweaver/internal/hwdesign"
 	"strandweaver/internal/langmodel"
 	"strandweaver/internal/machine"
@@ -87,9 +88,10 @@ type Result struct {
 	Engine sim.Stats `json:"-"`
 }
 
-// Run executes one spec and returns its measurements.
-func Run(spec Spec) (*Result, error) {
-	spec = spec.withDefaults()
+// build constructs the spec's system with the workload set up on it,
+// returning the workload instance (for invariant checks) and one
+// worker per thread.
+func build(spec Spec) (*machine.System, workloads.Instance, []machine.Worker, error) {
 	cfg := config.Default()
 	if spec.Cfg != nil {
 		cfg = *spec.Cfg
@@ -102,7 +104,7 @@ func Run(spec Spec) (*Result, error) {
 	}
 	sys, err := machine.New(cfg, spec.Design)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	opts := langmodel.DefaultOptions()
 	if spec.RuntimeOpts != nil {
@@ -111,13 +113,23 @@ func Run(spec Spec) (*Result, error) {
 	rt := langmodel.New(sys, spec.Model, spec.Threads, opts)
 	f, err := workloads.Find(spec.Benchmark)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	inst := f.New(workloads.Params{Threads: spec.Threads, OpsPerThread: spec.OpsPerThread, Seed: spec.Seed})
 	inst.Setup(sys, rt)
 	ws := make([]machine.Worker, spec.Threads)
 	for i := range ws {
 		ws[i] = inst.Worker(i)
+	}
+	return sys, inst, ws, nil
+}
+
+// Run executes one spec and returns its measurements.
+func Run(spec Spec) (*Result, error) {
+	spec = spec.withDefaults()
+	sys, _, ws, err := build(spec)
+	if err != nil {
+		return nil, err
 	}
 	end, err := sys.Run(ws, spec.CycleLimit)
 	if err != nil {
@@ -147,51 +159,43 @@ func newResult(spec Spec, sys *machine.System, cycles uint64) *Result {
 	return r
 }
 
-// RunWithCrash executes the spec but crashes the machine at the given
-// cycle, runs recovery on the crash image, and verifies the workload's
-// structural invariants. It returns the recovery report.
-func RunWithCrash(spec Spec, crashAt sim.Cycle) (*undolog.Report, error) {
+// RunWithCrash crashes the spec's run at each cycle cuts places over
+// its crash-free run of end cycles (a cut at end+1 crashes the drained
+// final state), runs recovery on each crash image, and verifies the
+// workload's structural invariants. It is one crashcut request: the
+// crash-free run and one capture run, with every cut restored from its
+// checkpoint. It returns the recovery reports in cut order, stopping at
+// the first failure.
+func RunWithCrash(spec Spec, cuts func(end sim.Cycle) []sim.Cycle) ([]*undolog.Report, error) {
 	spec = spec.withDefaults()
-	cfg := config.Default()
-	if spec.Cfg != nil {
-		cfg = *spec.Cfg
-	}
-	if cfg.Cores < spec.Threads {
-		cfg.Cores = spec.Threads
-	}
-	if spec.Controllers != 0 {
-		cfg.PMControllers = spec.Controllers
-	}
-	sys, err := machine.New(cfg, spec.Design)
+	sys, inst, _, err := build(spec)
 	if err != nil {
 		return nil, err
 	}
-	opts := langmodel.DefaultOptions()
-	if spec.RuntimeOpts != nil {
-		opts = *spec.RuntimeOpts
-	}
-	rt := langmodel.New(sys, spec.Model, spec.Threads, opts)
-	f, err := workloads.Find(spec.Benchmark)
+	pre, err := crashcut.NewCache().Get(crashcut.Request{
+		Key: "run",
+		Build: func() (*machine.System, []machine.Worker, error) {
+			s, _, ws, err := build(spec)
+			return s, ws, err
+		},
+		Limit: spec.CycleLimit,
+		Cuts:  cuts,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("harness: %s/%s/%s: %w", spec.Benchmark, spec.Model, spec.Design, err)
 	}
-	inst := f.New(workloads.Params{Threads: spec.Threads, OpsPerThread: spec.OpsPerThread, Seed: spec.Seed})
-	inst.Setup(sys, rt)
-	ws := make([]machine.Worker, spec.Threads)
-	for i := range ws {
-		ws[i] = inst.Worker(i)
+	reps := make([]*undolog.Report, 0, len(pre.Cuts))
+	for _, cut := range pre.Cuts {
+		sys.Restore(cut.CP)
+		img := sys.Mem.CrashImage()
+		rep, err := undolog.Recover(img, spec.Threads)
+		reps = append(reps, rep)
+		if err != nil {
+			return reps, fmt.Errorf("harness: crash at %d: recovery failed: %w", cut.At, err)
+		}
+		if err := inst.Verify(img); err != nil {
+			return reps, fmt.Errorf("harness: crash at %d: %w", cut.At, err)
+		}
 	}
-	if crashAt > 0 {
-		sys.RunAt(crashAt, sys.Abandon)
-	}
-	_, _ = sys.Run(ws, spec.CycleLimit)
-	img := sys.Mem.CrashImage()
-	rep, err := undolog.Recover(img, spec.Threads)
-	if err != nil {
-		return rep, fmt.Errorf("harness: recovery failed: %w", err)
-	}
-	if err := inst.Verify(img); err != nil {
-		return rep, fmt.Errorf("harness: crash at %d: %w", crashAt, err)
-	}
-	return rep, nil
+	return reps, nil
 }

@@ -55,13 +55,24 @@ func TestRunWithCrashVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunWithCrash(spec, 0); err != nil {
-		t.Errorf("crash-free RunWithCrash: %v", err)
+	// Cuts at a quarter and half of the run, and at end+1: the drained
+	// final state.
+	var end sim.Cycle
+	reps, err := RunWithCrash(spec, func(e sim.Cycle) []sim.Cycle {
+		end = e
+		return []sim.Cycle{e / 4, e / 2, e + 1}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, frac := range []uint64{4, 2} {
-		if _, err := RunWithCrash(spec, sim.Cycle(base.Cycles/frac)); err != nil {
-			t.Errorf("crash at 1/%d: %v", frac, err)
-		}
+	if uint64(end) != base.Cycles {
+		t.Errorf("cuts placed over %d cycles, want the crash-free length %d", end, base.Cycles)
+	}
+	if len(reps) != 3 {
+		t.Fatalf("%d recovery reports, want one per cut (3)", len(reps))
+	}
+	if n := len(reps[2].RolledBack); n != 0 {
+		t.Errorf("crash after the drained final state rolled back %d mutations, want 0", n)
 	}
 }
 

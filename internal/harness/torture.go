@@ -186,14 +186,6 @@ type TortureReport struct {
 	ImageDigest uint64
 }
 
-// perRunSeed decorrelates a plan's generator across crash points (the
-// torture sweep's hash-derived per-cell seeding; see sweep.CellSeed for
-// the string-keyed form used for new sweeps).
-func perRunSeed(p faultinject.Plan, crashCycle uint64) faultinject.Plan {
-	p.Seed += crashCycle * 0x9e3779b97f4a7c15
-	return p
-}
-
 // litmusOutcome is one litmus cell's result.
 type litmusOutcome struct {
 	crashPoints int
@@ -334,9 +326,7 @@ func litmusCells(o TortureOptions, plans []faultinject.Plan, rep *TortureReport)
 					Key: fmt.Sprintf("litmus/%s/plan%d", name, pi),
 					Run: func(m *sweep.CellMetrics) (*tortureOutcome, error) {
 						lo := &litmusOutcome{}
-						res, err := litmus.CheckWithFaults(p, o.LitmusStride, func(at uint64) litmus.FaultInjector {
-							return faultinject.New(perRunSeed(plan, at))
-						})
+						res, err := litmus.CheckWithFaults(p, o.LitmusStride, plan)
 						if err != nil {
 							lo.violation = fmt.Sprintf("litmus %s plan %d: %v", name, pi, err)
 						} else {
@@ -477,13 +467,12 @@ func planRunKey(o TortureOptions, plan faultinject.Plan) string {
 // outcome: crash image, recovery, invariant check, and — on every
 // ConvergeEvery-th combo of the sweep (combo numbers it globally) — the
 // crash-during-recovery convergence sweep. The crash image draws from a
-// fresh per-cut injector, decorrelated across cuts via perRunSeed,
-// while media-fault counters come from the armed run injector's
-// snapshot at the cut; the two touch disjoint Stats fields, so the
-// merge is exact.
+// fresh per-cut injector (crashcut.CutInjector), while media-fault
+// counters come from the armed run injector's snapshot at the cut; the
+// two touch disjoint Stats fields, so the merge is exact.
 func comboAt(o TortureOptions, s subject, target crashcut.Target, pi int, plan faultinject.Plan,
 	combo int, cut crashcut.Cut, sys *machine.System) comboOutcome {
-	fiImg := faultinject.New(perRunSeed(plan, uint64(cut.At)))
+	fiImg := crashcut.CutInjector(plan, cut.At)
 	crash := fiImg.CrashImage(sys)
 	co := comboOutcome{fingerprint: crash.Fingerprint(), fault: fiImg.Stats(), ctrl: sys.PM.Stats()}
 	co.fault.MediaFaults = cut.FI.Stats.MediaFaults

@@ -18,12 +18,7 @@ func TestLitmusTornPersistsStayAllowed(t *testing.T) {
 		name, p := name, p
 		t.Run(name, func(t *testing.T) {
 			for pi, plan := range plans {
-				plan := plan
-				res, err := CheckWithFaults(p, 64, func(crashCycle uint64) FaultInjector {
-					pl := plan
-					pl.Seed += crashCycle * 0x9e3779b9
-					return faultinject.New(pl)
-				})
+				res, err := CheckWithFaults(p, 64, plan)
 				if err != nil {
 					t.Fatalf("plan %d: %v", pi, err)
 				}

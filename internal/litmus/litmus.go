@@ -12,6 +12,8 @@ import (
 
 	"strandweaver/internal/config"
 	"strandweaver/internal/cpu"
+	"strandweaver/internal/crashcut"
+	"strandweaver/internal/faultinject"
 	"strandweaver/internal/hwdesign"
 	"strandweaver/internal/machine"
 	"strandweaver/internal/mem"
@@ -22,15 +24,6 @@ import (
 // LocAddr maps an abstract location to a PM cache line of its own.
 func LocAddr(loc int) mem.Addr {
 	return mem.PMBase + mem.Addr(loc)*mem.LineSize
-}
-
-// FaultInjector is the slice of package faultinject's Injector that
-// litmus needs: arm media-fault hooks on a system and materialise the
-// post-crash PM image (possibly with torn persists). Declared here so
-// litmus does not depend on the injector's implementation.
-type FaultInjector interface {
-	Arm(sys *machine.System)
-	CrashImage(sys *machine.System) *mem.Image
 }
 
 // StandardPrograms returns the litmus shapes of the paper's Figure 2
@@ -159,18 +152,34 @@ type Result struct {
 	States map[string]uint64
 }
 
-// Check runs the program crash-free to find its length, then re-runs it
-// with a crash injected every stride cycles, checking each observed
-// post-crash state against the formal model. It returns an error naming
-// the first forbidden state observed, if any.
+// Check runs the program crash-free to find its length, then crashes
+// it every stride cycles, checking each observed post-crash state
+// against the formal model. It returns an error naming the first
+// forbidden state observed, if any. It is CheckWithFaults under the
+// zero (fault-free) plan.
 func Check(p pmo.Program, stride uint64) (*Result, error) {
-	return CheckWithFaults(p, stride, nil)
+	return CheckWithFaults(p, stride, faultinject.Plan{})
 }
 
-// CheckWithFaults is Check with fault injection: mk (when non-nil) is
-// called once per run with the crash cycle (0 for the crash-free run)
-// and must return a fresh injector, which is armed on the system and
-// asked for the post-crash image.
+// runLimit bounds each litmus run in simulated cycles.
+const runLimit = 10_000_000
+
+// CheckWithFaults is Check under a fault plan, served as one crashcut
+// request. The plan's injector is armed on the run, so media faults
+// and latency spikes stretch the schedule the cuts are placed on. Cuts
+// fall at 1, 1+stride, … up to end+1 over the crash-free run of end
+// cycles; each is restored into one warm system, and its crash image
+// draws from a fresh injector under the per-cut seed rule
+// (crashcut.CutInjector). The final state is read from an extra cut at
+// end+1, after everything has drained, and recorded first, at cycle
+// end.
+//
+// Under a media-fault plan every cut shares the one run the plan
+// seeds, the rule the torture sweep applies to its workload cuts;
+// before litmus moved onto crashcut, each cut re-simulated under its
+// own per-cut seed. Fault-free Check and media-free plans are
+// unchanged by this: an injector without media faults draws nothing
+// during a run, so the run is the same under every seed.
 //
 // Torn persists keep every litmus invariant intact, and this function
 // asserts it: the injector's power cut truncates the FIFO submission
@@ -182,7 +191,7 @@ func Check(p pmo.Program, stride uint64) (*Result, error) {
 // "landed" or "not" — both states the model already allows. A forbidden
 // state under fault injection is therefore a real ordering bug, not
 // noise.
-func CheckWithFaults(p pmo.Program, stride uint64, mk func(crashCycle uint64) FaultInjector) (*Result, error) {
+func CheckWithFaults(p pmo.Program, stride uint64, plan faultinject.Plan) (*Result, error) {
 	if stride == 0 {
 		stride = 64
 	}
@@ -190,62 +199,55 @@ func CheckWithFaults(p pmo.Program, stride uint64, mk func(crashCycle uint64) Fa
 	if err != nil {
 		return nil, fmt.Errorf("litmus: %w", err)
 	}
-
-	// Crash-free run (also validates the final state). Media faults and
-	// latency spikes apply here too, so the crash sweep below covers the
-	// fault-stretched schedule.
-	s, err := newSystem(p)
+	sys, err := newSystem(p)
 	if err != nil {
 		return nil, err
 	}
-	if mk != nil {
-		mk(0).Arm(s)
-	}
 	rec := &primErr{}
-	end, err := s.Run(workers(p, rec), 10_000_000)
+	pre, err := crashcut.NewCache().Get(crashcut.Request{
+		Key: "litmus",
+		Build: func() (*machine.System, []machine.Worker, error) {
+			s, err := newSystem(p)
+			if err != nil {
+				return nil, nil, err
+			}
+			return s, workers(p, rec), nil
+		},
+		Plan:  plan,
+		Limit: runLimit,
+		Cuts: func(end sim.Cycle) []sim.Cycle {
+			var cuts []sim.Cycle
+			for at := sim.Cycle(1); at <= end+1; at += sim.Cycle(stride) {
+				cuts = append(cuts, at)
+			}
+			return append(cuts, end+1)
+		},
+	})
 	if rec.err != nil {
 		return nil, fmt.Errorf("litmus: crash-free run: %w", rec.err)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("litmus: crash-free run: %w", err)
+		return nil, fmt.Errorf("litmus: %w", err)
 	}
-	res := &Result{TotalCycles: uint64(end), States: make(map[string]uint64)}
-	final := observedState(s.Mem.Persistent, p)
-	if _, ok := allowed[final.Key()]; !ok {
-		return res, fmt.Errorf("litmus: final state %q not allowed by the model", final.Key())
-	}
-	res.States[final.Key()] = uint64(end)
 
-	for at := uint64(1); at <= uint64(end)+1; at += stride {
-		sc, err := newSystem(p)
-		if err != nil {
-			return res, err
-		}
-		var fi FaultInjector
-		if mk != nil {
-			fi = mk(at)
-			fi.Arm(sc)
-		}
-		crashAt := sim.Cycle(at)
-		sc.RunAt(crashAt, sc.Abandon)
-		crec := &primErr{}
-		_, _ = sc.Run(workers(p, crec), 10_000_000) // error expected: stopped engine
-		if crec.err != nil {
-			return res, fmt.Errorf("litmus: crash run at cycle %d: %w", at, crec.err)
-		}
-		var img *mem.Image
-		if fi != nil {
-			img = fi.CrashImage(sc)
-		} else {
-			img = sc.Mem.Persistent
-		}
-		st := observedState(img, p)
+	res := &Result{TotalCycles: uint64(pre.End), States: make(map[string]uint64)}
+	cuts, final := pre.Cuts[:len(pre.Cuts)-1], pre.Cuts[len(pre.Cuts)-1]
+	sys.Restore(final.CP)
+	st := observedState(sys.Mem.Persistent, p)
+	if _, ok := allowed[st.Key()]; !ok {
+		return res, fmt.Errorf("litmus: final state %q not allowed by the model", st.Key())
+	}
+	res.States[st.Key()] = uint64(pre.End)
+
+	for _, cut := range cuts {
+		sys.Restore(cut.CP)
+		st := observedState(crashcut.CutInjector(plan, cut.At).CrashImage(sys), p)
 		res.CrashPoints++
 		if _, ok := allowed[st.Key()]; !ok {
-			return res, fmt.Errorf("litmus: crash at cycle %d observed forbidden state %q", at, st.Key())
+			return res, fmt.Errorf("litmus: crash at cycle %d observed forbidden state %q", cut.At, st.Key())
 		}
 		if _, dup := res.States[st.Key()]; !dup {
-			res.States[st.Key()] = at
+			res.States[st.Key()] = uint64(cut.At)
 		}
 	}
 	return res, nil

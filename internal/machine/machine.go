@@ -84,9 +84,7 @@ type Worker func(c *cpu.Core)
 
 // Spawn creates (but does not start) a coroutine running worker on core
 // i, staggered to start i cycles after the current cycle (deterministic
-// tie-breaking). The stagger is relative, not absolute, so workers can
-// also be spawned onto a system restored from a quiescent checkpoint,
-// where the clock no longer starts at zero.
+// tie-breaking).
 func (s *System) Spawn(i int, worker Worker) {
 	core := s.Cores[i]
 	co := sim.NewCoroutine(s.Eng, func(_ *sim.Coroutine) { worker(core) })

@@ -3,75 +3,57 @@ package machine
 import (
 	"fmt"
 
-	"strandweaver/internal/cpu"
-	"strandweaver/internal/hwdesign"
 	"strandweaver/internal/mem"
 	"strandweaver/internal/pmem"
 	"strandweaver/internal/sim"
 )
 
-// Checkpoint is a semantically self-contained snapshot of a System's
-// architectural state: the engine clock, both memory images, the PM
-// controller's tracked writes, and every core's counters and persist-
-// backend state. The memory images are frozen copy-on-write views —
-// they share page storage with the live system, but that storage is
+// Checkpoint is a crash-cut checkpoint: exactly what a power cut
+// preserves and a post-crash query reads. That is the engine state
+// (clock and counters), the frozen persistent image, and per PM
+// controller the unaccepted writes, the accepted-in-flight writes and
+// the statistics — the inputs of faultinject.CrashImage, recovery,
+// invariant checks and PM.Stats. The image is a frozen copy-on-write
+// view sharing page storage with the live system, but that storage is
 // immutable from the moment of capture (the system's next write to a
 // captured page copies it first), so the checkpoint shares no MUTABLE
 // storage with its source and can be restored any number of times,
 // concurrently, into different (identically configured) systems.
 //
-// What a Checkpoint is NOT: it does not capture pending simulation
-// events, worker coroutine stacks, store-queue entries, or cache
-// timing state. Those are the micro-architectural future a power cut
-// destroys. Consequently a checkpoint taken at a crash cut supports
-// exactly the post-crash queries — faultinject.CrashImage, controller
-// and core statistics, backend state — and restored systems answer
-// them byte-identically to the original at the capture cycle. See
-// docs/SNAPSHOT.md for the full state-capture contract, including the
-// quiescent-checkpoint tier that additionally permits spawning new
-// workers.
+// Everything else — the volatile image, pending simulation events,
+// worker coroutines, cores, persist backends and strand structures —
+// is the state a power cut destroys, and is not captured. See
+// docs/SNAPSHOT.md for the full state-capture contract.
 type Checkpoint struct {
-	Design hwdesign.Design
-	NCores int
-	Eng    sim.EngineState
-	Mem    *mem.MachineState
-	// Ctrls captures every PM controller's tracked-write state in
+	Eng sim.EngineState
+	Mem *mem.MachineState
+	// Ctrls captures every PM controller's crash-visible state in
 	// controller index order (one entry per config.PMControllers).
 	Ctrls []*pmem.ControllerState
-	Cores []*cpu.CoreState
 }
 
-// Snapshot captures the system's architectural state. O(state), not
-// O(history) — and for the images O(pages) pointer work, not bytes:
-// both freeze into COW views that copy no page data (the cost is
-// deferred to first-write faults on the live system); controller and
-// strand structures copy live entries, everything else is counters.
+// Snapshot captures the system's crash-visible state. O(state), not
+// O(history) — and for the image O(pages) pointer work, not bytes: it
+// freezes into a COW view that copies no page data (the cost is
+// deferred to first-write faults on the live system); the controllers
+// copy their tracked writes, the rest is counters.
 func (s *System) Snapshot() *Checkpoint {
-	cp := &Checkpoint{
-		Design: s.Design,
-		NCores: len(s.Cores),
-		Eng:    s.Eng.Snapshot(),
-		Mem:    s.Mem.Snapshot(),
-		Ctrls:  s.PM.Snapshot(),
+	return &Checkpoint{
+		Eng:   s.Eng.Snapshot(),
+		Mem:   s.Mem.Snapshot(),
+		Ctrls: s.PM.Snapshot(),
 	}
-	for _, c := range s.Cores {
-		cp.Cores = append(cp.Cores, c.Snapshot())
-	}
-	return cp
 }
 
-// Restore rewinds the system to a previously captured checkpoint. The
-// target must be configured identically to the checkpoint's source
-// (same design, same core count) — in practice, built by the same
-// builder function; Restore panics on a design or core-count mismatch.
-// Worker coroutines are detached: the restored system either serves
-// post-crash state queries (crash-cut checkpoints) or has fresh
-// workers spawned onto it (quiescent checkpoints).
+// Restore rewinds the system's crash-visible state to a previously
+// captured checkpoint. A restored system answers the post-crash
+// queries — faultinject.CrashImage, UnacceptedWrites,
+// AcceptedInFlight, PM.Stats, the persistent image — byte-identically
+// to the original at the capture cycle, and is never run: its cores,
+// backends, caches and volatile image are not restored. The target
+// must have the checkpoint's PM controller count; Restore panics
+// otherwise.
 func (s *System) Restore(cp *Checkpoint) {
-	if cp.Design != s.Design || cp.NCores != len(s.Cores) {
-		panic(fmt.Sprintf("machine: Restore checkpoint (%s, %d cores) into mismatched system (%s, %d cores)",
-			cp.Design, cp.NCores, s.Design, len(s.Cores)))
-	}
 	if len(cp.Ctrls) != s.PM.NumControllers() {
 		panic(fmt.Sprintf("machine: Restore checkpoint (%d PM controllers) into mismatched system (%d)",
 			len(cp.Ctrls), s.PM.NumControllers()))
@@ -79,8 +61,4 @@ func (s *System) Restore(cp *Checkpoint) {
 	s.Eng.Restore(cp.Eng)
 	s.Mem.Restore(cp.Mem)
 	s.PM.Restore(cp.Ctrls)
-	for i, c := range s.Cores {
-		c.Restore(cp.Cores[i])
-	}
-	s.coros = nil
 }

@@ -10,13 +10,12 @@ import (
 	"strandweaver/internal/cpu"
 	"strandweaver/internal/hwdesign"
 	"strandweaver/internal/mem"
+	"strandweaver/internal/pmem"
 	"strandweaver/internal/sim"
 )
 
 // snapWorkload returns a two-core workload exercising stores, flushes,
-// design-appropriate ordering primitives, and lock contention (the lock
-// backoff path is the one consumer of core-local randomness, so it must
-// be in play for the rng-replay part of restore to be tested).
+// design-appropriate ordering primitives, and lock contention.
 func snapWorkload(d hwdesign.Design, iters int) []Worker {
 	lock := mem.DRAMBase + 64
 	shared := mem.PMBase
@@ -49,30 +48,28 @@ func snapWorkload(d hwdesign.Design, iters int) []Worker {
 	return []Worker{worker(0), worker(1)}
 }
 
-// observe extracts the restored-system-observable tuple from a system:
-// everything a crash-cut consumer (CrashImage, stats queries) can see.
-// Engine event counters are excluded deliberately — the capture run
-// schedules one more harness event than the cold run (the snapshot
-// itself), which is visible in scheduling statistics but in no machine
-// state (docs/SNAPSHOT.md states the argument).
+// observe extracts everything a post-crash query can read from a
+// system: the persistent image, the controllers' unaccepted and
+// accepted-in-flight writes, and the PM statistics. Engine event
+// counters are excluded deliberately — the capture run schedules one
+// more harness event than the cold run (the snapshot itself), which is
+// visible in scheduling statistics but in no machine state
+// (docs/SNAPSHOT.md states the argument).
 type observed struct {
 	Now        sim.Cycle
-	Volatile   uint64
-	Persistent uint64
-	Mem        *mem.MachineState
-	Ctrls      any
-	Cores      []*cpu.CoreState
+	Persistent *mem.Image
+	Unaccepted []pmem.LineWrite
+	Accepted   []pmem.LineWrite
+	Ctrl       []pmem.Stats
 }
 
 func observe(s *System) observed {
-	cp := s.Snapshot()
 	return observed{
 		Now:        s.Eng.Now(),
-		Volatile:   s.Mem.Volatile.Fingerprint(),
-		Persistent: s.Mem.Persistent.Fingerprint(),
-		Mem:        cp.Mem,
-		Ctrls:      cp.Ctrls,
-		Cores:      cp.Cores,
+		Persistent: s.Mem.Persistent.Freeze(),
+		Unaccepted: s.PM.UnacceptedWrites(),
+		Accepted:   s.PM.AcceptedInFlight(),
+		Ctrl:       s.PM.PerController(),
 	}
 }
 
@@ -164,8 +161,7 @@ func TestConcurrentRestoreSharedCheckpoint(t *testing.T) {
 	cp := captureAt(t, d, 5_000)
 	ref := MustNew(smallConfig(), d)
 	ref.Restore(cp)
-	wantV := ref.Mem.Volatile.Fingerprint()
-	wantP := ref.Mem.Persistent.Fingerprint()
+	want := ref.Mem.Persistent.Fingerprint()
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -178,11 +174,10 @@ func TestConcurrentRestoreSharedCheckpoint(t *testing.T) {
 			for r := 0; r < 20; r++ {
 				s.Restore(cp)
 				s.Mem.Persistent.SetByte(mem.PMBase+mem.Addr(g)*64, byte(r)) // diverge, then rewind
-				s.Mem.Volatile.Write64(mem.DRAMBase+mem.Addr(g)*8, uint64(r))
 			}
 			s.Restore(cp)
-			if s.Mem.Volatile.Fingerprint() != wantV || s.Mem.Persistent.Fingerprint() != wantP {
-				errs <- fmt.Sprintf("goroutine %d: restored fingerprints diverged", g)
+			if s.Mem.Persistent.Fingerprint() != want {
+				errs <- fmt.Sprintf("goroutine %d: restored fingerprint diverged", g)
 			}
 		}(g)
 	}
@@ -191,49 +186,7 @@ func TestConcurrentRestoreSharedCheckpoint(t *testing.T) {
 	for e := range errs {
 		t.Error(e)
 	}
-	if ref.Mem.Volatile.Fingerprint() != wantV || ref.Mem.Persistent.Fingerprint() != wantP {
+	if ref.Mem.Persistent.Fingerprint() != want {
 		t.Error("concurrent restores mutated a sibling restored system")
-	}
-}
-
-// TestSnapshotQuiescentRespawn: a checkpoint of a quiescent (finished)
-// system may be restored and given NEW workers — Spawn staggers workers
-// relative to the engine's current cycle, so a restored system resumes
-// exactly like the original would have.
-func TestSnapshotQuiescentRespawn(t *testing.T) {
-	d := hwdesign.StrandWeaver
-	run := func(s *System, ws []Worker, limit sim.Cycle) {
-		t.Helper()
-		if _, err := s.Run(ws, limit); err != nil {
-			t.Fatal(err)
-		}
-	}
-	phase2 := func() []Worker {
-		return []Worker{func(c *cpu.Core) {
-			for i := 0; i < 10; i++ {
-				a := mem.PMBase + 1<<20 + mem.Addr(i*64)
-				c.Store64(a, uint64(100+i))
-				c.CLWB(a)
-				c.PersistBarrier()
-			}
-			c.JoinStrand()
-			c.DrainAll()
-		}}
-	}
-	// Reference: one system runs phase 1 then phase 2 back to back.
-	ref := MustNew(smallConfig(), d)
-	run(ref, snapWorkload(d, 10), 10_000_000)
-	cp := ref.Snapshot()
-	run(ref, phase2(), 20_000_000)
-
-	// Fork: a fresh system restored from the phase-1 checkpoint runs the
-	// same phase 2 and must land in the identical state.
-	forked := MustNew(smallConfig(), d)
-	forked.Restore(cp)
-	run(forked, phase2(), 20_000_000)
-
-	want, got := observe(ref), observe(forked)
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("forked phase-2 run diverged from straight-through run\nref:    %+v\nforked: %+v", want, got)
 	}
 }

@@ -17,7 +17,6 @@ var benchFootprints = []int{8, 256}
 
 func benchMachine(pages int) *Machine {
 	m := NewMachine()
-	touchPages(m.Volatile, 0, pages, 1)
 	touchPages(m.Persistent, 0, pages, 2)
 	return m
 }
@@ -62,7 +61,7 @@ func BenchmarkRestoreDiverged(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.Volatile.SetByte(0, byte(i)) // COW fault: diverge one page
+				m.Persistent.SetByte(0, byte(i)) // COW fault: diverge one page
 				m.Restore(s)
 			}
 		})

@@ -114,9 +114,6 @@ type Image struct {
 	// and concurrent restores.
 	frozen bool
 
-	// writes counts mutating calls (each at most 8-byte-atomic from the
-	// point of view of recovery tooling; see ArmWriteBudget).
-	writes uint64
 	// budget, when armed, is decremented once per mutating call; a call
 	// that finds it exhausted panics with PowerCut, modelling a power
 	// failure in the middle of (recovery) software mutating the image.
@@ -152,14 +149,8 @@ func (im *Image) ArmWriteBudget(n int) {
 // DisarmWriteBudget removes the budget; mutations are unlimited again.
 func (im *Image) DisarmWriteBudget() { im.budgetArmed = false }
 
-// MutationCount reports the total number of mutating calls the image
-// has served. The delta across a recovery run enumerates the budget
-// points a crash-during-recovery sweep must cover.
-func (im *Image) MutationCount() uint64 { return im.writes }
-
 // charge accounts one mutating call against the budget.
 func (im *Image) charge() {
-	im.writes++
 	if im.budgetArmed {
 		if im.budget == 0 {
 			panic(PowerCut{})
@@ -304,9 +295,9 @@ func (im *Image) EqualOn(other *Image, sets ...map[Addr]struct{}) bool {
 // copies — pages already shared with src are skipped outright), pages
 // it lacks are dropped. With the set produced by dirty tracking, this
 // undoes a tracked pass without touching the rest of the image.
-// Tracking, the mutation counter and the write budget are all
-// unaffected. Like restoreFrom, sharing demotes src's ownership of the
-// re-shared pages, so a later write on either side COW-faults.
+// Tracking and the write budget are unaffected. Like restoreFrom,
+// sharing demotes src's ownership of the re-shared pages, so a later
+// write on either side COW-faults.
 func (im *Image) ResetPagesFrom(src *Image, bases map[Addr]struct{}) {
 	if im.frozen {
 		panic("mem: ResetPagesFrom on frozen image: captured views are immutable (docs/SNAPSHOT.md)")
@@ -502,7 +493,7 @@ func (im *Image) StoreLineMasked(line Addr, src *[LineSize]byte, keep uint8) {
 // copies either way. Loops that repeatedly reset a scratch image to a
 // baseline (budget sweeps, checkpoint restores) use this instead of
 // Clone to keep the reset proportional to what diverged. Like restore,
-// it leaves the mutation counter and write budget untouched.
+// it leaves the write budget untouched.
 func (im *Image) CopyFrom(src *Image) { im.restoreFrom(src) }
 
 // Freeze captures the image as an immutable view sharing every page
@@ -511,8 +502,8 @@ func (im *Image) CopyFrom(src *Image) { im.restoreFrom(src) }
 // next write to each captured page paying one COW fault. Freezing an
 // already-frozen image returns it unchanged (it can never diverge).
 // Frozen views carry none of the live image's recovery-tooling state
-// (mutation counter, write budget, dirty tracking, stats) — capture
-// contract of docs/SNAPSHOT.md.
+// (write budget, dirty tracking, stats) — capture contract of
+// docs/SNAPSHOT.md.
 func (im *Image) Freeze() *Image {
 	if im.frozen {
 		return im
@@ -550,9 +541,6 @@ func (im *Image) Clone() *Image {
 
 // Frozen reports whether the image is an immutable captured view.
 func (im *Image) Frozen() bool { return im.frozen }
-
-// PageCount reports how many sparse pages have been touched.
-func (im *Image) PageCount() int { return len(im.pages) }
 
 // zeroPageArr is the all-zero page zeroPage compares against; the
 // array comparison compiles to a bulk memory-equality check.

@@ -1,45 +1,39 @@
 package mem
 
-// MachineState is a checkpoint of the functional memory pair: frozen
-// copy-on-write views of the volatile and persistent images plus the
-// eADR persist-at-visibility mode bit. The views share page storage
-// with the machine they were captured from, but that storage is
-// immutable from the moment of capture — the machine's next write to a
-// captured page copies it first (a COW fault) — so a MachineState is
-// semantically as self-contained as the deep copy it replaced, at
-// O(pages) pointer cost and zero bytes copied. Frozen views carry none
-// of the live images' recovery-tooling state (mutation counter, armed
-// write budget, dirty tracking), which is out of scope for machine
-// checkpoints (docs/SNAPSHOT.md).
+// MachineState is a crash-cut checkpoint of the functional memory: a
+// frozen copy-on-write view of the persistent image, the one image a
+// power cut preserves. The volatile image is not captured — it is the
+// state a crash destroys, and no post-crash query reads it. The view
+// shares page storage with the machine it was captured from, but that
+// storage is immutable from the moment of capture — the machine's next
+// write to a captured page copies it first (a COW fault) — so a
+// MachineState is semantically as self-contained as a deep copy, at
+// O(pages) pointer cost and zero bytes copied. The frozen view carries
+// none of the live image's recovery-tooling state (armed write budget,
+// dirty tracking), which is out of scope for machine checkpoints
+// (docs/SNAPSHOT.md).
 type MachineState struct {
-	Volatile            *Image
-	Persistent          *Image
-	PersistAtVisibility bool
+	Persistent *Image
 }
 
-// Snapshot freezes both images (see Image.Freeze): page-table copies
-// only, no page bytes. The returned state stays valid however the
-// machine mutates afterwards.
+// Snapshot freezes the persistent image (see Image.Freeze): a
+// page-table copy only, no page bytes. The returned state stays valid
+// however the machine mutates afterwards.
 func (m *Machine) Snapshot() *MachineState {
-	return &MachineState{
-		Volatile:            m.Volatile.Freeze(),
-		Persistent:          m.Persistent.Freeze(),
-		PersistAtVisibility: m.persistAtVisibility,
-	}
+	return &MachineState{Persistent: m.Persistent.Freeze()}
 }
 
-// Restore rewinds the machine's images to the checkpoint by re-sharing
-// its frozen pages. The *Image pointers held by the machine (and
-// cached by components wired to it) stay valid — page tables are
-// edited in place — and restore work is proportional to the pages that
-// diverged since capture (plus an O(pages) pointer scan), with zero
-// page bytes copied. The checkpoint is read, never written, so one
-// MachineState can be restored any number of times, including
+// Restore rewinds the machine's persistent image to the checkpoint by
+// re-sharing its frozen pages. The *Image pointer held by the machine
+// (and cached by components wired to it) stays valid — the page table
+// is edited in place — and restore work is proportional to the pages
+// that diverged since capture (plus an O(pages) pointer scan), with
+// zero page bytes copied. The checkpoint is read, never written, so
+// one MachineState can be restored any number of times, including
 // concurrently into different machines (the race-mode tests pin this).
+// The volatile image is left as it is (see MachineState).
 func (m *Machine) Restore(s *MachineState) {
-	m.Volatile.restoreFrom(s.Volatile)
 	m.Persistent.restoreFrom(s.Persistent)
-	m.persistAtVisibility = s.PersistAtVisibility
 }
 
 // restoreFrom rewinds im's contents to src's by sharing src's pages:
@@ -51,8 +45,8 @@ func (m *Machine) Restore(s *MachineState) {
 // When src is a live image (CopyFrom between scratch images), sharing
 // demotes src's ownership so its own next write faults too; frozen
 // sources are never written at all, which is what makes concurrent
-// restores of one checkpoint race-free. The mutation counter and write
-// budget are left untouched (see MachineState).
+// restores of one checkpoint race-free. The write budget is left
+// untouched (see MachineState).
 func (im *Image) restoreFrom(src *Image) {
 	if im.frozen {
 		panic("mem: restore into frozen image: captured views are immutable (docs/SNAPSHOT.md)")

@@ -50,7 +50,7 @@ type pendingWrite struct {
 	line mem.Addr
 	data [mem.LineSize]byte
 	ack  WriteAck
-	// seq is the submission order stamp (for deterministic snapshots).
+	// seq is the submission order stamp (see UnacceptedWrites).
 	seq uint64
 	// arrivedAt is the cycle the write reached the controller while the
 	// write queue was full (overflow-queue stall accounting).
@@ -475,24 +475,36 @@ func (c *Controller) removeInflight(e *drainEntry) {
 // independently may or may not have reached the media (torn persists);
 // under the baseline line-atomic model they are dropped wholly.
 func (c *Controller) UnacceptedWrites() []LineWrite {
-	transit := c.transit[c.transitHead:]
-	pending := c.pending[c.pendHead:]
-	ws := make([]*pendingWrite, 0, len(transit)+len(pending))
-	ws = append(ws, transit...)
-	ws = append(ws, pending...)
-	// Submission order; transit and pending are each ordered already but
-	// interleave (a later submission can be in transit while an earlier
-	// one waits in the overflow queue).
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j-1].seq > ws[j].seq; j-- {
-			ws[j-1], ws[j] = ws[j], ws[j-1]
-		}
-	}
+	ws := c.unaccepted()
 	out := make([]LineWrite, len(ws))
 	for i, w := range ws {
 		out[i] = LineWrite{Line: w.line, Data: w.data}
 	}
 	return out
+}
+
+// unaccepted returns the transit and overflow-queue writes in
+// submission order.
+func (c *Controller) unaccepted() []*pendingWrite {
+	transit := c.transit[c.transitHead:]
+	pending := c.pending[c.pendHead:]
+	ws := make([]*pendingWrite, 0, len(transit)+len(pending))
+	ws = append(ws, transit...)
+	ws = append(ws, pending...)
+	sortBySeq(ws)
+	return ws
+}
+
+// sortBySeq insertion-sorts writes by submission stamp. Its inputs are
+// runs that are each ordered already but interleave (a later
+// submission can be in transit while an earlier one waits in the
+// overflow queue, or sit on another controller).
+func sortBySeq(ws []*pendingWrite) {
+	for i := 1; i < len(ws); i++ {
+		for j := i; j > 0 && ws[j-1].seq > ws[j].seq; j-- {
+			ws[j-1], ws[j] = ws[j], ws[j-1]
+		}
+	}
 }
 
 // AcceptedInFlight snapshots the accepted-but-undrained writes in
@@ -541,10 +553,3 @@ func (c *Controller) startRead(done ReadDone) {
 func (c *Controller) SubmitDRAMWrite(line mem.Addr) {
 	c.stats.DRAMWrites++
 }
-
-// WriteQueueDepth reports current write-queue occupancy (accepted,
-// undrained writes).
-func (c *Controller) WriteQueueDepth() int { return c.writeQOccupied }
-
-// PendingArrivals reports writes waiting for a free write-queue entry.
-func (c *Controller) PendingArrivals() int { return len(c.pending) - c.pendHead }

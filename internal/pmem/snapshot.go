@@ -1,87 +1,57 @@
 package pmem
 
-import (
-	"strandweaver/internal/mem"
-	"strandweaver/internal/sim"
-)
+import "strandweaver/internal/mem"
 
 // TrackedWrite is the passive form of one write the controller has not
 // yet accepted (still in transit on the interconnect, or parked in the
-// overflow queue waiting for a write-queue slot). The acceptance ack
-// callback is deliberately dropped: it is a closure into the core that
-// issued the write, part of the micro-architectural future a crash cut
-// destroys (docs/SNAPSHOT.md).
+// overflow queue waiting for a write-queue slot). Seq is its
+// submission stamp, which orders the unaccepted writes across
+// controllers. The acceptance ack callback is deliberately dropped: it
+// is a closure into the core that sent the write, part of the
+// micro-architectural future a crash cut destroys (docs/SNAPSHOT.md).
 type TrackedWrite struct {
-	Line      mem.Addr
-	Data      [mem.LineSize]byte
-	Seq       uint64
-	ArrivedAt sim.Cycle
+	Line mem.Addr
+	Data [mem.LineSize]byte
+	Seq  uint64
 }
 
-// TrackedDrain is the passive form of one accepted write still
-// draining toward media: the before/after images a tear-accepted crash
-// needs, plus the retry and bank-occupancy flags.
-type TrackedDrain struct {
-	Line        mem.Addr
-	Old         [mem.LineSize]byte
-	Data        [mem.LineSize]byte
-	Attempts    int
-	Draining    bool
-	PendingFail bool
-}
-
-// ControllerState is a checkpoint of the controller's architectural
-// write-tracking state: everything UnacceptedWrites, AcceptedInFlight
-// and Stats are computed from. Volatile ack queues (write acks, read
-// completions) are not captured — they are completion callbacks into
-// cores, destroyed future under the state-capture contract.
+// ControllerState is a crash-cut checkpoint of one controller: exactly
+// the inputs UnacceptedWrites, AcceptedInFlight and Stats read. The
+// unaccepted writes are in submission order; Accepted holds the
+// accepted-but-undrained writes in acceptance order, with the
+// persistent image's pre-write contents. Everything that only resuming
+// the controller would need — queue occupancy, bank state, media
+// retries, the submission counter, ack queues — is not captured.
 type ControllerState struct {
-	SubmitSeq      uint64
-	Transit        []TrackedWrite
-	Pending        []TrackedWrite
-	Inflight       []TrackedDrain
-	WriteQOccupied int
-	BusyBanks      int
-	ReadsInFlight  int
-	Stats          Stats
+	Unaccepted []TrackedWrite
+	Accepted   []LineWrite
+	Stats      Stats
 }
 
 // Snapshot captures the controller's tracked writes and counters as
 // pure data. The returned state shares nothing with the controller.
 func (c *Controller) Snapshot() *ControllerState {
 	s := &ControllerState{
-		SubmitSeq:      *c.seqSrc,
-		WriteQOccupied: c.writeQOccupied,
-		BusyBanks:      c.busyBanks,
-		ReadsInFlight:  c.readsInFlight,
-		Stats:          c.Stats(), // deep-copies OverflowHighWater
+		Accepted: c.AcceptedInFlight(),
+		Stats:    c.Stats(), // deep-copies OverflowHighWater
 	}
-	for _, w := range c.transit[c.transitHead:] {
-		s.Transit = append(s.Transit, TrackedWrite{Line: w.line, Data: w.data, Seq: w.seq, ArrivedAt: w.arrivedAt})
-	}
-	for _, w := range c.pending[c.pendHead:] {
-		s.Pending = append(s.Pending, TrackedWrite{Line: w.line, Data: w.data, Seq: w.seq, ArrivedAt: w.arrivedAt})
-	}
-	for _, e := range c.inflight {
-		s.Inflight = append(s.Inflight, TrackedDrain{
-			Line: e.line, Old: e.old, Data: e.data,
-			Attempts: e.attempts, Draining: e.draining, PendingFail: e.pendingFail,
-		})
+	for _, w := range c.unaccepted() {
+		s.Unaccepted = append(s.Unaccepted, TrackedWrite{Line: w.line, Data: w.data, Seq: w.seq})
 	}
 	return s
 }
 
-// Restore rewinds the controller to a previously captured state.
-// Entries are rebuilt through the controller's own alloc paths so
-// their cached completion thunks bind this controller, never the one
-// the checkpoint came from (the cached-thunk rule, docs/SNAPSHOT.md).
-// Ack queues and in-flight media callbacks are cleared: a restored
-// controller answers UnacceptedWrites / AcceptedInFlight / Stats
-// queries identically to the original at the capture point, which is
-// all a crash-cut checkpoint is contracted to do.
+// Restore rewinds the controller's crash-visible state to a captured
+// one. Entries are rebuilt through the controller's own alloc paths
+// (recycling the live ones) so their cached completion thunks bind
+// this controller, never the one the checkpoint came from (the
+// cached-thunk rule, docs/SNAPSHOT.md). A restored controller answers
+// UnacceptedWrites / AcceptedInFlight / Stats identically to the
+// original at the capture point, which is all a crash-cut checkpoint
+// is for; it is never run.
 func (c *Controller) Restore(s *ControllerState) {
-	// Recycle the live rings. drainq holds a subset of inflight, so
-	// entries are returned to the freelist via inflight only.
+	// Recycle the tracked entries. drainq holds a subset of inflight,
+	// so entries are returned to the freelist via inflight only.
 	for _, w := range c.transit[c.transitHead:] {
 		*w = pendingWrite{}
 		c.freePW = append(c.freePW, w)
@@ -102,36 +72,21 @@ func (c *Controller) Restore(s *ControllerState) {
 	c.drainq, c.drainHead = c.drainq[:0], 0
 	clearPtrs(c.inflight)
 	c.inflight = c.inflight[:0]
-	c.volAcks, c.volAckHead = c.volAcks[:0], 0
-	c.readAcks, c.readAckHead = c.readAcks[:0], 0
-	c.pendingReads, c.pendReadHead = c.pendingReads[:0], 0
 
-	*c.seqSrc = s.SubmitSeq
-	for i := range s.Transit {
-		t := &s.Transit[i]
+	// The unaccepted writes all restore into transit, already in
+	// submission order.
+	for i := range s.Unaccepted {
+		t := &s.Unaccepted[i]
 		w := c.allocPW()
-		w.line, w.data, w.seq, w.arrivedAt = t.Line, t.Data, t.Seq, t.ArrivedAt
+		w.line, w.data, w.seq = t.Line, t.Data, t.Seq
 		c.transit = append(c.transit, w)
 	}
-	for i := range s.Pending {
-		t := &s.Pending[i]
-		w := c.allocPW()
-		w.line, w.data, w.seq, w.arrivedAt = t.Line, t.Data, t.Seq, t.ArrivedAt
-		c.pending = append(c.pending, w)
-	}
-	for i := range s.Inflight {
-		d := &s.Inflight[i]
+	for i := range s.Accepted {
+		a := &s.Accepted[i]
 		e := c.allocDE()
-		e.line, e.old, e.data = d.Line, d.Old, d.Data
-		e.attempts, e.draining, e.pendingFail = d.Attempts, d.Draining, d.PendingFail
+		e.line, e.old, e.data = a.Line, a.Old, a.Data
 		c.inflight = append(c.inflight, e)
-		if !e.draining {
-			c.drainq = append(c.drainq, e)
-		}
 	}
-	c.writeQOccupied = s.WriteQOccupied
-	c.busyBanks = s.BusyBanks
-	c.readsInFlight = s.ReadsInFlight
 	st := s.Stats
 	st.OverflowHighWater = append([]OverflowSample(nil), s.Stats.OverflowHighWater...)
 	c.stats = st

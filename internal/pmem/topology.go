@@ -119,24 +119,6 @@ func (t *Topology) PerController() []Stats {
 	return out
 }
 
-// WriteQueueDepth sums current write-queue occupancy across controllers.
-func (t *Topology) WriteQueueDepth() int {
-	n := 0
-	for _, c := range t.ctrls {
-		n += c.WriteQueueDepth()
-	}
-	return n
-}
-
-// PendingArrivals sums overflow-queue occupancy across controllers.
-func (t *Topology) PendingArrivals() int {
-	n := 0
-	for _, c := range t.ctrls {
-		n += c.PendingArrivals()
-	}
-	return n
-}
-
 // UnacceptedWrites merges every controller's submitted-but-unaccepted
 // writes into one machine-wide view in global submission order (the
 // shared stamp makes the merge well defined). Note the global FIFO
@@ -147,27 +129,14 @@ func (t *Topology) UnacceptedWrites() []LineWrite {
 	if len(t.ctrls) == 1 {
 		return t.ctrls[0].UnacceptedWrites()
 	}
-	type seqWrite struct {
-		w   LineWrite
-		seq uint64
-	}
-	var all []seqWrite
+	var all []*pendingWrite
 	for _, c := range t.ctrls {
-		for _, w := range c.transit[c.transitHead:] {
-			all = append(all, seqWrite{LineWrite{Line: w.line, Data: w.data}, w.seq})
-		}
-		for _, w := range c.pending[c.pendHead:] {
-			all = append(all, seqWrite{LineWrite{Line: w.line, Data: w.data}, w.seq})
-		}
+		all = append(all, c.unaccepted()...)
 	}
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && all[j-1].seq > all[j].seq; j-- {
-			all[j-1], all[j] = all[j], all[j-1]
-		}
-	}
+	sortBySeq(all)
 	out := make([]LineWrite, len(all))
-	for i, sw := range all {
-		out[i] = sw.w
+	for i, w := range all {
+		out[i] = LineWrite{Line: w.line, Data: w.data}
 	}
 	return out
 }
@@ -198,9 +167,7 @@ func (t *Topology) Snapshot() []*ControllerState {
 }
 
 // Restore rewinds every controller from states (captured from an
-// identically configured topology). The shared submission counter is
-// restored through the controllers' seqSrc; each state recorded the
-// same shared value, so the in-order restore converges on it.
+// identically configured topology).
 func (t *Topology) Restore(states []*ControllerState) {
 	if len(states) != len(t.ctrls) {
 		panic("pmem: Topology.Restore with mismatched controller count")

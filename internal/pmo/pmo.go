@@ -188,6 +188,3 @@ func Allowed(p Program, state State) bool {
 	_, ok := AllowedStates(p)[state.Key()]
 	return ok
 }
-
-// Forbidden is the negation of Allowed, for litmus-test readability.
-func Forbidden(p Program, state State) bool { return !Allowed(p, state) }

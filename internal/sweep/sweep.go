@@ -20,18 +20,12 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync"
 	"time"
 )
-
-// ErrCellTimeout is the sentinel inside a timed-out cell's error: the
-// cell exceeded Options.CellTimeout on the wall clock and was
-// abandoned. Match with errors.Is.
-var ErrCellTimeout = errors.New("sweep: cell timed out")
 
 // CellError is one cell's failure, carrying enough identity to act on
 // it without re-deriving indices from error strings. Unwrap exposes
@@ -95,17 +89,6 @@ type Options struct {
 	// order, instead of stopping at the lowest-index failure. Healthy
 	// cells' results are byte-identical either way.
 	KeepGoing bool
-	// CellTimeout, when positive, bounds each cell's wall-clock
-	// execution. A cell that exceeds it is abandoned — its goroutine
-	// leaks until it returns on its own, writing only to private
-	// storage — and reported as a *CellError matching ErrCellTimeout
-	// with a synthetic CellMetrics entry. A wall-clock bound is a
-	// last-resort backstop for code wedged outside the simulator;
-	// prefer the sim engine's deterministic event-budget watchdog
-	// (sim.Engine.SetEventBudget), which fails at the same event on
-	// every run. Timeouts feed only the error/metrics side channel,
-	// never results, so determinism of successful cells is preserved.
-	CellTimeout time.Duration
 }
 
 // workers resolves the pool size.
@@ -143,8 +126,7 @@ type Cell[T any] struct {
 // alongside an error. A panicking cell is converted into an error
 // rather than taking down the process. Under Options.KeepGoing every
 // cell runs regardless of failures and the error is a *CellErrors
-// aggregating them in cell order; Options.CellTimeout additionally
-// bounds each cell's wall time (see Options).
+// aggregating them in cell order.
 func Run[T any](o Options, cells []Cell[T]) ([]T, error) {
 	n := o.workers()
 	if n > len(cells) {
@@ -158,7 +140,7 @@ func Run[T any](o Options, cells []Cell[T]) ([]T, error) {
 
 	if n <= 1 {
 		for i := range cells {
-			runCell(o, cells, i, results, errs, metrics)
+			runCell(cells[i], i, &metrics[i], &results[i], &errs[i])
 			ran[i] = true
 			if errs[i] != nil && !o.KeepGoing {
 				break
@@ -190,7 +172,7 @@ func Run[T any](o Options, cells []Cell[T]) ([]T, error) {
 					if i < 0 {
 						return
 					}
-					runCell(o, cells, i, results, errs, metrics)
+					runCell(cells[i], i, &metrics[i], &results[i], &errs[i])
 					metrics[i].Worker = worker
 					ran[i] = true
 					if errs[i] != nil && !o.KeepGoing {
@@ -241,52 +223,12 @@ func Run[T any](o Options, cells []Cell[T]) ([]T, error) {
 	return results, nil
 }
 
-// runCell executes one cell, recording its metrics and converting a
-// panic into an error. Each invocation touches only index i of the
-// shared slices, so concurrent invocations never race. With a
-// CellTimeout armed, the body runs on its own goroutine against
-// private storage; the shared slices are written exclusively by this
-// (parent) side, so an abandoned cell can never race a later reader.
-func runCell[T any](o Options, cells []Cell[T], i int, results []T, errs []error, metrics []CellMetrics) {
-	if o.CellTimeout <= 0 {
-		cellBody(cells[i], i, &metrics[i], &results[i], &errs[i])
-		return
-	}
-	box := &struct {
-		m   CellMetrics
-		res T
-		err error
-	}{}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		cellBody(cells[i], i, &box.m, &box.res, &box.err)
-	}()
-	timer := time.NewTimer(o.CellTimeout)
-	defer timer.Stop()
-	select {
-	case <-done:
-		metrics[i] = box.m
-		results[i] = box.res
-		errs[i] = box.err
-	case <-timer.C:
-		// Abandon the cell: synthesize its record and let the orphaned
-		// goroutine finish (or leak) against the private box.
-		m := &metrics[i]
-		m.Key = cells[i].Key
-		m.Index = i
-		m.WallNS = o.CellTimeout.Nanoseconds()
-		errs[i] = &CellError{Index: i, Key: cells[i].Key,
-			Err: fmt.Errorf("%w after %v (cell abandoned)", ErrCellTimeout, o.CellTimeout)}
-		m.Err = errs[i].Error()
-	}
-}
-
-// cellBody is the cell execution core: it fills m, res and errp,
-// recording wall time and converting a panic into an error. Partial
-// metrics the cell folded in before failing (AddRun, AddEngine)
-// survive in m — a failed cell publishes what it measured.
-func cellBody[T any](c Cell[T], i int, m *CellMetrics, res *T, errp *error) {
+// runCell executes one cell, filling m, res and errp, recording wall
+// time and converting a panic into an error. Each invocation touches
+// only index i of Run's shared slices, so concurrent invocations never
+// race. Partial metrics the cell folded in before failing (AddRun,
+// AddEngine) survive in m — a failed cell publishes what it measured.
+func runCell[T any](c Cell[T], i int, m *CellMetrics, res *T, errp *error) {
 	m.Key = c.Key
 	m.Index = i
 	t0 := time.Now() //strandvet:ok per-cell wall time is metrics-only (CellMetrics.WallNS)

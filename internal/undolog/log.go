@@ -89,9 +89,6 @@ func (l *Log) Stats() LogStats { return l.stats }
 // Tid returns the owning thread id.
 func (l *Log) Tid() int { return l.tid }
 
-// Head returns the monotone committed-head index.
-func (l *Log) Head() uint64 { return l.head }
-
 // Tail returns the monotone tail index.
 func (l *Log) Tail() uint64 { return l.tail }
 

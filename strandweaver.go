@@ -223,10 +223,12 @@ type Result = harness.Result
 // Run executes one benchmark spec.
 func Run(spec Spec) (*Result, error) { return harness.Run(spec) }
 
-// RunWithCrash crashes the run at the given cycle, recovers, and
-// verifies workload invariants.
-func RunWithCrash(spec Spec, crashAt Cycle) (*RecoveryReport, error) {
-	return harness.RunWithCrash(spec, crashAt)
+// RunWithCrash crashes the run at each cycle cuts places over its
+// crash-free run of end cycles (a cut at end+1 crashes the drained
+// final state), recovers each crash image, and verifies workload
+// invariants. It returns the recovery reports in cut order.
+func RunWithCrash(spec Spec, cuts func(end Cycle) []Cycle) ([]*RecoveryReport, error) {
+	return harness.RunWithCrash(spec, cuts)
 }
 
 // ExpOptions scales the experiment grids.
@@ -438,14 +440,11 @@ func RelaxLitmusProgram(name string, p LitmusProgram, reqs []RelaxRequirement) (
 	return relax.Optimize(relax.Input{Name: name, Program: p, Requires: reqs})
 }
 
-// CheckLitmusWithFaults is CheckLitmus under fault injection: mk is
-// called once per run with the crash cycle (0 for the crash-free run)
-// and must return a fresh injector for that run.
-func CheckLitmusWithFaults(p LitmusProgram, stride uint64, mk func(crashCycle uint64) *FaultInjector) (*LitmusCheckResult, error) {
-	if mk == nil {
-		return litmus.Check(p, stride)
-	}
-	return litmus.CheckWithFaults(p, stride, func(at uint64) litmus.FaultInjector { return mk(at) })
+// CheckLitmusWithFaults is CheckLitmus under a fault plan: the plan's
+// injector is armed on the run, and each crash cut's image draws from
+// a fresh injector seeded per cut. The zero plan is CheckLitmus.
+func CheckLitmusWithFaults(p LitmusProgram, stride uint64, plan FaultPlan) (*LitmusCheckResult, error) {
+	return litmus.CheckWithFaults(p, stride, plan)
 }
 
 // --- Fault injection and torture testing ---

@@ -93,6 +93,16 @@ func TestPublicAPILitmus(t *testing.T) {
 	if res.CrashPoints == 0 {
 		t.Error("no crash points exercised")
 	}
+	// A media-free plan leaves the run alone, so its cuts fall where
+	// the fault-free check's do.
+	torn, err := sw.CheckLitmusWithFaults(p, 32, sw.FaultPlan{Seed: 7, TornPersists: true, DropProb: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if torn.TotalCycles != res.TotalCycles || torn.CrashPoints != res.CrashPoints {
+		t.Errorf("torn-persist check ran %d cycles with %d crash points, fault-free %d with %d",
+			torn.TotalCycles, torn.CrashPoints, res.TotalCycles, res.CrashPoints)
+	}
 }
 
 // TestPublicAPIRelaxLimit: a program past the crash-cut oracle's
@@ -151,11 +161,8 @@ func TestPublicAPIExperimentSurface(t *testing.T) {
 	var sb strings.Builder
 
 	spec := sw.Spec{Benchmark: "queue", Model: sw.SFR, Design: sw.StrandWeaver, Threads: 2, OpsPerThread: 6}
-	base, err := sw.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sw.RunWithCrash(spec, sw.Cycle(base.Cycles/2)); err != nil {
+	half := func(end sw.Cycle) []sw.Cycle { return []sw.Cycle{end / 2} }
+	if _, err := sw.RunWithCrash(spec, half); err != nil {
 		t.Errorf("RunWithCrash: %v", err)
 	}
 
