@@ -114,6 +114,18 @@ type OrderingPlan struct {
 	Durable isa.OpKind
 }
 
+// StoreGate is the condition a store issued now must satisfy before it
+// drains from the store queue: Ready(Seq) must hold. Ready is built once
+// per backend and Seq names what the store waits for (StrandWeaver: the
+// persist barrier it follows), so handing a gate to every store
+// allocates nothing, and the gate keeps answering for its own barrier
+// after the hardware recycles that barrier's entry. The zero value is
+// no gate.
+type StoreGate struct {
+	Ready func(seq uint64) bool
+	Seq   uint64
+}
+
 // Stat is one named backend counter.
 type Stat struct {
 	Name  string
@@ -136,8 +148,9 @@ type Backend interface {
 	// *ErrPrimitiveUnavailable without side effects.
 	Barrier(h Host, k isa.OpKind) error
 	// StoreGate returns the condition a store issued now must satisfy
-	// before it may drain from the store queue (nil = drain freely).
-	StoreGate() func() bool
+	// before it may drain from the store queue (the zero StoreGate =
+	// drain freely).
+	StoreGate() StoreGate
 	// OnStoreVisible observes a store's visibility point (the in-order
 	// functional write at store-queue drain, or an RMW's update).
 	OnStoreVisible(addr mem.Addr, value uint64, size uint8)

@@ -53,7 +53,7 @@ func newEADR(d Deps) Backend {
 
 func (b *eadrBackend) Design() hwdesign.Design { return hwdesign.EADR }
 func (b *eadrBackend) Gate() cache.PersistGate { return nil }
-func (b *eadrBackend) StoreGate() func() bool  { return nil }
+func (b *eadrBackend) StoreGate() StoreGate    { return StoreGate{} }
 
 func (b *eadrBackend) CLWB(h Host, line mem.Addr) {
 	b.clwbsElided++

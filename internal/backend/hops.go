@@ -26,8 +26,25 @@ type hopsBackend struct {
 	// conditions (dfence's is built on first use, once the host queue is
 	// known).
 	pbAppend, drainedCond func() bool
+	// q is the host's store queue, known from the first CLWB; free
+	// recycles CLWB records.
+	q    Queue
+	free []*hopsCLWB
 
 	ofences, dfences uint64
+}
+
+// hopsCLWB is one CLWB on its way through the persist buffer, pooled
+// with its thunks: tryAppend is the front-end's stall condition, ready
+// holds issue until the elder same-line store drains, and done, the
+// entry's completion, recycles the record (the buffer consults ready
+// only before issue, and completes an entry once, at retirement).
+type hopsCLWB struct {
+	b                 *hopsBackend
+	line              mem.Addr
+	seq               uint64
+	appendFn, readyFn func() bool
+	doneFn            func()
 }
 
 func newHOPS(d Deps) Backend {
@@ -38,9 +55,18 @@ func newHOPS(d Deps) Backend {
 	return b
 }
 
+func (c *hopsCLWB) tryAppend() bool { return c.b.sbu.TryAppendCLWB(c.line, c.readyFn, c.doneFn) }
+
+func (c *hopsCLWB) ready() bool { return !c.b.q.HasPendingStoreToLine(c.line, c.seq) }
+
+func (c *hopsCLWB) done() {
+	c.b.free = append(c.b.free, c)
+	c.b.kick()
+}
+
 func (b *hopsBackend) Design() hwdesign.Design { return hwdesign.HOPS }
 func (b *hopsBackend) Gate() cache.PersistGate { return b.sbu }
-func (b *hopsBackend) StoreGate() func() bool  { return nil }
+func (b *hopsBackend) StoreGate() StoreGate    { return StoreGate{} }
 
 func (b *hopsBackend) OnStoreVisible(mem.Addr, uint64, uint8) {}
 
@@ -50,12 +76,18 @@ func (b *hopsBackend) BufferUnit() *strand.BufferUnit { return b.sbu }
 // CLWB delegates to the persist buffer, holding issue until the elder
 // same-line store (if any) drains so the flush captures its value.
 func (b *hopsBackend) CLWB(h Host, line mem.Addr) {
-	seq := h.NextSeq()
-	q := h.Queue()
-	ready := func() bool { return !q.HasPendingStoreToLine(line, seq) }
-	h.StallUntil(func() bool {
-		return b.sbu.TryAppendCLWB(line, ready, b.kick)
-	}, StallQueueFull)
+	var c *hopsCLWB
+	if n := len(b.free); n > 0 {
+		c = b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+	} else {
+		c = &hopsCLWB{b: b}
+		c.appendFn, c.readyFn, c.doneFn = c.tryAppend, c.ready, c.done
+	}
+	b.q = h.Queue()
+	c.line, c.seq = line, h.NextSeq()
+	h.StallUntil(c.appendFn, StallQueueFull)
 }
 
 func (b *hopsBackend) Barrier(h Host, k isa.OpKind) error {

@@ -81,7 +81,7 @@ func newFlushBackend(d hwdesign.Design, deps Deps, plan OrderingPlan) *flushBack
 func (b *flushBackend) Design() hwdesign.Design { return b.design }
 func (b *flushBackend) Gate() cache.PersistGate { return nil }
 func (b *flushBackend) Plan() OrderingPlan      { return b.plan }
-func (b *flushBackend) StoreGate() func() bool  { return nil }
+func (b *flushBackend) StoreGate() StoreGate    { return StoreGate{} }
 
 func (b *flushBackend) OnStoreVisible(mem.Addr, uint64, uint8) {}
 

@@ -24,9 +24,13 @@ type nopqBackend struct {
 	// pb, ns and js are the stateless store-queue ops, shared across
 	// issues (the store queue holds at most one of each kind of work
 	// item's state, which lives in the queue entry, not the op). notFull
-	// is the reusable stall condition; both avoid per-issue allocation.
-	pb, ns, js QueuedOp
-	notFull    func() bool
+	// and empty are the reusable stall conditions; both avoid per-issue
+	// allocation.
+	pb, ns, js     QueuedOp
+	notFull, empty func() bool
+	// freeCLWBs recycles CLWB ops: an op is dead once the unit accepts
+	// its flush.
+	freeCLWBs []*sbuCLWB
 }
 
 func newNoPQ(d Deps) Backend {
@@ -38,18 +42,20 @@ func newNoPQ(d Deps) Backend {
 }
 
 // queueNotFull returns the cached not-full stall condition for h's
-// store queue (each backend instance serves exactly one core).
+// store queue (each backend instance serves exactly one core), and
+// builds the empty one alongside it.
 func (b *nopqBackend) queueNotFull(h Host) func() bool {
 	if b.notFull == nil {
 		q := h.Queue()
 		b.notFull = func() bool { return !q.Full() }
+		b.empty = q.Empty
 	}
 	return b.notFull
 }
 
 func (b *nopqBackend) Design() hwdesign.Design { return hwdesign.NoPersistQueue }
 func (b *nopqBackend) Gate() cache.PersistGate { return b.sbu }
-func (b *nopqBackend) StoreGate() func() bool  { return nil }
+func (b *nopqBackend) StoreGate() StoreGate    { return StoreGate{} }
 
 func (b *nopqBackend) OnStoreVisible(mem.Addr, uint64, uint8) {}
 
@@ -58,7 +64,16 @@ func (b *nopqBackend) BufferUnit() *strand.BufferUnit { return b.sbu }
 
 func (b *nopqBackend) CLWB(h Host, line mem.Addr) {
 	h.StallUntil(b.queueNotFull(h), StallQueueFull)
-	h.Queue().Enqueue(h.NextSeq(), &sbuCLWB{b: b, line: line})
+	var o *sbuCLWB
+	if n := len(b.freeCLWBs); n > 0 {
+		o = b.freeCLWBs[n-1]
+		b.freeCLWBs[n-1] = nil
+		b.freeCLWBs = b.freeCLWBs[:n-1]
+	} else {
+		o = &sbuCLWB{b: b}
+	}
+	o.line = line
+	h.Queue().Enqueue(h.NextSeq(), o)
 }
 
 func (b *nopqBackend) Barrier(h Host, k isa.OpKind) error {
@@ -76,7 +91,7 @@ func (b *nopqBackend) Barrier(h Host, k isa.OpKind) error {
 		seq := h.NextSeq()
 		h.StallUntil(b.queueNotFull(h), StallQueueFull)
 		q.Enqueue(seq, b.js)
-		h.StallUntil(q.Empty, StallFence)
+		h.StallUntil(b.empty, StallFence)
 	default:
 		return unavailable(hwdesign.NoPersistQueue, k)
 	}
@@ -110,7 +125,7 @@ func (b *nopqBackend) Stats() []Stat {
 }
 
 // sbuCLWB occupies the store-queue head until the strand buffer unit
-// accepts the flush.
+// accepts the flush; the store queue then pops it and it is recycled.
 type sbuCLWB struct {
 	b    *nopqBackend
 	line mem.Addr
@@ -120,6 +135,7 @@ func (o *sbuCLWB) Step(pop func()) StepStatus {
 	if !o.b.sbu.TryAppendCLWB(o.line, nil, o.b.kick) {
 		return OpBlocked
 	}
+	o.b.freeCLWBs = append(o.b.freeCLWBs, o)
 	return OpDone
 }
 

@@ -21,17 +21,19 @@ type swBackend struct {
 	sbu *strand.BufferUnit
 	pq  *strand.PersistQueue
 
-	// lastPB is the youngest persist barrier inserted, used to gate
-	// younger stores until it has issued; lastPBSeq and lastNSSeq
-	// locate the youngest persist barrier and NewStrand in program
-	// order (a NewStrand clears the barrier's hold on younger stores).
-	lastPB               *strand.Entry
+	// lastPBSeq and lastNSSeq locate the youngest persist barrier and
+	// NewStrand in program order: younger stores wait until that
+	// barrier has issued, unless a NewStrand cleared its hold on them.
 	lastPBSeq, lastNSSeq uint64
+	// join is the JoinStrand the front-end is stalled on.
+	join strand.Entry
 
-	// pqNotFull is the reusable persist-queue stall condition (CLWB and
-	// every barrier wait on it; building it per issue allocates on the
-	// hottest path in the simulator).
-	pqNotFull func() bool
+	// pqNotFull, pbIssued and joinRetired are the reusable persist-queue
+	// stall and store-gate conditions, built once (CLWB, every barrier
+	// and every gated store use one; building them per issue allocates
+	// on the hottest path in the simulator).
+	pqNotFull, joinRetired func() bool
+	pbIssued               func(seq uint64) bool
 }
 
 func newStrandWeaver(d Deps) Backend {
@@ -41,6 +43,8 @@ func newStrandWeaver(d Deps) Backend {
 	b.pq.SetOnChange(d.Kick)
 	b.sbu.OnChange(d.Kick)
 	b.pqNotFull = func() bool { return !b.pq.Full() }
+	b.pbIssued = b.pq.Issued
+	b.joinRetired = func() bool { return b.join.Retired() }
 	return b
 }
 
@@ -67,12 +71,12 @@ func (b *swBackend) barrierSeqForCLWB() uint64 {
 // StoreGate enforces the persist-barrier rule's store side: a store
 // after a persist barrier waits until the barrier (and hence all elder
 // CLWBs) has issued to the strand buffer unit — issue, not completion,
-// is the relaxation.
-func (b *swBackend) StoreGate() func() bool {
-	if b.lastPBSeq > b.lastNSSeq && b.lastPB != nil && !b.lastPB.HasIssued() {
-		return b.lastPB.HasIssued
+// is the relaxation. The gate names the barrier by seq.
+func (b *swBackend) StoreGate() StoreGate {
+	if b.lastPBSeq > b.lastNSSeq && !b.pq.Issued(b.lastPBSeq) {
+		return StoreGate{Ready: b.pbIssued, Seq: b.lastPBSeq}
 	}
-	return nil
+	return StoreGate{}
 }
 
 func (b *swBackend) CLWB(h Host, line mem.Addr) {
@@ -85,7 +89,7 @@ func (b *swBackend) Barrier(h Host, k isa.OpKind) error {
 	case isa.OpPersistBarrier:
 		seq := h.NextSeq()
 		h.StallUntil(b.pqNotFull, StallQueueFull)
-		b.lastPB = b.pq.InsertPB(seq)
+		b.pq.InsertPB(seq)
 		b.lastPBSeq = seq
 	case isa.OpNewStrand:
 		seq := h.NextSeq()
@@ -95,11 +99,10 @@ func (b *swBackend) Barrier(h Host, k isa.OpKind) error {
 	case isa.OpJoinStrand:
 		seq := h.NextSeq()
 		h.StallUntil(b.pqNotFull, StallQueueFull)
-		e := b.pq.InsertJS(seq)
-		h.StallUntil(e.Retired, StallFence)
+		b.join = b.pq.InsertJS(seq)
+		h.StallUntil(b.joinRetired, StallFence)
 		// A join resets strand state: subsequent operations start
 		// ordering afresh.
-		b.lastPB = nil
 		b.lastPBSeq, b.lastNSSeq = 0, 0
 	default:
 		return unavailable(hwdesign.StrandWeaver, k)

@@ -9,6 +9,12 @@
 // images in package mem: line *values* always come from the volatile
 // image at the moment a flush or write-back is submitted, which matches
 // real hardware where the payload travels with the message.
+//
+// Host costs follow what a run touches. The directory is a paged table,
+// the L2 allocates set heads and line records on first install, and
+// outstanding misses, flushes and write-backs are pooled request records
+// whose completion thunks are built once: in steady state no load,
+// store, flush or write-back allocates.
 package cache
 
 import (
@@ -20,9 +26,11 @@ import (
 	"strandweaver/internal/sim"
 )
 
-// GateToken captures a snapshot of in-flight persist work (per-strand-
-// buffer tail indexes in StrandWeaver's write-back and snoop buffers).
-type GateToken []uint64
+// GateToken captures a snapshot of in-flight persist work: Tail is the
+// number of operations the gate had accepted when the token was
+// recorded (StrandWeaver's per-strand-buffer tail indexes, folded into
+// one append count). It is a value, so recording one allocates nothing.
+type GateToken struct{ Tail uint64 }
 
 // PersistGate is implemented by per-core persist hardware (the strand
 // buffer unit, or the HOPS persist buffer) so the cache can honour the
@@ -34,6 +42,15 @@ type PersistGate interface {
 	// CallWhenDrained invokes cb (possibly immediately) once every
 	// operation captured by the token has completed and retired.
 	CallWhenDrained(t GateToken, cb func())
+}
+
+// memPort is the memory below the caches: line fills, line writes and
+// volatile write-backs. *pmem.Topology is the production port; tests
+// wrap it to record the traffic.
+type memPort interface {
+	SubmitRead(line mem.Addr, done pmem.ReadDone)
+	SubmitPMWrite(line mem.Addr, data [mem.LineSize]byte, ack pmem.WriteAck)
+	SubmitDRAMWrite(line mem.Addr)
 }
 
 const noOwner = -1
@@ -54,14 +71,17 @@ type Hierarchy struct {
 	eng     *sim.Engine
 	cfg     config.Config
 	machine *mem.Machine
-	pm      *pmem.Topology
+	pm      memPort
 
-	dir map[mem.Addr]*dirEntry
-	l2  *l2cache
+	dir directory
+	l2  l2cache
 	l1s []*L1
 
 	// gates[i] is core i's persist gate (nil when the design has none).
 	gates []PersistGate
+
+	// freeWrites recycles line-write requests (see lineWrite).
+	freeWrites []*lineWrite
 
 	stats HierStats
 }
@@ -89,17 +109,21 @@ type HierStats struct {
 // through the PM topology, which interleaves lines across its
 // controllers.
 func NewHierarchy(eng *sim.Engine, cfg config.Config, machine *mem.Machine, pm *pmem.Topology) *Hierarchy {
+	return newHierarchy(eng, cfg, machine, pm)
+}
+
+func newHierarchy(eng *sim.Engine, cfg config.Config, machine *mem.Machine, pm memPort) *Hierarchy {
 	h := &Hierarchy{
 		eng:     eng,
 		cfg:     cfg,
 		machine: machine,
 		pm:      pm,
-		dir:     make(map[mem.Addr]*dirEntry),
 		l2:      newL2(cfg),
+		l1s:     make([]*L1, cfg.Cores),
 		gates:   make([]PersistGate, cfg.Cores),
 	}
-	for i := 0; i < cfg.Cores; i++ {
-		h.l1s = append(h.l1s, newL1(h, i))
+	for i := range h.l1s {
+		h.l1s[i] = newL1(h, i)
 	}
 	return h
 }
@@ -123,16 +147,97 @@ func (h *Hierarchy) Preload(line mem.Addr) {
 	h.l2.install(line, false, h)
 }
 
-func (h *Hierarchy) entry(line mem.Addr) *dirEntry {
-	e := h.dir[line]
-	if e == nil {
-		e = &dirEntry{owner: noOwner}
-		h.dir[line] = e
-	}
-	return e
+func (h *Hierarchy) after(d uint64, fn func()) { h.eng.Schedule(sim.Cycle(d), fn) }
+
+// --- directory ---
+
+// dirPageLines is the number of line entries in one directory page, and
+// dirHotSlots the size of the direct-mapped page cache in front of the
+// page table. This is mem.Image's page pattern: a sparse address maps
+// to value state in a lazily allocated page, and the hot cache turns
+// almost every page-table lookup into an array index.
+const (
+	dirPageLines = 256
+	dirHotSlots  = 64
+)
+
+type dirPage [dirPageLines]dirEntry
+
+// dirHot is one slot of the page cache; page == nil marks it empty.
+type dirHot struct {
+	num  uint64
+	page *dirPage
 }
 
-func (h *Hierarchy) after(d uint64, fn func()) { h.eng.Schedule(sim.Cycle(d), fn) }
+// directory is the sparse line → dirEntry table. Pages are never freed,
+// so an entry's address is stable for the hierarchy's lifetime and
+// in-flight requests may hold it.
+type directory struct {
+	pages map[uint64]*dirPage
+	hot   [dirHotSlots]dirHot
+}
+
+// entry returns line's directory entry, creating it (unowned, no
+// sharers) on first reference.
+func (d *directory) entry(line mem.Addr) *dirEntry {
+	idx := uint64(line) >> mem.LineShift
+	num := idx / dirPageLines
+	slot := &d.hot[num%dirHotSlots]
+	if slot.page == nil || slot.num != num {
+		p := d.pages[num]
+		if p == nil {
+			p = new(dirPage)
+			for i := range p {
+				p[i].owner = noOwner
+			}
+			if d.pages == nil {
+				d.pages = make(map[uint64]*dirPage)
+			}
+			d.pages[num] = p
+		}
+		*slot = dirHot{num: num, page: p}
+	}
+	return &slot.page[idx%dirPageLines]
+}
+
+// --- line writes ---
+
+// lineWrite is one line write on its way to the PM controller (a dirty
+// flush). It copies the payload from the volatile image when it fires,
+// after the lookup latency, not when the flush is made: a store that
+// completes in between travels with the flush. Records are pooled on
+// the hierarchy with their fire thunk.
+type lineWrite struct {
+	h      *Hierarchy
+	line   mem.Addr
+	done   func()
+	fireFn func()
+}
+
+// writeLineAfter submits line's volatile contents to the PM controller
+// after d cycles; done is the controller's acceptance acknowledgement.
+func (h *Hierarchy) writeLineAfter(d uint64, line mem.Addr, done func()) {
+	var w *lineWrite
+	if n := len(h.freeWrites); n > 0 {
+		w = h.freeWrites[n-1]
+		h.freeWrites[n-1] = nil
+		h.freeWrites = h.freeWrites[:n-1]
+	} else {
+		w = &lineWrite{h: h}
+		w.fireFn = w.fire
+	}
+	w.line, w.done = line, done
+	h.after(d, w.fireFn)
+}
+
+func (w *lineWrite) fire() {
+	h, line, done := w.h, w.line, w.done
+	w.done = nil
+	h.freeWrites = append(h.freeWrites, w)
+	var data [mem.LineSize]byte
+	h.machine.Volatile.CopyLine(line, &data)
+	h.pm.SubmitPMWrite(line, data, done)
+}
 
 // --- L1 ---
 
@@ -149,23 +254,21 @@ type L1 struct {
 	core int
 	sets [][]l1Line
 	tick uint64
-	wb   *writebackBuffer
-	// storeFills and loadFills coalesce outstanding misses per line
-	// (MSHR semantics): the first requester drives the fill, subsequent
-	// same-line requests piggyback on its completion.
-	storeFills map[mem.Addr][]func()
-	loadFills  map[mem.Addr][]func()
+	wb   writebackBuffer
+	// fills are the outstanding misses (MSHR semantics): the first
+	// requester of a line drives the fill, and later same-line requests
+	// wait on its record. freeFills recycles completed records.
+	fills     []*mshr
+	freeFills []*mshr
 }
 
 func newL1(h *Hierarchy, core int) *L1 {
 	l1 := &L1{
-		h:          h,
-		core:       core,
-		sets:       make([][]l1Line, h.cfg.L1Sets),
-		storeFills: make(map[mem.Addr][]func()),
-		loadFills:  make(map[mem.Addr][]func()),
+		h:    h,
+		core: core,
+		sets: make([][]l1Line, h.cfg.L1Sets),
 	}
-	l1.wb = newWritebackBuffer(l1)
+	l1.wb.l1 = l1
 	return l1
 }
 
@@ -222,7 +325,7 @@ func (l *L1) install(line mem.Addr, dirty bool) *l1Line {
 // evict removes e's line from this L1, sending dirty data through the
 // write-back buffer and updating the directory.
 func (l *L1) evict(e *l1Line) {
-	de := l.h.entry(e.line)
+	de := l.h.dir.entry(e.line)
 	if de.owner == l.core {
 		de.owner = noOwner
 		de.ownerDirty = false

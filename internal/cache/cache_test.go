@@ -280,7 +280,7 @@ func TestMSHRCoalescing(t *testing.T) {
 }
 
 // ctrlReads reports PM reads issued by the hierarchy's controller.
-func (h *Hierarchy) ctrlReads() uint64 { return h.pm.Stats().PMReads }
+func (h *Hierarchy) ctrlReads() uint64 { return h.pm.(*pmem.Topology).Stats().PMReads }
 
 func TestL2EvictionPersistsDirtyPMLine(t *testing.T) {
 	cfg := smallCfg()

@@ -11,42 +11,74 @@ import "strandweaver/internal/mem"
 // PM, with no possibility of circular dependency (CLWBs never wait on
 // write-backs).
 type writebackBuffer struct {
-	l1       *L1
-	inFlight int
-	// lines tracks in-flight write-backs by line so the CLWB datapath
-	// can find dirty data that has left the L1 but not yet reached L2.
-	lines map[mem.Addr]int
+	l1 *L1
+	// inFlight holds the gated write-backs, so the CLWB datapath can
+	// find dirty data that has left the L1 but not yet reached L2.
+	// free recycles drained records.
+	inFlight []*writeback
+	free     []*writeback
 }
 
-func newWritebackBuffer(l1 *L1) *writebackBuffer {
-	return &writebackBuffer{l1: l1, lines: make(map[mem.Addr]int)}
+// writeback is one gated write-back, pooled with its drain thunk.
+type writeback struct {
+	wb      *writebackBuffer
+	line    mem.Addr
+	drainFn func()
 }
 
 // contains reports whether a write-back of line is in flight.
-func (wb *writebackBuffer) contains(line mem.Addr) bool { return wb.lines[line] > 0 }
+func (wb *writebackBuffer) contains(line mem.Addr) bool {
+	for _, w := range wb.inFlight {
+		if w.line == line {
+			return true
+		}
+	}
+	return false
+}
 
 // push enters a dirty line into the buffer and arranges its gated drain.
+// Without a persist gate the line lands in L2 at once.
 func (wb *writebackBuffer) push(line mem.Addr) {
 	h := wb.l1.h
-	wb.inFlight++
-	wb.lines[line]++
-	drain := func() {
-		wb.inFlight--
-		if wb.lines[line]--; wb.lines[line] == 0 {
-			delete(wb.lines, line)
-		}
-		// The line's dirty payload lands in the (volatile) L2; it
-		// persists only if later evicted from L2 or flushed.
+	g := h.gates[wb.l1.core]
+	if g == nil {
 		h.l2.install(line, true, h)
-	}
-	if g := h.gates[wb.l1.core]; g != nil {
-		tok := g.RecordTails()
-		h.stats.WritebackGateWaits++
-		g.CallWhenDrained(tok, drain)
 		return
 	}
-	drain()
+	var w *writeback
+	if n := len(wb.free); n > 0 {
+		w = wb.free[n-1]
+		wb.free[n-1] = nil
+		wb.free = wb.free[:n-1]
+	} else {
+		w = &writeback{wb: wb}
+		w.drainFn = w.drain
+	}
+	w.line = line
+	wb.inFlight = append(wb.inFlight, w)
+	tok := g.RecordTails()
+	h.stats.WritebackGateWaits++
+	g.CallWhenDrained(tok, w.drainFn)
+}
+
+// drain lands the write-back's dirty payload in the (volatile) L2; it
+// persists only if later evicted from L2 or flushed.
+func (w *writeback) drain() {
+	wb := w.wb
+	for i, x := range wb.inFlight {
+		if x == w {
+			last := len(wb.inFlight) - 1
+			wb.inFlight[i] = wb.inFlight[last]
+			wb.inFlight[last] = nil
+			wb.inFlight = wb.inFlight[:last]
+			break
+		}
+	}
+	line := w.line
+	wb.free = append(wb.free, w)
+	h := wb.l1.h
+	h.l2.install(line, true, h)
 }
 
 // InFlightWritebacks reports write-backs waiting on persist gates.
-func (l *L1) InFlightWritebacks() int { return l.wb.inFlight }
+func (l *L1) InFlightWritebacks() int { return len(l.wb.inFlight) }

@@ -126,7 +126,9 @@ type Core struct {
 	addResult    uint64
 	addFn        func()
 
-	// rng drives lock backoff jitter.
+	// rng drives lock backoff jitter. It is seeded from the core id and
+	// created on the first backoff draw: seeding one costs more than the
+	// rest of the core, and many runs never contend for a lock.
 	rng *rand.Rand
 
 	stats Stats
@@ -144,7 +146,6 @@ func NewCore(id int, eng *sim.Engine, cfg config.Config, design hwdesign.Design,
 		l1:      l1,
 		pm:      pm,
 		wake:    sim.NewWaiter(eng),
-		rng:     rand.New(rand.NewSource(int64(id)*7919 + 12345)),
 	}
 	c.sq = newStoreQueue(c)
 	c.kickFn = func() {
@@ -188,6 +189,14 @@ func NewCore(id int, eng *sim.Engine, cfg config.Config, design hwdesign.Design,
 	}
 	c.be = be
 	return c, nil
+}
+
+// backoffJitter draws the next lock backoff jitter in [0, 8).
+func (c *Core) backoffJitter() uint64 {
+	if c.rng == nil {
+		c.rng = rand.New(rand.NewSource(int64(c.id)*7919 + 12345))
+	}
+	return uint64(c.rng.Intn(8))
 }
 
 // ID returns the core's index.

@@ -208,7 +208,7 @@ func (c *Core) Lock(addr mem.Addr) {
 			c.stats.LockSpinCycles += uint64(c.eng.Now()-start) - 0
 			return
 		}
-		c.Compute(backoff + uint64(c.rng.Intn(8)))
+		c.Compute(backoff + c.backoffJitter())
 		if backoff < 512 {
 			backoff *= 2
 		}

@@ -24,9 +24,9 @@ type sqEntry struct {
 	// op is the backend operation for sqOp entries; it runs only at the
 	// queue head.
 	op backend.QueuedOp
-	// ready, when non-nil, must hold before a store may start draining
-	// (the StrandWeaver persist-barrier store gate).
-	ready func() bool
+	// gate, when set, must hold before a store may start draining (the
+	// StrandWeaver persist-barrier store gate).
+	gate backend.StoreGate
 	// started and finished track a pipelined store drain: cache accesses
 	// for consecutive stores may overlap (MSHRs), but visibility (the
 	// functional write and the pop) happens in program order.
@@ -112,14 +112,14 @@ func (q *storeQueue) Enqueue(seq uint64, op backend.QueuedOp) {
 }
 
 // pushStore appends an ordinary store entry.
-func (q *storeQueue) pushStore(addr mem.Addr, value uint64, size uint8, seq uint64, ready func() bool) {
+func (q *storeQueue) pushStore(addr mem.Addr, value uint64, size uint8, seq uint64, gate backend.StoreGate) {
 	e := q.alloc()
 	e.kind = sqStore
 	e.addr = addr
 	e.value = value
 	e.size = size
 	e.seq = seq
-	e.ready = ready
+	e.gate = gate
 	q.push(e)
 }
 
@@ -234,7 +234,7 @@ func (q *storeQueue) pump() {
 			continue
 		}
 		// A store's issue gate (if any) must hold before it drains.
-		if e.ready != nil && !e.ready() {
+		if e.gate.Ready != nil && !e.gate.Ready(e.gate.Seq) {
 			return
 		}
 		e.started = true

@@ -57,6 +57,9 @@ type sbEntry struct {
 	// same-line store drains; StrandWeaver resolves this in the persist
 	// queue instead).
 	ready func() bool
+	// stamp is the entry's position in the unit-wide append order; the
+	// write-back and snoop gates compare it against a recorded tail.
+	stamp uint64
 	// buf is the owning strand buffer while the entry is live, so the
 	// cached flush completion (flushDone) can retire without capturing
 	// it per issue.
@@ -75,10 +78,6 @@ type sbEntry struct {
 type strandBuffer struct {
 	entries []*sbEntry
 	head    int
-	// appended and retired are monotonic counters used for tail-index
-	// gating by the write-back and snoop buffers.
-	appended uint64
-	retired  uint64
 }
 
 // live reports the unretired entry count.
@@ -94,6 +93,9 @@ type BufferUnit struct {
 	ongoing     int
 	subscribers []func()
 	gateWaits   []gateWait
+	// appended counts every entry ever appended, across buffers: the
+	// next entry's stamp, and the tail a gate token records.
+	appended uint64
 	// free recycles retired entries so the steady-state CLWB path
 	// allocates nothing.
 	free []*sbEntry
@@ -192,8 +194,7 @@ func (u *BufferUnit) TryAppendCLWB(line mem.Addr, ready func() bool, onComplete 
 	}
 	e := u.alloc()
 	e.kind, e.line, e.onComplete, e.ready, e.buf = entryCLWB, line, onComplete, ready, b
-	b.entries = append(b.entries, e)
-	b.appended++
+	u.push(b, e)
 	u.stats.CLWBsAccepted++
 	u.issueEligible(b)
 	return true
@@ -209,12 +210,32 @@ func (u *BufferUnit) TryAppendPB(onComplete func()) bool {
 	}
 	e := u.alloc()
 	e.kind, e.onComplete, e.buf = entryPB, onComplete, b
-	b.entries = append(b.entries, e)
-	b.appended++
+	u.push(b, e)
 	u.stats.PBsAccepted++
 	// A barrier that arrives at an empty buffer completes right away.
 	u.tryRetire(b)
 	return true
+}
+
+// push stamps e and places it at b's tail.
+func (u *BufferUnit) push(b *strandBuffer, e *sbEntry) {
+	e.stamp = u.appended
+	u.appended++
+	b.entries, b.head = appendLive(b.entries, b.head, e)
+}
+
+// appendLive appends x to the FIFO whose live entries are s[head:].
+// When the backing array is full it first slides the live entries to
+// the front, so a FIFO that never empties reuses its array instead of
+// growing it: the live count is bounded by the FIFO's capacity, and
+// the array stops growing once it holds that many.
+func appendLive[T any](s []*T, head int, x *T) ([]*T, int) {
+	if head > 0 && len(s) == cap(s) {
+		n := copy(s, s[head:])
+		clear(s[n:])
+		s, head = s[:n], 0
+	}
+	return append(s, x), head
 }
 
 // NewStrand rotates the ongoing buffer index round-robin and completes
@@ -312,20 +333,18 @@ func (u *BufferUnit) pop(b *strandBuffer) {
 		b.entries = b.entries[:0]
 		b.head = 0
 	}
-	b.retired++
 	*e = sbEntry{flushDone: e.flushDone}
 	u.free = append(u.free, e)
 }
 
-// RecordTails implements cache.PersistGate: it snapshots each buffer's
-// appended count, exactly the "tail index of the buffer" the paper
-// records in write-back and snoop buffer entries.
+// RecordTails implements cache.PersistGate: it snapshots the unit's
+// append count. The paper records each buffer's tail index in the
+// write-back and snoop buffer entries; one unit-wide count carries the
+// same information, because each buffer retires in append order — every
+// buffer has retired past its recorded tail exactly when no live entry
+// was appended before the token.
 func (u *BufferUnit) RecordTails() cache.GateToken {
-	t := make(cache.GateToken, len(u.buffers))
-	for i, b := range u.buffers {
-		t[i] = b.appended
-	}
-	return t
+	return cache.GateToken{Tail: u.appended}
 }
 
 // CallWhenDrained implements cache.PersistGate: cb runs once every
@@ -338,9 +357,11 @@ func (u *BufferUnit) CallWhenDrained(t cache.GateToken, cb func()) {
 	u.gateWaits = append(u.gateWaits, gateWait{token: t, cb: cb})
 }
 
+// drainedTo reports whether every entry appended before t has retired:
+// each buffer's head, its oldest live entry, is younger than the token.
 func (u *BufferUnit) drainedTo(t cache.GateToken) bool {
-	for i, b := range u.buffers {
-		if i < len(t) && b.retired < t[i] {
+	for _, b := range u.buffers {
+		if b.live() > 0 && b.entries[b.head].stamp < t.Tail {
 			return false
 		}
 	}

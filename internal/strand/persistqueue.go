@@ -19,10 +19,43 @@ type StoreTracker interface {
 	HasPendingStoreBefore(seq uint64) bool
 }
 
-// Entry is a persist-queue entry handle. The store queue keeps Entry
-// references to gate stores on "prior CLWBs issued" (persist-barrier
-// rule) and the front-end keeps them to wait for JoinStrand completion.
+// Entry is a handle to a persist-queue entry. The store queue gates
+// stores on "prior CLWBs issued" (persist-barrier rule) and the
+// front-end waits for JoinStrand completion through it. A handle names
+// its entry by sequence number, not by storage: the queue recycles
+// entry storage once an entry retires, and a handle keeps answering for
+// its own entry afterwards — never for a younger one that reuses the
+// slot.
 type Entry struct {
+	pq   *PersistQueue
+	seq  uint64
+	kind entryKind
+}
+
+// HasIssued reports whether the entry has been issued to the strand
+// buffer unit. Issue is in program order, so that is the case once the
+// queue has issued anything at or past the entry's seq. A JoinStrand is
+// never issued.
+func (e Entry) HasIssued() bool { return e.kind != entryJS && e.pq.Issued(e.seq) }
+
+// Completed reports whether the entry has completed.
+func (e Entry) Completed() bool {
+	if e.Retired() {
+		return true
+	}
+	x := e.pq.live(e.seq)
+	return x != nil && x.completed
+}
+
+// Retired reports whether the entry has left the persist queue.
+// Retirement is in program order.
+func (e Entry) Retired() bool { return e.seq <= e.pq.retiredSeq }
+
+// pqEntry is one persist-queue slot. Slots are pooled with their
+// completion thunk (an entry completes exactly once, before it retires
+// and its slot recycles), so insert, issue and completion allocate
+// nothing in steady state.
+type pqEntry struct {
 	kind entryKind
 	line mem.Addr
 	// seq is the core-wide program-order sequence number.
@@ -33,18 +66,10 @@ type Entry struct {
 	barrierSeq uint64
 	hasIssued  bool
 	completed  bool
-	retired    bool
+	// doneFn marks the entry completed and pumps the queue; it is the
+	// completion callback handed to the strand buffer unit.
+	doneFn func()
 }
-
-// HasIssued reports whether the entry has been issued to the strand
-// buffer unit.
-func (e *Entry) HasIssued() bool { return e.hasIssued }
-
-// Completed reports whether the entry has completed.
-func (e *Entry) Completed() bool { return e.completed }
-
-// Retired reports whether the entry has left the persist queue.
-func (e *Entry) Retired() bool { return e.retired }
 
 // PersistQueue implements the paper's persist queue: a FIFO alongside
 // the store queue that records ongoing CLWBs, persist barriers,
@@ -55,9 +80,18 @@ type PersistQueue struct {
 	sbu      *BufferUnit
 	tracker  StoreTracker
 	capacity int
-	entries  []*Entry
-	onChange func()
-	pumping  bool
+	// entries[head:] are the live entries, oldest first (see
+	// appendLive), and free recycles retired slots.
+	entries []*pqEntry
+	head    int
+	free    []*pqEntry
+	// lastSeq is the youngest inserted seq; issuedSeq and retiredSeq are
+	// the seqs of the youngest issued and retired entries (0 = none).
+	// Issue and retirement are in program order, so these three answer
+	// every Entry handle.
+	lastSeq, issuedSeq, retiredSeq uint64
+	onChange                       func()
+	pumping                        bool
 
 	stats QueueStats
 }
@@ -91,64 +125,84 @@ func (pq *PersistQueue) changed() {
 func (pq *PersistQueue) Stats() QueueStats { return pq.stats }
 
 // Full reports whether the queue has no free entry.
-func (pq *PersistQueue) Full() bool { return len(pq.entries) >= pq.capacity }
+func (pq *PersistQueue) Full() bool { return pq.Len() >= pq.capacity }
 
 // Len reports current occupancy.
-func (pq *PersistQueue) Len() int { return len(pq.entries) }
+func (pq *PersistQueue) Len() int { return len(pq.entries) - pq.head }
 
 // Empty reports whether the queue is empty.
-func (pq *PersistQueue) Empty() bool { return len(pq.entries) == 0 }
+func (pq *PersistQueue) Empty() bool { return pq.Len() == 0 }
 
-func (pq *PersistQueue) insert(e *Entry) {
-	pq.entries = append(pq.entries, e)
-	if len(pq.entries) > pq.stats.MaxOccupancy {
-		pq.stats.MaxOccupancy = len(pq.entries)
+// Issued reports whether the persist barrier, CLWB or NewStrand with
+// the given seq has issued to the strand buffer unit. The answer stays
+// valid after the entry retires.
+func (pq *PersistQueue) Issued(seq uint64) bool { return seq <= pq.issuedSeq }
+
+// live returns the live entry with the given seq, or nil.
+func (pq *PersistQueue) live(seq uint64) *pqEntry {
+	for _, x := range pq.entries[pq.head:] {
+		if x.seq == seq {
+			return x
+		}
+	}
+	return nil
+}
+
+// insert appends a new entry. Sequence numbers must increase from one
+// insert to the next (they are program order).
+func (pq *PersistQueue) insert(kind entryKind, seq uint64, line mem.Addr, barrierSeq uint64) Entry {
+	if pq.Full() {
+		panic("strand: insert into full persist queue (front-end must check Full)")
+	}
+	if seq <= pq.lastSeq {
+		panic("strand: persist-queue insert out of program order")
+	}
+	pq.lastSeq = seq
+	var e *pqEntry
+	if n := len(pq.free); n > 0 {
+		e = pq.free[n-1]
+		pq.free[n-1] = nil
+		pq.free = pq.free[:n-1]
+	} else {
+		e = &pqEntry{}
+		e.doneFn = func() {
+			e.completed = true
+			pq.Pump()
+		}
+	}
+	e.kind, e.seq, e.line, e.barrierSeq = kind, seq, line, barrierSeq
+	pq.entries, pq.head = appendLive(pq.entries, pq.head, e)
+	if n := pq.Len(); n > pq.stats.MaxOccupancy {
+		pq.stats.MaxOccupancy = n
 	}
 	pq.Pump()
+	return Entry{pq: pq, seq: seq, kind: kind}
 }
 
 // InsertCLWB appends a CLWB. The caller must have checked Full.
-func (pq *PersistQueue) InsertCLWB(seq uint64, line mem.Addr, barrierSeq uint64) *Entry {
-	pq.mustHaveSpace()
-	e := &Entry{kind: entryCLWB, line: line, seq: seq, barrierSeq: barrierSeq}
+func (pq *PersistQueue) InsertCLWB(seq uint64, line mem.Addr, barrierSeq uint64) Entry {
 	pq.stats.CLWBs++
-	pq.insert(e)
-	return e
+	return pq.insert(entryCLWB, seq, line, barrierSeq)
 }
 
 // InsertPB appends a persist barrier.
-func (pq *PersistQueue) InsertPB(seq uint64) *Entry {
-	pq.mustHaveSpace()
-	e := &Entry{kind: entryPB, seq: seq}
+func (pq *PersistQueue) InsertPB(seq uint64) Entry {
 	pq.stats.PBs++
-	pq.insert(e)
-	return e
+	return pq.insert(entryPB, seq, 0, 0)
 }
 
 // InsertNS appends a NewStrand.
-func (pq *PersistQueue) InsertNS(seq uint64) *Entry {
-	pq.mustHaveSpace()
-	e := &Entry{kind: entryNS, seq: seq}
+func (pq *PersistQueue) InsertNS(seq uint64) Entry {
 	pq.stats.NSs++
-	pq.insert(e)
-	return e
+	return pq.insert(entryNS, seq, 0, 0)
 }
 
 // InsertJS appends a JoinStrand. JoinStrand is not issued to the strand
 // buffer unit; it completes when all elder persist-queue entries have
 // completed and retired and all elder stores have drained.
-func (pq *PersistQueue) InsertJS(seq uint64) *Entry {
-	pq.mustHaveSpace()
-	e := &Entry{kind: entryJS, seq: seq}
+func (pq *PersistQueue) InsertJS(seq uint64) Entry {
 	pq.stats.JSs++
-	pq.insert(e)
-	return e
-}
-
-func (pq *PersistQueue) mustHaveSpace() {
-	if pq.Full() {
-		panic("strand: insert into full persist queue (front-end must check Full)")
-	}
+	return pq.insert(entryJS, seq, 0, 0)
 }
 
 // Pump advances the queue: issues the oldest unissued entries whose
@@ -165,8 +219,8 @@ func (pq *PersistQueue) Pump() {
 	for {
 		progressed := false
 		// Retire from the head in order.
-		for len(pq.entries) > 0 {
-			head := pq.entries[0]
+		for pq.Len() > 0 {
+			head := pq.entries[pq.head]
 			if head.kind == entryJS && !head.completed {
 				// JoinStrand completes when it reaches the head (all
 				// elder entries retired) and elder stores have drained.
@@ -177,12 +231,7 @@ func (pq *PersistQueue) Pump() {
 			if !head.completed {
 				break
 			}
-			head.retired = true
-			pq.entries[0] = nil
-			pq.entries = pq.entries[1:]
-			if len(pq.entries) == 0 {
-				pq.entries = nil
-			}
+			pq.retire()
 			progressed = true
 		}
 		// Issue in order: only the oldest unissued entry may issue.
@@ -196,8 +245,22 @@ func (pq *PersistQueue) Pump() {
 	}
 }
 
-func (pq *PersistQueue) oldestUnissued() *Entry {
-	for _, e := range pq.entries {
+// retire pops the completed head entry and recycles its slot.
+func (pq *PersistQueue) retire() {
+	e := pq.entries[pq.head]
+	pq.entries[pq.head] = nil
+	pq.head++
+	if pq.head == len(pq.entries) {
+		pq.entries = pq.entries[:0]
+		pq.head = 0
+	}
+	pq.retiredSeq = e.seq
+	*e = pqEntry{doneFn: e.doneFn}
+	pq.free = append(pq.free, e)
+}
+
+func (pq *PersistQueue) oldestUnissued() *pqEntry {
+	for _, e := range pq.entries[pq.head:] {
 		if e.kind == entryJS {
 			// JoinStrand blocks further issue until it retires; nothing
 			// younger can exist anyway because the front-end stalls.
@@ -210,7 +273,7 @@ func (pq *PersistQueue) oldestUnissued() *Entry {
 	return nil
 }
 
-func (pq *PersistQueue) tryIssue(e *Entry) bool {
+func (pq *PersistQueue) tryIssue(e *pqEntry) bool {
 	switch e.kind {
 	case entryCLWB:
 		// Persist-barrier rule: stores elder than the governing barrier
@@ -224,32 +287,19 @@ func (pq *PersistQueue) tryIssue(e *Entry) bool {
 		if pq.tracker.HasPendingStoreToLine(e.line, e.seq) {
 			return false
 		}
-		ok := pq.sbu.TryAppendCLWB(e.line, nil, func() {
-			e.completed = true
-			pq.Pump()
-		})
-		if !ok {
+		if !pq.sbu.TryAppendCLWB(e.line, nil, e.doneFn) {
 			return false
 		}
-		e.hasIssued = true
-		return true
 	case entryPB:
-		ok := pq.sbu.TryAppendPB(func() {
-			e.completed = true
-			pq.Pump()
-		})
-		if !ok {
+		if !pq.sbu.TryAppendPB(e.doneFn) {
 			return false
 		}
-		e.hasIssued = true
-		return true
 	case entryNS:
-		e.hasIssued = true
-		pq.sbu.NewStrand(func() {
-			e.completed = true
-			pq.Pump()
-		})
-		return true
+		pq.sbu.NewStrand(e.doneFn)
+	default:
+		return false
 	}
-	return false
+	e.hasIssued = true
+	pq.issuedSeq = e.seq
+	return true
 }
