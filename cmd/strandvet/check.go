@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"strandweaver/internal/mem"
 )
 
 // checkSource parses one file and applies the determinism rules. It is
@@ -131,11 +133,12 @@ func (c *checker) visit(n ast.Node) bool {
 	return true
 }
 
-// checkPagePointer flags raw page-array pointer types — *[65536]byte,
-// *[1<<16]byte or *[mem.PageBytes]byte — outside internal/mem. A page
-// pointer held elsewhere escapes the COW images' ownership protocol:
-// writes through it mutate storage that frozen checkpoints may share,
-// corrupting captured state without tripping the frozen guard
+// checkPagePointer flags raw page-array pointer types — *[N]byte whose
+// length N is the value of mem.PageBytes, written as a literal, a shift
+// or the named constant — outside internal/mem. A page pointer held
+// elsewhere escapes the COW images' ownership protocol: writes through
+// it mutate storage that frozen checkpoints may share, corrupting
+// captured state without tripping the frozen guard
 // (docs/DETERMINISM.md). Pointers to other array sizes (notably
 // [mem.LineSize]byte line buffers) are fine.
 func (c *checker) checkPagePointer(se *ast.StarExpr) {
@@ -152,23 +155,29 @@ func (c *checker) checkPagePointer(se *ast.StarExpr) {
 	if !c.isPageSizeLen(at.Len) {
 		return
 	}
-	c.report(se.Pos(), "raw page pointer type *[65536]byte outside internal/mem: page storage belongs to the COW images' ownership protocol (docs/DETERMINISM.md); hold *mem.Image or account pages via mem.PageRefs instead")
+	c.report(se.Pos(), fmt.Sprintf("raw page pointer type *[%d]byte outside internal/mem: page storage belongs to the COW images' ownership protocol (docs/DETERMINISM.md); hold *mem.Image or account pages via mem.PageRefs instead", mem.PageBytes))
 }
 
-// isPageSizeLen matches the page-size array length as written: the
-// literal 65536, the shift 1<<16, or the mem.PageBytes constant.
+// isPageSizeLen matches an array length equal to mem.PageBytes as
+// written: an integer literal, a shift of two literals, or the
+// mem.PageBytes constant itself.
 func (c *checker) isPageSizeLen(n ast.Expr) bool {
 	switch n := n.(type) {
 	case *ast.BasicLit:
-		v, err := strconv.ParseUint(strings.ReplaceAll(n.Value, "_", ""), 0, 64)
-		return err == nil && v == 65536
+		v, ok := intLit(n)
+		return ok && v == mem.PageBytes
 	case *ast.BinaryExpr:
 		if n.Op != token.SHL {
 			return false
 		}
 		l, lok := n.X.(*ast.BasicLit)
 		r, rok := n.Y.(*ast.BasicLit)
-		return lok && rok && l.Value == "1" && r.Value == "16"
+		if !lok || !rok {
+			return false
+		}
+		lv, lok := intLit(l)
+		rv, rok := intLit(r)
+		return lok && rok && rv < 64 && lv<<rv == mem.PageBytes
 	case *ast.SelectorExpr:
 		id, ok := n.X.(*ast.Ident)
 		return ok && id.Obj == nil && c.memName != "" && id.Name == c.memName && n.Sel.Name == "PageBytes"
@@ -176,6 +185,16 @@ func (c *checker) isPageSizeLen(n ast.Expr) bool {
 		return c.isPageSizeLen(n.X)
 	}
 	return false
+}
+
+// intLit parses an integer literal in any Go base, with digit
+// separators.
+func intLit(n *ast.BasicLit) (uint64, bool) {
+	if n.Kind != token.INT {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(strings.ReplaceAll(n.Value, "_", ""), 0, 64)
+	return v, err == nil
 }
 
 // checkCheckpointType enforces the docs/SNAPSHOT.md passive-data rule

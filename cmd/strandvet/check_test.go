@@ -1,8 +1,12 @@
 package main
 
 import (
+	"fmt"
+	"math/bits"
 	"strings"
 	"testing"
+
+	"strandweaver/internal/mem"
 )
 
 // runCheck applies the checker to an inline fixture and returns its
@@ -229,19 +233,24 @@ type worker struct {
 	wantDiags(t, diags)
 }
 
+// The page-pointer fixtures spell the length from mem.PageBytes, so
+// the rule and its tests follow the page size together.
+var pageShift = bits.TrailingZeros(uint(mem.PageBytes))
+
 func TestFlagsRawPagePointerLiteral(t *testing.T) {
-	diags := runCheck(t, `package p
+	diags := runCheck(t, fmt.Sprintf(`package p
 type cache struct {
-	pages map[uint64]*[65536]byte
+	pages map[uint64]*[%d]byte
+	hex   *[%#x]byte
 }
-`)
-	wantDiags(t, diags, "raw page pointer")
+`, mem.PageBytes, mem.PageBytes))
+	wantDiags(t, diags, "raw page pointer", "raw page pointer")
 }
 
 func TestFlagsRawPagePointerShift(t *testing.T) {
-	diags := runCheck(t, `package p
-func f() *[1 << 16]byte { return nil }
-`)
+	diags := runCheck(t, fmt.Sprintf(`package p
+func f() *[1 << %d]byte { return nil }
+`, pageShift))
 	wantDiags(t, diags, "raw page pointer")
 }
 
@@ -254,14 +263,25 @@ var p *[mem.PageBytes]byte
 }
 
 func TestAllowsPagePointerInsideMem(t *testing.T) {
-	diags, err := checkSource("internal/mem/fixture.go", []byte(`package mem
+	diags, err := checkSource("internal/mem/fixture.go", []byte(fmt.Sprintf(`package mem
 type pageRef struct {
-	data *[65536]byte
+	data *[%d]byte
 }
-`))
+`, mem.PageBytes)))
 	if err != nil {
 		t.Fatalf("checkSource: %v", err)
 	}
+	wantDiags(t, diags)
+}
+
+// Arrays of another size are not pages, even ones that used to be.
+func TestAllowsOtherPowerOfTwoArrayPointers(t *testing.T) {
+	diags := runCheck(t, fmt.Sprintf(`package p
+type frame struct {
+	data  *[%d]byte
+	shift *[1 << %d]byte
+}
+`, 16*mem.PageBytes, pageShift+4))
 	wantDiags(t, diags)
 }
 

@@ -21,12 +21,14 @@
 //     fields — a checkpoint holding behaviour or live simulator
 //     references silently acts on the wrong system after a restore
 //     (docs/SNAPSHOT.md);
-//   - no raw page pointers: a *[65536]byte / *[1<<16]byte /
-//     *[mem.PageBytes]byte type outside internal/mem is flagged —
-//     page storage obeys the COW images' ownership protocol, and a
-//     pointer held elsewhere could mutate pages that frozen
-//     checkpoints share (docs/DETERMINISM.md). Pointers to other
-//     array sizes, such as [mem.LineSize]byte line buffers, are fine;
+//   - no raw page pointers: a *[N]byte type outside internal/mem
+//     whose length is the value of mem.PageBytes (4096 today), written
+//     as a literal (*[4096]byte), a shift (*[1<<12]byte) or the
+//     constant (*[mem.PageBytes]byte), is flagged — page storage obeys
+//     the COW images' ownership protocol, and a pointer held elsewhere
+//     could mutate pages that frozen checkpoints share
+//     (docs/DETERMINISM.md). Pointers to other array sizes, such as
+//     [mem.LineSize]byte line buffers, are fine;
 //   - no direct program mutation: assigning through an index on a
 //     pmo.Program-typed value (`p[t][i] = op`, `p[t] = append(...)`)
 //     outside internal/pmo and internal/relax is flagged — programs

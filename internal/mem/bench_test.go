@@ -11,7 +11,7 @@ import (
 // COW fault costs one page copy, and CrashImage is a pointer-copy
 // clone. CI runs them at -benchtime=1x as a smoke test; the allocs
 // columns (ReportAllocs) are the regression signal — a reappearing
-// per-page 64 KiB copy shows up immediately.
+// per-page copy (PageBytes, 4 KiB, each) shows up immediately.
 
 var benchFootprints = []int{8, 256}
 
@@ -82,7 +82,7 @@ func BenchmarkCrashImage(b *testing.B) {
 }
 
 // COWFault isolates the deferred per-page capture cost: freeze, then
-// first write to a captured page (one 64 KiB copy).
+// first write to a captured page (one PageBytes copy).
 func BenchmarkCOWFault(b *testing.B) {
 	im := NewImage()
 	im.SetByte(0, 1)
@@ -96,7 +96,7 @@ func BenchmarkCOWFault(b *testing.B) {
 
 // Snapshot's allocation count must not scale with the footprint: the
 // 32x page-count spread may cost a few extra map buckets, never
-// per-page copies (one 64 KiB array each).
+// per-page copies (one PageBytes array each).
 func TestSnapshotAllocsFootprintIndependent(t *testing.T) {
 	allocsAt := func(pages int) float64 {
 		m := benchMachine(pages)

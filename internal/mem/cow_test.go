@@ -17,7 +17,7 @@ func touchPages(im *Image, base Addr, n int, v byte) {
 
 // Freeze is O(pages) pointer work and zero page-byte copies: the
 // allocation count must not scale with the footprint (a deep copy
-// would allocate one 64 KiB array per page).
+// would allocate one PageBytes array per page).
 func TestFreezeCopiesNoPageBytes(t *testing.T) {
 	const pages = 64
 	im := NewImage()

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -158,11 +159,19 @@ func BenchmarkImageWrite64(b *testing.B) {
 	}
 }
 
-// TestFingerprintMatchesPerByteReference pins Fingerprint's zero-run
-// word-at-a-time fast path against the definitional per-byte FNV-1a
-// fold. Any drift here would silently re-key every golden digest in
-// the repo, so the reference is spelled out longhand.
+// TestFingerprintMatchesPerByteReference pins Fingerprint against the
+// definitional per-byte FNV-1a fold over 64 KiB frames. The frame is
+// spelled out here rather than taken from the package: it is the
+// digest's definition, independent of the page size images allocate
+// at. Any drift would silently re-key every golden digest in the repo,
+// so the reference is longhand.
 func TestFingerprintMatchesPerByteReference(t *testing.T) {
+	const (
+		frame    = 1 << 16
+		topFrame = ^Addr(frame - 1)
+	)
+	// Every frame a trial writes, ascending; the last one ends at 2^64.
+	frames := []Addr{0, frame, 2 * frame, 3 * frame, 4 * frame, 5 * frame, 6 * frame, 7 * frame, topFrame}
 	reference := func(im *Image) uint64 {
 		const (
 			offset64 = 14695981039346656037
@@ -170,11 +179,10 @@ func TestFingerprintMatchesPerByteReference(t *testing.T) {
 		)
 		h := uint64(offset64)
 		mixByte := func(b byte) { h ^= uint64(b); h *= prime64 }
-		for pg := 0; pg < 8; pg++ { // covers every page the trial writes
-			base := Addr(pg) * PageBytes
-			var page [PageBytes]byte
-			im.Read(base, page[:])
-			if page == [PageBytes]byte{} {
+		for _, base := range frames {
+			var data [frame]byte
+			im.Read(base, data[:])
+			if data == [frame]byte{} {
 				continue
 			}
 			v := uint64(base)
@@ -182,39 +190,79 @@ func TestFingerprintMatchesPerByteReference(t *testing.T) {
 				mixByte(byte(v))
 				v >>= 8
 			}
-			for _, b := range page {
+			for _, b := range data {
 				mixByte(b)
 			}
 		}
 		return h
+	}
+	check := func(name string, im *Image) {
+		t.Helper()
+		if got, want := im.Fingerprint(), reference(im); got != want {
+			t.Fatalf("%s: Fingerprint %#x != per-byte reference %#x", name, got, want)
+		}
 	}
 
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		im := NewImage()
 		// Mix of patterns the fast path must get right: isolated bytes,
-		// word-straddling runs, fully-zero pages (skipped), and bytes at
-		// page edges.
+		// word-straddling runs, fully-zero frames (skipped), and bytes
+		// at frame and page edges.
 		for i := 0; i < 40; i++ {
-			base := Addr(rng.Intn(6)) * PageBytes
-			switch rng.Intn(4) {
+			base := Addr(rng.Intn(6)) * frame
+			switch rng.Intn(5) {
 			case 0:
-				im.SetByte(base+Addr(rng.Intn(PageBytes)), byte(rng.Intn(256)))
+				im.SetByte(base+Addr(rng.Intn(frame)), byte(rng.Intn(256)))
 			case 1:
-				off := rng.Intn(PageBytes - 16)
+				off := rng.Intn(frame - 16)
 				buf := make([]byte, 1+rng.Intn(16))
 				rng.Read(buf)
 				im.Write(base+Addr(off), buf)
 			case 2:
-				im.Write64(base+Addr(rng.Intn(PageBytes/8))*8, rng.Uint64())
+				im.Write64(base+Addr(rng.Intn(frame/8))*8, rng.Uint64())
 			case 3:
-				im.SetByte(base+Addr(PageBytes-1), byte(rng.Intn(256)))
+				im.SetByte(base+Addr(frame-1), byte(rng.Intn(256)))
+			case 4: // straddle a page boundary inside the frame
+				pg := 1 + rng.Intn(frame/PageBytes-1)
+				im.Write64(base+Addr(pg*PageBytes-4), rng.Uint64()|1)
 			}
 		}
-		// Touch a page without making it nonzero: must hash as absent.
-		im.SetByte(Addr(6)*PageBytes, 0)
-		if got, want := im.Fingerprint(), reference(im); got != want {
-			t.Fatalf("trial %d: Fingerprint %#x != per-byte reference %#x", trial, got, want)
+		// Touch a frame without making it nonzero: must hash as absent.
+		im.SetByte(6*frame, 0)
+		check(fmt.Sprintf("trial %d", trial), im)
+	}
+
+	// Bytes spread over several pages of one frame, with absent pages
+	// between them.
+	for trial := 0; trial < 20; trial++ {
+		im := NewImage()
+		for i := 0; i < 1+rng.Intn(12); i++ {
+			pg := rng.Intn(frame / PageBytes)
+			im.SetByte(frame+Addr(pg*PageBytes+rng.Intn(PageBytes)), byte(1+rng.Intn(255)))
 		}
+		check(fmt.Sprintf("spread trial %d", trial), im)
+	}
+
+	// A frame whose only page was touched with zeros hashes as absent,
+	// next to a nonzero frame and alone.
+	im := NewImage()
+	im.SetByte(3*frame+5*PageBytes+17, 0)
+	check("zero-touched frame alone", im)
+	if im.Fingerprint() != NewImage().Fingerprint() {
+		t.Error("a frame touched only with zeros must hash as the empty image")
+	}
+	im.SetByte(2*frame+3, 9)
+	check("zero-touched frame beside a nonzero one", im)
+
+	// A frame's last 4 KiB only: every page before it is absent. Also
+	// at the top of the address space, where the frame's last page ends
+	// at 2^64.
+	for _, base := range []Addr{4 * frame, topFrame} {
+		im := NewImage()
+		buf := make([]byte, PageBytes)
+		rng.Read(buf)
+		im.Write(base+frame-PageBytes, buf)
+		check(fmt.Sprintf("last page of frame %#x", uint64(base)), im)
 	}
 }

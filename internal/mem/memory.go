@@ -18,7 +18,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // LineSize is the cache-line (and persist) granularity in bytes.
@@ -48,11 +48,15 @@ func LineOffset(a Addr) uint64 { return uint64(a) & (LineSize - 1) }
 // SameLine reports whether a and b fall on the same cache line.
 func SameLine(a, b Addr) bool { return LineAddr(a) == LineAddr(b) }
 
-const pageSize = 1 << 16 // 64 KiB sparse pages
+const pageSize = 1 << 12 // 4 KiB sparse pages
 
 // PageBytes is the sparse page granularity images capture and share at
 // (exported for capacity accounting; see PageRefs).
 const PageBytes = pageSize
+
+// fingerprintFrame is the granularity Fingerprint hashes at. It is part
+// of the digest's definition, so it stays fixed whatever pageSize is.
+const fingerprintFrame = 1 << 16
 
 // pageRef is one page-table entry: the page's storage plus whether this
 // image owns it exclusively. An owned page may be written in place; an
@@ -69,9 +73,9 @@ type pageRef struct {
 }
 
 // hotSlots sizes the direct-mapped page-lookup cache (see Image.hot).
-// Power of two; 64 slots cover a torture run's working set (8 threads'
-// data and log pages plus shared regions) with few conflicts at 1.5 KiB
-// per image.
+// Power of two; 64 slots of 4 KiB pages span 256 KiB at 1.5 KiB per
+// image, and the page-table slow path stays a small share of grid CPU
+// (docs/SNAPSHOT.md, "Copy-on-write capture").
 const hotSlots = 64
 
 // hotEntry is one slot of the lookup cache: a page-table resolution
@@ -377,9 +381,9 @@ func (im *Image) Write(a Addr, src []byte) {
 	}
 }
 
-// Read64 returns the little-endian uint64 at a. a need not be aligned but
-// must not span a page boundary mid-word in pathological layouts; callers
-// in this codebase always use 8-byte-aligned fields.
+// Read64 returns the little-endian uint64 at a. a need not be aligned: a
+// word that spans a page boundary (or wraps past the top of the address
+// space) is assembled byte by byte on the slow path.
 func (im *Image) Read64(a Addr) uint64 {
 	// Inlinable fast path: a hot-cache hit (including a cached negative
 	// resolution — the page is known absent, the value is zero) reads
@@ -405,6 +409,50 @@ func (im *Image) read64Slow(a Addr) uint64 {
 	var buf [8]byte
 	im.Read(a, buf[:])
 	return binary.LittleEndian.Uint64(buf[:])
+}
+
+// NextNonzero64 returns the first i in [from, n) whose little-endian
+// uint64 at a+i*stride (address arithmetic modulo 2^64) is nonzero,
+// together with that word; ok is false when there is none. It finds
+// exactly what a Read64 per slot would, for any a, but resolves each
+// page once in the page table and skips absent pages whole. Slots whose
+// word straddles into the next page are read with Read64. It never
+// mutates the image and is safe on frozen views. Recovery's log scans
+// use it to find the slots whose flags word is set.
+func (im *Image) NextNonzero64(a Addr, stride, from, n uint64) (i, v uint64, ok bool) {
+	if stride == 0 {
+		if from < n {
+			if v := im.Read64(a); v != 0 {
+				return from, v, true
+			}
+		}
+		return 0, 0, false
+	}
+	for i = from; i < n; {
+		addr := a + Addr(i*stride)
+		off := uint64(addr) & (pageSize - 1)
+		// Slots i .. i+starts-1 begin in this page; the first full of
+		// them hold their whole word in it, the rest straddle.
+		starts := min((pageSize-1-off)/stride+1, n-i)
+		full := uint64(0)
+		if off <= pageSize-8 {
+			full = min((pageSize-8-off)/stride+1, starts)
+		}
+		if p := im.pages[addr&^(pageSize-1)].data; p != nil {
+			for j, o := uint64(0), off; j < full; j, o = j+1, o+stride {
+				if w := binary.LittleEndian.Uint64(p[o:]); w != 0 {
+					return i + j, w, true
+				}
+			}
+		}
+		for j := full; j < starts; j++ {
+			if w := im.Read64(addr + Addr(j*stride)); w != 0 {
+				return i + j, w, true
+			}
+		}
+		i += starts
+	}
+	return 0, 0, false
 }
 
 // Write64 stores v little-endian at a.
@@ -581,10 +629,13 @@ func (im *Image) Equal(other *Image) bool {
 }
 
 // Fingerprint returns a deterministic 64-bit digest of the image's
-// contents (FNV-1a over pages in ascending address order, all-zero
-// pages skipped). Two images are Equal iff their contents match;
-// matching contents always produce matching fingerprints, so the
-// fingerprint is a cheap identity for determinism regression checks.
+// contents: FNV-1a over 64 KiB frames in ascending address order,
+// all-zero frames skipped, each frame mixing its base address and then
+// its 65536 bytes. The frame is fixed by definition, not by pageSize, so
+// the digest does not depend on how the image is paged. Two images are
+// Equal iff their contents match; matching contents always produce
+// matching fingerprints, so the fingerprint is a cheap identity for
+// determinism regression checks.
 func (im *Image) Fingerprint() uint64 {
 	bases := make([]Addr, 0, len(im.pages))
 	for base, p := range im.pages {
@@ -592,7 +643,7 @@ func (im *Image) Fingerprint() uint64 {
 			bases = append(bases, base)
 		}
 	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
+	slices.Sort(bases)
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -605,35 +656,50 @@ func (im *Image) Fingerprint() uint64 {
 			v >>= 8
 		}
 	}
-	for _, base := range bases {
-		mix(uint64(base))
-		p := im.pages[base].data
-		// Word-at-a-time with a zero-run fast path: FNV-1a over a zero
-		// byte is h = (h^0)*prime = h*prime, so eight consecutive zero
-		// bytes contribute exactly one multiply by prime64^8. Nonzero
-		// words mix byte-by-byte in address order (the little-endian
-		// load puts p[i] in the low byte, which mix consumes first), so
-		// the digest is bit-identical to the plain per-byte loop —
-		// sparse pages just reach it 8x faster.
-		for i := 0; i < pageSize; i += 8 {
-			w := binary.LittleEndian.Uint64(p[i : i+8])
-			if w == 0 {
-				h *= fnvPrimePow8
+	for k := 0; k < len(bases); {
+		frame := bases[k] &^ (fingerprintFrame - 1)
+		mix(uint64(frame))
+		// base-frame stays correct when the top frame's last page wraps
+		// base to zero.
+		for base := frame; base-frame < fingerprintFrame; base += pageSize {
+			if k == len(bases) || bases[k] != base {
+				h *= fnvPrimePowPage // an absent or all-zero page
 				continue
 			}
-			mix(w)
+			k++
+			p := im.pages[base].data
+			// Word-at-a-time with a zero-run fast path: FNV-1a over a
+			// zero byte is h = (h^0)*prime = h*prime, so eight
+			// consecutive zero bytes contribute exactly one multiply by
+			// prime64^8. Nonzero words mix byte-by-byte in address order
+			// (the little-endian load puts p[i] in the low byte, which
+			// mix consumes first), so the digest is bit-identical to the
+			// plain per-byte loop — sparse pages just reach it 8x faster.
+			for i := 0; i < pageSize; i += 8 {
+				w := binary.LittleEndian.Uint64(p[i : i+8])
+				if w == 0 {
+					h *= fnvPrimePow8
+					continue
+				}
+				mix(w)
+			}
 		}
 	}
 	return h
 }
 
-// fnvPrimePow8 is prime64^8 mod 2^64: the factor eight zero bytes
-// contribute to an FNV-1a hash (see Fingerprint's zero-run fast path).
-var fnvPrimePow8 = func() uint64 {
+// fnvPrimePow returns prime64^n mod 2^64: the factor n zero bytes
+// contribute to an FNV-1a hash (see Fingerprint's zero-run fast paths).
+func fnvPrimePow(n int) uint64 {
 	const prime64 = 1099511628211
 	p := uint64(1)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < n; i++ {
 		p *= prime64
 	}
 	return p
-}()
+}
+
+var (
+	fnvPrimePow8    = fnvPrimePow(8)
+	fnvPrimePowPage = fnvPrimePow(pageSize)
+)

@@ -65,9 +65,14 @@ func Recover(img *mem.Image, threads int) (*Report, error) {
 		if entries == 0 || entries > 1<<24 {
 			return rep, fmt.Errorf("redolog: thread %d descriptor has implausible entry count %d", t, entries)
 		}
-		for s := uint64(0); s < entries; s++ {
-			e := bufBase + mem.Addr(s*mem.LineSize)
-			if img.Read64(e+entFlags)&flagValid == 0 {
+		// NextNonzero64 reads the flags words a page at a time and never
+		// writes, so the scrubs below stay recovery's only mutations.
+		next := func(from uint64) (uint64, uint64, bool) {
+			return img.NextNonzero64(bufBase+entFlags, mem.LineSize, from, entries)
+		}
+		for slot, flags, ok := next(0); ok; slot, flags, ok = next(slot + 1) {
+			e := bufBase + mem.Addr(slot*mem.LineSize)
+			if flags&flagValid == 0 {
 				continue
 			}
 			s := scanned{

@@ -84,9 +84,13 @@ func Recover(img *mem.Image, threads int) (*Report, error) {
 		var valid []scannedEntry
 		markerTicket := uint64(0)
 		markerSeen := false
-		for s := uint64(0); s < entries; s++ {
+		// NextNonzero64 reads the flags words a page at a time and never
+		// writes, so the scrubs below stay recovery's only mutations.
+		next := func(from uint64) (uint64, uint64, bool) {
+			return img.NextNonzero64(bufBase+entFlags, mem.LineSize, from, entries)
+		}
+		for s, flags, ok := next(0); ok; s, flags, ok = next(s + 1) {
 			e := bufBase + mem.Addr(s*mem.LineSize)
-			flags := img.Read64(e + entFlags)
 			if flags&FlagValid == 0 {
 				continue
 			}

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	sw "strandweaver"
+	"strandweaver/internal/redolog"
+	"strandweaver/internal/undolog"
 )
 
 // TestPublicAPIQuickstart exercises the README's quickstart path end to
@@ -211,5 +213,70 @@ func TestPublicAPIExperimentSurface(t *testing.T) {
 	d := sw.NewDRAMArena(1<<20, 1<<16)
 	if a := d.Alloc(nil, 64); a < sw.DRAMBase {
 		t.Error("DRAM arena out of range")
+	}
+}
+
+// TestPublicRecoverHostileDescriptors: a crash image is untrusted
+// input, so both recoveries must return a report, never panic, on a
+// descriptor whose log puts slot 0's flags word across a 4 KiB page
+// boundary, and on one whose slots wrap past 2^64 (slot 1's sequence
+// word spans the wrap). Each log holds two entries whose flags are set
+// over an unwritten payload: torn, so both are scrubbed.
+func TestPublicRecoverHostileDescriptors(t *testing.T) {
+	// Descriptor and entry layout shared by the undo and redo logs.
+	const (
+		descMagic   = 0
+		descBufBase = 8
+		descEntries = 16
+		entFlags    = 40
+	)
+	base := sw.NewSystem(sw.DefaultConfig(), sw.StrandWeaver).Mem.Persistent
+	logs := []struct {
+		kind    string
+		desc    sw.Addr
+		magic   uint64
+		recover func(*sw.Image) (int, error)
+	}{
+		{"undo", undolog.DescAddr(0), undolog.Magic, func(img *sw.Image) (int, error) {
+			rep, err := sw.Recover(img, 1)
+			if rep == nil {
+				return -1, err
+			}
+			return rep.TornDiscarded, err
+		}},
+		{"redo", redolog.DescAddr(0), redolog.Magic, func(img *sw.Image) (int, error) {
+			rep, err := sw.RecoverRedo(img, 1)
+			if rep == nil {
+				return -1, err
+			}
+			return rep.TornDiscarded, err
+		}},
+	}
+	for _, l := range logs {
+		for _, bufBase := range []sw.Addr{sw.PMBase + 4052, ^sw.Addr(99)} {
+			img := base.Clone()
+			img.Write64(l.desc+descMagic, l.magic)
+			img.Write64(l.desc+descBufBase, uint64(bufBase))
+			img.Write64(l.desc+descEntries, 4)
+			for s := sw.Addr(0); s < 2; s++ {
+				img.Write64(bufBase+s*sw.LineSize+entFlags, 1)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s log at %#x: recovery panicked: %v", l.kind, uint64(bufBase), r)
+					}
+				}()
+				torn, err := l.recover(img)
+				if err != nil || torn != 2 {
+					t.Errorf("%s log at %#x: TornDiscarded %d, err %v; want 2 torn entries and a report", l.kind, uint64(bufBase), torn, err)
+				}
+				for s := sw.Addr(0); s < 2; s++ {
+					if f := img.Read64(bufBase + s*sw.LineSize + entFlags); f != 0 {
+						t.Errorf("%s log at %#x: slot %d flags %#x after recovery, want scrubbed", l.kind, uint64(bufBase), s, f)
+					}
+				}
+			}()
+		}
 	}
 }
