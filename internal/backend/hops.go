@@ -5,6 +5,7 @@ import (
 	"strandweaver/internal/hwdesign"
 	"strandweaver/internal/isa"
 	"strandweaver/internal/mem"
+	"strandweaver/internal/sim"
 	"strandweaver/internal/strand"
 )
 
@@ -29,7 +30,7 @@ type hopsBackend struct {
 	// q is the host's store queue, known from the first CLWB; free
 	// recycles CLWB records.
 	q    Queue
-	free []*hopsCLWB
+	free sim.FreeList[*hopsCLWB]
 
 	ofences, dfences uint64
 }
@@ -60,7 +61,7 @@ func (c *hopsCLWB) tryAppend() bool { return c.b.sbu.TryAppendCLWB(c.line, c.rea
 func (c *hopsCLWB) ready() bool { return !c.b.q.HasPendingStoreToLine(c.line, c.seq) }
 
 func (c *hopsCLWB) done() {
-	c.b.free = append(c.b.free, c)
+	c.b.free.Put(c)
 	c.b.kick()
 }
 
@@ -70,18 +71,11 @@ func (b *hopsBackend) StoreGate() StoreGate    { return StoreGate{} }
 
 func (b *hopsBackend) OnStoreVisible(mem.Addr, uint64, uint8) {}
 
-// BufferUnit exposes the persist buffer for tests and walkthroughs.
-func (b *hopsBackend) BufferUnit() *strand.BufferUnit { return b.sbu }
-
 // CLWB delegates to the persist buffer, holding issue until the elder
 // same-line store (if any) drains so the flush captures its value.
 func (b *hopsBackend) CLWB(h Host, line mem.Addr) {
-	var c *hopsCLWB
-	if n := len(b.free); n > 0 {
-		c = b.free[n-1]
-		b.free[n-1] = nil
-		b.free = b.free[:n-1]
-	} else {
+	c, ok := b.free.Get()
+	if !ok {
 		c = &hopsCLWB{b: b}
 		c.appendFn, c.readyFn, c.doneFn = c.tryAppend, c.ready, c.done
 	}

@@ -57,7 +57,7 @@ type flushBackend struct {
 	pendingPop  func()
 	dispatchFn  func()
 	flushDoneFn func()
-	freeOps     []*directFlush
+	freeOps     sim.FreeList[*directFlush]
 
 	dispatched uint64
 	sfences    uint64
@@ -91,12 +91,8 @@ func (b *flushBackend) CLWB(h Host, line mem.Addr) {
 		b.notFull = func() bool { return !q.Full() }
 	}
 	h.StallUntil(b.notFull, StallQueueFull)
-	var f *directFlush
-	if n := len(b.freeOps); n > 0 {
-		f = b.freeOps[n-1]
-		b.freeOps[n-1] = nil
-		b.freeOps = b.freeOps[:n-1]
-	} else {
+	f, ok := b.freeOps.Get()
+	if !ok {
 		f = &directFlush{b: b}
 	}
 	f.line = line
@@ -144,6 +140,6 @@ func (f *directFlush) Step(pop func()) StepStatus {
 	b.eng.Schedule(1, b.dispatchFn)
 	// f's line has been captured into the pending slot; the op itself is
 	// dead (Step runs once) and can be recycled immediately.
-	b.freeOps = append(b.freeOps, f)
+	b.freeOps.Put(f)
 	return OpAsync
 }

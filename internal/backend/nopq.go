@@ -5,6 +5,7 @@ import (
 	"strandweaver/internal/hwdesign"
 	"strandweaver/internal/isa"
 	"strandweaver/internal/mem"
+	"strandweaver/internal/sim"
 	"strandweaver/internal/strand"
 )
 
@@ -30,7 +31,7 @@ type nopqBackend struct {
 	notFull, empty func() bool
 	// freeCLWBs recycles CLWB ops: an op is dead once the unit accepts
 	// its flush.
-	freeCLWBs []*sbuCLWB
+	freeCLWBs sim.FreeList[*sbuCLWB]
 }
 
 func newNoPQ(d Deps) Backend {
@@ -59,17 +60,10 @@ func (b *nopqBackend) StoreGate() StoreGate    { return StoreGate{} }
 
 func (b *nopqBackend) OnStoreVisible(mem.Addr, uint64, uint8) {}
 
-// BufferUnit exposes the strand buffer unit for tests and walkthroughs.
-func (b *nopqBackend) BufferUnit() *strand.BufferUnit { return b.sbu }
-
 func (b *nopqBackend) CLWB(h Host, line mem.Addr) {
 	h.StallUntil(b.queueNotFull(h), StallQueueFull)
-	var o *sbuCLWB
-	if n := len(b.freeCLWBs); n > 0 {
-		o = b.freeCLWBs[n-1]
-		b.freeCLWBs[n-1] = nil
-		b.freeCLWBs = b.freeCLWBs[:n-1]
-	} else {
+	o, ok := b.freeCLWBs.Get()
+	if !ok {
 		o = &sbuCLWB{b: b}
 	}
 	o.line = line
@@ -135,7 +129,7 @@ func (o *sbuCLWB) Step(pop func()) StepStatus {
 	if !o.b.sbu.TryAppendCLWB(o.line, nil, o.b.kick) {
 		return OpBlocked
 	}
-	o.b.freeCLWBs = append(o.b.freeCLWBs, o)
+	o.b.freeCLWBs.Put(o)
 	return OpDone
 }
 

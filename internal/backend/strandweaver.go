@@ -53,11 +53,6 @@ func (b *swBackend) Gate() cache.PersistGate { return b.sbu }
 
 func (b *swBackend) OnStoreVisible(mem.Addr, uint64, uint8) {}
 
-// BufferUnit and PersistQueue expose the persist hardware for tests and
-// the Figure 4 walkthrough.
-func (b *swBackend) BufferUnit() *strand.BufferUnit     { return b.sbu }
-func (b *swBackend) PersistQueue() *strand.PersistQueue { return b.pq }
-
 // barrierSeqForCLWB returns the sequence of the youngest elder persist
 // barrier not cleared by a later NewStrand (0 if none): the stores that
 // a CLWB must wait for under the persist-barrier rule.

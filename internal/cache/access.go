@@ -37,12 +37,8 @@ func (l *L1) findFill(line mem.Addr, store bool) *mshr {
 // startFill registers a new outstanding fill of line with done as its
 // requester.
 func (l *L1) startFill(line mem.Addr, store bool, de *dirEntry, done func()) *mshr {
-	var r *mshr
-	if n := len(l.freeFills); n > 0 {
-		r = l.freeFills[n-1]
-		l.freeFills[n-1] = nil
-		l.freeFills = l.freeFills[:n-1]
-	} else {
+	r, ok := l.freeFills.Get()
+	if !ok {
 		r = &mshr{l1: l}
 		r.completeFn = r.complete
 		r.fillFn = r.fill
@@ -76,7 +72,7 @@ func (r *mshr) complete() {
 	}
 	r.waiters = r.waiters[:0]
 	r.done, r.de, r.remote = nil, nil, nil
-	l.freeFills = append(l.freeFills, r)
+	l.freeFills.Put(r)
 }
 
 // fill completes a load fill: the line enters this L1 shared.

@@ -81,7 +81,7 @@ type Hierarchy struct {
 	gates []PersistGate
 
 	// freeWrites recycles line-write requests (see lineWrite).
-	freeWrites []*lineWrite
+	freeWrites sim.FreeList[*lineWrite]
 
 	stats HierStats
 }
@@ -217,12 +217,8 @@ type lineWrite struct {
 // writeLineAfter submits line's volatile contents to the PM controller
 // after d cycles; done is the controller's acceptance acknowledgement.
 func (h *Hierarchy) writeLineAfter(d uint64, line mem.Addr, done func()) {
-	var w *lineWrite
-	if n := len(h.freeWrites); n > 0 {
-		w = h.freeWrites[n-1]
-		h.freeWrites[n-1] = nil
-		h.freeWrites = h.freeWrites[:n-1]
-	} else {
+	w, ok := h.freeWrites.Get()
+	if !ok {
 		w = &lineWrite{h: h}
 		w.fireFn = w.fire
 	}
@@ -233,7 +229,7 @@ func (h *Hierarchy) writeLineAfter(d uint64, line mem.Addr, done func()) {
 func (w *lineWrite) fire() {
 	h, line, done := w.h, w.line, w.done
 	w.done = nil
-	h.freeWrites = append(h.freeWrites, w)
+	h.freeWrites.Put(w)
 	var data [mem.LineSize]byte
 	h.machine.Volatile.CopyLine(line, &data)
 	h.pm.SubmitPMWrite(line, data, done)
@@ -259,7 +255,7 @@ type L1 struct {
 	// requester of a line drives the fill, and later same-line requests
 	// wait on its record. freeFills recycles completed records.
 	fills     []*mshr
-	freeFills []*mshr
+	freeFills sim.FreeList[*mshr]
 }
 
 func newL1(h *Hierarchy, core int) *L1 {

@@ -1,6 +1,9 @@
 package cache
 
-import "strandweaver/internal/mem"
+import (
+	"strandweaver/internal/mem"
+	"strandweaver/internal/sim"
+)
 
 // writebackBuffer manages in-progress write-backs from an L1. Per the
 // paper ("Managing cache writebacks"), StrandWeaver extends each entry
@@ -16,7 +19,7 @@ type writebackBuffer struct {
 	// find dirty data that has left the L1 but not yet reached L2.
 	// free recycles drained records.
 	inFlight []*writeback
-	free     []*writeback
+	free     sim.FreeList[*writeback]
 }
 
 // writeback is one gated write-back, pooled with its drain thunk.
@@ -45,12 +48,8 @@ func (wb *writebackBuffer) push(line mem.Addr) {
 		h.l2.install(line, true, h)
 		return
 	}
-	var w *writeback
-	if n := len(wb.free); n > 0 {
-		w = wb.free[n-1]
-		wb.free[n-1] = nil
-		wb.free = wb.free[:n-1]
-	} else {
+	w, ok := wb.free.Get()
+	if !ok {
 		w = &writeback{wb: wb}
 		w.drainFn = w.drain
 	}
@@ -75,7 +74,7 @@ func (w *writeback) drain() {
 		}
 	}
 	line := w.line
-	wb.free = append(wb.free, w)
+	wb.free.Put(w)
 	h := wb.l1.h
 	h.l2.install(line, true, h)
 }

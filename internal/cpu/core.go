@@ -25,7 +25,6 @@ import (
 	"strandweaver/internal/mem"
 	"strandweaver/internal/pmem"
 	"strandweaver/internal/sim"
-	"strandweaver/internal/strand"
 	"strandweaver/internal/trace"
 )
 
@@ -215,23 +214,6 @@ func (c *Core) OrderingPlan() backend.OrderingPlan { return c.be.Plan() }
 // PersistGate returns the backend's cache persist gate (the strand
 // buffer unit on designs that have one), or nil.
 func (c *Core) PersistGate() cache.PersistGate { return c.be.Gate() }
-
-// BufferUnit exposes the strand buffer unit (nil for designs without
-// one); used by tests and the Figure 4 walkthrough.
-func (c *Core) BufferUnit() *strand.BufferUnit {
-	if p, ok := c.be.(interface{ BufferUnit() *strand.BufferUnit }); ok {
-		return p.BufferUnit()
-	}
-	return nil
-}
-
-// PersistQueue exposes the persist queue (nil except StrandWeaver).
-func (c *Core) PersistQueue() *strand.PersistQueue {
-	if p, ok := c.be.(interface{ PersistQueue() *strand.PersistQueue }); ok {
-		return p.PersistQueue()
-	}
-	return nil
-}
 
 // Attach binds the workload coroutine to this core. Every Core memory
 // API must be called from that coroutine.

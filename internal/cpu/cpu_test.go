@@ -46,7 +46,7 @@ func (r *rig) spawn(i int, body func(c *Core)) {
 	co := sim.NewCoroutine(r.eng, func(_ *sim.Coroutine) { body(c) })
 	c.Attach(co)
 	r.coros = append(r.coros, co)
-	r.eng.ScheduleAt(sim.Cycle(i), func() { co.Resume() })
+	r.eng.ScheduleResume(sim.Cycle(i), co)
 }
 
 func (r *rig) run(t *testing.T) {

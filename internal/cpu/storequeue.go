@@ -3,6 +3,7 @@ package cpu
 import (
 	"strandweaver/internal/backend"
 	"strandweaver/internal/mem"
+	"strandweaver/internal/sim"
 )
 
 // sqKind discriminates store-queue entries: ordinary stores, and
@@ -40,17 +41,12 @@ type sqEntry struct {
 
 // storeQueue is the per-core store queue: entries drain to the L1 in
 // program order (TSO). It implements backend.Queue (and with it
-// strand.StoreTracker) for the persist backends.
-//
-// Layout: buf[head:] are the live entries, oldest first. Pops advance
-// head; the backing array is recycled in place when the queue empties
-// (and compacted if a long-lived queue lets head run away), and popped
-// entries return to a freelist, so steady-state stores allocate nothing.
+// strand.StoreTracker) for the persist backends. Popped entries return
+// to a freelist, so steady-state stores allocate nothing.
 type storeQueue struct {
 	core *Core
-	buf  []*sqEntry
-	head int
-	free []*sqEntry
+	buf  sim.FIFO[*sqEntry]
+	free sim.FreeList[*sqEntry]
 	// busy marks a backend op holding the head (an async drain or a
 	// NoPersistQueue JoinStrand wait).
 	busy bool
@@ -71,18 +67,12 @@ func newStoreQueue(c *Core) *storeQueue {
 }
 
 // Len reports current occupancy.
-func (q *storeQueue) Len() int { return len(q.buf) - q.head }
-
-// at returns the i-th oldest live entry.
-func (q *storeQueue) at(i int) *sqEntry { return q.buf[q.head+i] }
+func (q *storeQueue) Len() int { return q.buf.Len() }
 
 // alloc returns a recycled (or new) entry with all fields zeroed except
 // the cached drain thunk.
 func (q *storeQueue) alloc() *sqEntry {
-	if n := len(q.free); n > 0 {
-		e := q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
+	if e, ok := q.free.Get(); ok {
 		return e
 	}
 	e := &sqEntry{}
@@ -124,30 +114,15 @@ func (q *storeQueue) pushStore(addr mem.Addr, value uint64, size uint8, seq uint
 }
 
 func (q *storeQueue) push(e *sqEntry) {
-	q.buf = append(q.buf, e)
+	q.buf.Push(e)
 	q.core.kick()
 }
 
 func (q *storeQueue) pop() {
-	e := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head++
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head >= 64 && q.head*2 >= len(q.buf) {
-		// Compact a long-lived queue so the backing array stays bounded
-		// by the live entry count (amortised O(1) per pop).
-		n := copy(q.buf, q.buf[q.head:])
-		for i := n; i < len(q.buf); i++ {
-			q.buf[i] = nil
-		}
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
+	e := q.buf.Pop()
 	// Recycle: the drain thunk is kept, everything else resets.
 	*e = sqEntry{drainFn: e.drainFn}
-	q.free = append(q.free, e)
+	q.free.Put(e)
 }
 
 // forward returns the value of the youngest elder store overlapping
@@ -155,8 +130,9 @@ func (q *storeQueue) pop() {
 // Exact-match forwarding only: the simulated workloads always access
 // fields with consistent size and alignment.
 func (q *storeQueue) forward(addr mem.Addr, size uint8) (uint64, bool) {
-	for i := len(q.buf) - 1; i >= q.head; i-- {
-		e := q.buf[i]
+	live := q.buf.Live()
+	for i := len(live) - 1; i >= 0; i-- {
+		e := live[i]
 		if e.kind == sqStore && e.addr == addr && e.size == size {
 			return e.value, true
 		}
@@ -166,8 +142,7 @@ func (q *storeQueue) forward(addr mem.Addr, size uint8) (uint64, bool) {
 
 // HasPendingStoreToLine implements strand.StoreTracker.
 func (q *storeQueue) HasPendingStoreToLine(line mem.Addr, seq uint64) bool {
-	for i := q.head; i < len(q.buf); i++ {
-		e := q.buf[i]
+	for _, e := range q.buf.Live() {
 		if e.seq >= seq {
 			break
 		}
@@ -180,8 +155,7 @@ func (q *storeQueue) HasPendingStoreToLine(line mem.Addr, seq uint64) bool {
 
 // HasPendingStoreBefore implements strand.StoreTracker.
 func (q *storeQueue) HasPendingStoreBefore(seq uint64) bool {
-	for i := q.head; i < len(q.buf); i++ {
-		e := q.buf[i]
+	for _, e := range q.buf.Live() {
 		if e.seq >= seq {
 			break
 		}
@@ -206,7 +180,7 @@ func (q *storeQueue) pump() {
 	c := q.core
 	// Retire finished stores from the head, in order.
 	for q.Len() > 0 {
-		head := q.at(0)
+		head := q.buf.Front()
 		if head.kind != sqStore || !head.finished {
 			break
 		}
@@ -218,8 +192,7 @@ func (q *storeQueue) pump() {
 	// scanning stops at the first backend op (fence or CLWB), which
 	// must reach the head before draining.
 	inFlight := 0
-	for i := q.head; i < len(q.buf); i++ {
-		e := q.buf[i]
+	for _, e := range q.buf.Live() {
 		if e.kind != sqStore {
 			break
 		}
@@ -247,7 +220,7 @@ func (q *storeQueue) pump() {
 	if q.Len() == 0 || q.busy {
 		return
 	}
-	head := q.at(0)
+	head := q.buf.Front()
 	if head.kind != sqOp {
 		return
 	}

@@ -107,34 +107,28 @@ type Controller struct {
 	submitSeq uint64
 	seqSrc    *uint64
 	// transit holds PM writes submitted but not yet arrived at the
-	// controller front-end (on-chip flight): transit[transitHead:] in
-	// submission order. The on-chip latency is one constant, so arrivals
-	// are FIFO and arriveFn (built once) pops the head — no closure per
-	// submission.
-	transit     []*pendingWrite
-	transitHead int
-	arriveFn    func()
+	// controller front-end (on-chip flight), in submission order. The
+	// on-chip latency is one constant, so arrivals are FIFO and arriveFn
+	// (built once) pops the front — no closure per submission.
+	transit  sim.FIFO[*pendingWrite]
+	arriveFn func()
 	// pending holds PM writes that arrived while the write queue was
-	// full (pending[pendHead:], oldest first); they are accepted FIFO as
-	// entries free.
-	pending  []*pendingWrite
-	pendHead int
+	// full, oldest first; they are accepted FIFO as entries free.
+	pending sim.FIFO[*pendingWrite]
 	// volAcks queues completion callbacks for flushes of volatile lines
-	// (constant round trip, so FIFO); volAckFn pops the head.
-	volAcks    []WriteAck
-	volAckHead int
-	volAckFn   func()
+	// (constant round trip, so FIFO; an entry may be nil); volAckFn pops
+	// the front.
+	volAcks  sim.FIFO[WriteAck]
+	volAckFn func()
 	// freePW and freeDE recycle tracking records so the steady-state
 	// write path allocates nothing.
-	freePW []*pendingWrite
-	freeDE []*drainEntry
+	freePW sim.FreeList[*pendingWrite]
+	freeDE sim.FreeList[*drainEntry]
 
 	// writeQOccupied counts accepted PM writes not yet drained to media.
 	writeQOccupied int
-	// drainq holds accepted writes not yet owned by a bank
-	// (drainq[drainHead:], FIFO).
-	drainq    []*drainEntry
-	drainHead int
+	// drainq holds accepted writes not yet owned by a bank, FIFO.
+	drainq sim.FIFO[*drainEntry]
 	// inflight holds every accepted, undrained write in acceptance
 	// order (drainq entries plus those a bank is writing).
 	inflight []*drainEntry
@@ -146,14 +140,12 @@ type Controller struct {
 
 	// readsInFlight counts outstanding PM reads (bounded by the read
 	// queue). PM read latency is one constant, so in-flight reads
-	// complete FIFO: readAcks[readAckHead:] are their completions in
-	// issue order and readDoneFn (built once) pops the head.
-	// pendingReads[pendReadHead:] wait for a free read-queue slot.
+	// complete FIFO: readAcks holds their completions in issue order and
+	// readDoneFn (built once) pops the front. pendingReads wait for a
+	// free read-queue slot.
 	readsInFlight int
-	pendingReads  []ReadDone
-	pendReadHead  int
-	readAcks      []ReadDone
-	readAckHead   int
+	pendingReads  sim.FIFO[ReadDone]
+	readAcks      sim.FIFO[ReadDone]
 	readDoneFn    func()
 
 	stats Stats
@@ -242,48 +234,19 @@ const overflowSampleCap = 64
 func New(eng *sim.Engine, cfg config.Config, machine *mem.Machine) *Controller {
 	c := &Controller{eng: eng, cfg: cfg, machine: machine}
 	c.seqSrc = &c.submitSeq
-	c.arriveFn = func() {
-		w := c.transit[c.transitHead]
-		c.transit[c.transitHead] = nil
-		c.transitHead++
-		if c.transitHead == len(c.transit) {
-			c.transit = c.transit[:0]
-			c.transitHead = 0
-		}
-		c.arrive(w)
-	}
+	c.arriveFn = func() { c.arrive(c.transit.Pop()) }
 	c.volAckFn = func() {
-		ack := c.volAcks[c.volAckHead]
-		c.volAcks[c.volAckHead] = nil
-		c.volAckHead++
-		if c.volAckHead == len(c.volAcks) {
-			c.volAcks = c.volAcks[:0]
-			c.volAckHead = 0
-		}
-		if ack != nil {
+		if ack := c.volAcks.Pop(); ack != nil {
 			ack()
 		}
 	}
 	c.readDoneFn = func() {
-		done := c.readAcks[c.readAckHead]
-		c.readAcks[c.readAckHead] = nil
-		c.readAckHead++
-		if c.readAckHead == len(c.readAcks) {
-			c.readAcks = c.readAcks[:0]
-			c.readAckHead = 0
-		}
+		done := c.readAcks.Pop()
 		c.readsInFlight--
 		c.stats.PMReads++
 		done()
-		if c.pendReadHead < len(c.pendingReads) {
-			next := c.pendingReads[c.pendReadHead]
-			c.pendingReads[c.pendReadHead] = nil
-			c.pendReadHead++
-			if c.pendReadHead == len(c.pendingReads) {
-				c.pendingReads = c.pendingReads[:0]
-				c.pendReadHead = 0
-			}
-			c.startRead(next)
+		if c.pendingReads.Len() > 0 {
+			c.startRead(c.pendingReads.Pop())
 		}
 	}
 	return c
@@ -291,10 +254,7 @@ func New(eng *sim.Engine, cfg config.Config, machine *mem.Machine) *Controller {
 
 // allocPW returns a recycled (or new) pendingWrite, fields zeroed.
 func (c *Controller) allocPW() *pendingWrite {
-	if n := len(c.freePW); n > 0 {
-		w := c.freePW[n-1]
-		c.freePW[n-1] = nil
-		c.freePW = c.freePW[:n-1]
+	if w, ok := c.freePW.Get(); ok {
 		return w
 	}
 	return &pendingWrite{}
@@ -303,10 +263,7 @@ func (c *Controller) allocPW() *pendingWrite {
 // allocDE returns a recycled (or new) drainEntry with its cached media
 // thunks intact and every other field zeroed.
 func (c *Controller) allocDE() *drainEntry {
-	if n := len(c.freeDE); n > 0 {
-		e := c.freeDE[n-1]
-		c.freeDE[n-1] = nil
-		c.freeDE = c.freeDE[:n-1]
+	if e, ok := c.freeDE.Get(); ok {
 		return e
 	}
 	e := &drainEntry{}
@@ -337,15 +294,15 @@ func (c *Controller) SubmitPMWrite(line mem.Addr, data [mem.LineSize]byte, ack W
 	if !mem.IsPM(line) {
 		// Flush of a volatile line: no durability action; ack after the
 		// same round trip so timing stays uniform. The round trip is
-		// constant, so completions are FIFO through the volAcks ring.
-		c.volAcks = append(c.volAcks, ack)
+		// constant, so completions are FIFO through volAcks.
+		c.volAcks.Push(ack)
 		c.eng.Schedule(sim.Cycle(c.cfg.PMWriteToControllerCycles+c.cfg.PMAckCycles), c.volAckFn)
 		return
 	}
 	*c.seqSrc++
 	w := c.allocPW()
 	w.line, w.data, w.ack, w.seq = line, data, ack, *c.seqSrc
-	c.transit = append(c.transit, w)
+	c.transit.Push(w)
 	c.eng.Schedule(sim.Cycle(c.cfg.PMWriteToControllerCycles), c.arriveFn)
 }
 
@@ -353,8 +310,8 @@ func (c *Controller) arrive(w *pendingWrite) {
 	if c.writeQOccupied >= c.cfg.PMWriteQueueEntries {
 		c.stats.WriteQueueFullEvents++
 		w.arrivedAt = c.eng.Now()
-		c.pending = append(c.pending, w)
-		if n := len(c.pending) - c.pendHead; n > c.stats.MaxPendingArrivals {
+		c.pending.Push(w)
+		if n := c.pending.Len(); n > c.stats.MaxPendingArrivals {
 			c.stats.MaxPendingArrivals = n
 			if len(c.stats.OverflowHighWater) < overflowSampleCap {
 				c.stats.OverflowHighWater = append(c.stats.OverflowHighWater,
@@ -377,7 +334,7 @@ func (c *Controller) accept(w *pendingWrite) {
 	e.line, e.data = w.line, w.data
 	c.machine.Persistent.CopyLine(w.line, &e.old)
 	c.machine.PersistLineData(w.line, &w.data)
-	c.drainq = append(c.drainq, e)
+	c.drainq.Push(e)
 	c.inflight = append(c.inflight, e)
 	if w.ack != nil {
 		c.eng.Schedule(sim.Cycle(c.cfg.PMAckCycles), sim.Event(w.ack))
@@ -385,20 +342,14 @@ func (c *Controller) accept(w *pendingWrite) {
 	// The tracking record is dead once accepted (the persistent image
 	// and drain entry hold copies of the data).
 	*w = pendingWrite{}
-	c.freePW = append(c.freePW, w)
+	c.freePW.Put(w)
 	c.tryDrain()
 }
 
 // tryDrain starts media writes on free banks.
 func (c *Controller) tryDrain() {
-	for c.busyBanks < c.cfg.PMBanks && c.drainHead < len(c.drainq) {
-		e := c.drainq[c.drainHead]
-		c.drainq[c.drainHead] = nil
-		c.drainHead++
-		if c.drainHead == len(c.drainq) {
-			c.drainq = c.drainq[:0]
-			c.drainHead = 0
-		}
+	for c.busyBanks < c.cfg.PMBanks && c.drainq.Len() > 0 {
+		e := c.drainq.Pop()
 		e.draining = true
 		c.busyBanks++
 		c.startMediaWrite(e)
@@ -443,16 +394,10 @@ func (c *Controller) mediaWriteDone(e *drainEntry, failed bool) {
 	// Recycle (keeping the cached thunks): nothing references the entry
 	// once it leaves inflight.
 	*e = drainEntry{doneFn: e.doneFn, retryFn: e.retryFn}
-	c.freeDE = append(c.freeDE, e)
+	c.freeDE.Put(e)
 	// A queue entry freed: accept a waiting arrival, oldest first.
-	if c.pendHead < len(c.pending) && c.writeQOccupied < c.cfg.PMWriteQueueEntries {
-		w := c.pending[c.pendHead]
-		c.pending[c.pendHead] = nil
-		c.pendHead++
-		if c.pendHead == len(c.pending) {
-			c.pending = c.pending[:0]
-			c.pendHead = 0
-		}
+	if c.pending.Len() > 0 && c.writeQOccupied < c.cfg.PMWriteQueueEntries {
+		w := c.pending.Pop()
 		c.stats.PendingStallCycles += uint64(c.eng.Now() - w.arrivedAt)
 		c.accept(w)
 	}
@@ -486,8 +431,7 @@ func (c *Controller) UnacceptedWrites() []LineWrite {
 // unaccepted returns the transit and overflow-queue writes in
 // submission order.
 func (c *Controller) unaccepted() []*pendingWrite {
-	transit := c.transit[c.transitHead:]
-	pending := c.pending[c.pendHead:]
+	transit, pending := c.transit.Live(), c.pending.Live()
 	ws := make([]*pendingWrite, 0, len(transit)+len(pending))
 	ws = append(ws, transit...)
 	ws = append(ws, pending...)
@@ -533,18 +477,18 @@ func (c *Controller) SubmitRead(line mem.Addr, done ReadDone) {
 		return
 	}
 	if c.readsInFlight >= c.cfg.PMReadQueueEntries {
-		c.pendingReads = append(c.pendingReads, done)
+		c.pendingReads.Push(done)
 		return
 	}
 	c.startRead(done)
 }
 
-// startRead issues one PM read: its completion joins the FIFO ack ring
+// startRead issues one PM read: its completion joins the readAcks FIFO
 // (constant latency, so reads complete in issue order) and readDoneFn
 // pops it — the steady-state read path allocates nothing.
 func (c *Controller) startRead(done ReadDone) {
 	c.readsInFlight++
-	c.readAcks = append(c.readAcks, done)
+	c.readAcks.Push(done)
 	c.eng.Schedule(sim.Cycle(c.cfg.PMReadCycles), c.readDoneFn)
 }
 

@@ -223,3 +223,54 @@ func TestSameLineWritesLastWins(t *testing.T) {
 		t.Errorf("persisted %d, want 2 (submission order)", got)
 	}
 }
+
+// streamGap is the cycle gap of startStream's writes: well below the
+// on-chip transit latency, so some write is always in transit, and
+// wide enough that the Table I banks keep the write queue from
+// filling, so the overflow queue stays empty.
+const streamGap = 20
+
+// startStream submits one write to the same PM line every streamGap
+// cycles, without end; run the engine to a cycle limit.
+func startStream(eng *sim.Engine, c *Controller) {
+	data := lineData(1)
+	var submit func()
+	submit = func() {
+		c.SubmitPMWrite(mem.PMBase, data, nil)
+		eng.Schedule(streamGap, submit)
+	}
+	eng.Schedule(0, submit)
+}
+
+// A write stream that never lets on-chip transit empty reuses the
+// controller's arrays instead of growing them with the stream's
+// length. One run of many writes, because AllocsPerRun truncates the
+// per-run average and would hide amortized growth.
+func TestControllerStreamZeroAlloc(t *testing.T) {
+	const writes = 50_000
+	eng, c, _, _ := newCtrl()
+	startStream(eng, c)
+	stream := func() { eng.Run(eng.Now() + writes*streamGap) }
+	if n := testing.AllocsPerRun(1, stream); n != 0 {
+		t.Errorf("never-empty write stream allocated %.0f times over %d writes, want 0", n, writes)
+	}
+	if len(c.UnacceptedWrites()) == 0 {
+		t.Error("transit emptied; the stream should keep writes in flight")
+	}
+	if n := c.Stats().WriteQueueFullEvents; n != 0 {
+		t.Errorf("%d arrivals found the write queue full; the stream should not overflow", n)
+	}
+}
+
+// BenchmarkControllerStream measures one PM write through a controller
+// whose on-chip transit never empties, from submission to media drain,
+// after a warm-up so that even a one-iteration run reports the
+// steady-state allocations.
+func BenchmarkControllerStream(b *testing.B) {
+	eng, c, _, _ := newCtrl()
+	startStream(eng, c)
+	eng.Run(1000 * streamGap)
+	b.ReportAllocs()
+	b.ResetTimer()
+	eng.Run(eng.Now() + sim.Cycle(b.N)*streamGap)
+}

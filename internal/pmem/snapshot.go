@@ -52,25 +52,22 @@ func (c *Controller) Snapshot() *ControllerState {
 func (c *Controller) Restore(s *ControllerState) {
 	// Recycle the tracked entries. drainq holds a subset of inflight,
 	// so entries are returned to the freelist via inflight only.
-	for _, w := range c.transit[c.transitHead:] {
+	for _, w := range c.transit.Live() {
 		*w = pendingWrite{}
-		c.freePW = append(c.freePW, w)
+		c.freePW.Put(w)
 	}
-	for _, w := range c.pending[c.pendHead:] {
+	for _, w := range c.pending.Live() {
 		*w = pendingWrite{}
-		c.freePW = append(c.freePW, w)
+		c.freePW.Put(w)
 	}
 	for _, e := range c.inflight {
 		*e = drainEntry{doneFn: e.doneFn, retryFn: e.retryFn}
-		c.freeDE = append(c.freeDE, e)
+		c.freeDE.Put(e)
 	}
-	clearPtrs(c.transit)
-	c.transit, c.transitHead = c.transit[:0], 0
-	clearPtrs(c.pending)
-	c.pending, c.pendHead = c.pending[:0], 0
-	clearPtrs(c.drainq)
-	c.drainq, c.drainHead = c.drainq[:0], 0
-	clearPtrs(c.inflight)
+	c.transit.Clear()
+	c.pending.Clear()
+	c.drainq.Clear()
+	clear(c.inflight)
 	c.inflight = c.inflight[:0]
 
 	// The unaccepted writes all restore into transit, already in
@@ -79,7 +76,7 @@ func (c *Controller) Restore(s *ControllerState) {
 		t := &s.Unaccepted[i]
 		w := c.allocPW()
 		w.line, w.data, w.seq = t.Line, t.Data, t.Seq
-		c.transit = append(c.transit, w)
+		c.transit.Push(w)
 	}
 	for i := range s.Accepted {
 		a := &s.Accepted[i]
@@ -90,12 +87,4 @@ func (c *Controller) Restore(s *ControllerState) {
 	st := s.Stats
 	st.OverflowHighWater = append([]OverflowSample(nil), s.Stats.OverflowHighWater...)
 	c.stats = st
-}
-
-// clearPtrs nils a pointer slice's elements so recycled entries are
-// not retained through the slice's spare capacity.
-func clearPtrs[T any](s []*T) {
-	for i := range s {
-		s[i] = nil
-	}
 }

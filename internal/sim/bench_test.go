@@ -64,10 +64,11 @@ func BenchmarkEngineScheduleZeroDelay(b *testing.B) {
 }
 
 // BenchmarkCoroutineYield measures one full host<->coroutine round trip
-// (WaitCycles(1) per iteration, driven by Step). Must report 0
-// allocs/op: Step's manual Resume hands the baton over on the
-// coroutine's own channel and gets it back on the engine's host
-// channel, and the wakeup is a resume event, with no closure.
+// (WaitCycles(1) per iteration, driven by a one-cycle Run). Must report
+// 0 allocs/op: Run hands the baton over on the coroutine's own channel
+// and gets it back on the engine's host channel when the cycle limit
+// ends the run, and the wakeup is a resume event, with no closure.
+// Run(0) would never return: the coroutine always has a wait pending.
 func BenchmarkCoroutineYield(b *testing.B) {
 	e := NewEngine()
 	co := NewCoroutine(e, func(co *Coroutine) {
@@ -75,12 +76,12 @@ func BenchmarkCoroutineYield(b *testing.B) {
 			co.WaitCycles(1)
 		}
 	})
-	e.Schedule(0, co.ResumeFn())
-	e.Step() // park the coroutine on its first wait
+	e.ScheduleResume(0, co)
+	e.Run(1) // park the coroutine on its first wait
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Step()
+		e.Run(e.Now() + 1)
 	}
 	b.StopTimer()
 	co.Abort()
@@ -96,7 +97,7 @@ func BenchmarkWaiterParkBroadcast(b *testing.B) {
 			w.Park(co)
 		}
 	})
-	e.Schedule(0, co.ResumeFn())
+	e.ScheduleResume(0, co)
 	e.Run(0) // coroutine is now parked on w
 	b.ReportAllocs()
 	b.ResetTimer()

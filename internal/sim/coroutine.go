@@ -17,22 +17,16 @@ package sim
 // event order, so simulations remain bit-reproducible.
 //
 // The host regains the baton when the run terminates (Stop, cond,
-// drained queue, or cycle limit). Tests may instead drive coroutines
-// manually with Resume or Step while no Run is active; Yield then hands
-// the baton straight back to the blocked Resume caller.
+// drained queue, or cycle limit). A coroutine runs only during a Run,
+// started and woken by resume events (Engine.ScheduleResume).
 type Coroutine struct {
 	eng *Engine
 	// ch is this coroutine's baton slot: it parks by receiving on ch
 	// and runs while it holds the baton. Unbuffered, so every send is
 	// a direct handoff to the one parked receiver.
-	ch chan struct{}
-	// resumeFn is the cached legacy resume thunk for callers that
-	// schedule resumption as a plain callback event (tests); the
-	// simulator proper uses Engine.ScheduleResume, which needs no
-	// closure at all.
-	resumeFn func()
-	done     bool
-	aborted  bool
+	ch      chan struct{}
+	done    bool
+	aborted bool
 	// hasBaton records whether this coroutine's goroutine holds the
 	// baton; the death handler uses it to decide whether it must keep
 	// the event loop alive on the way out.
@@ -50,13 +44,12 @@ type abortSentinel struct{}
 
 // NewCoroutine starts body on its own goroutine, paused: it does not run
 // until its first scheduled resume. Inside body, use co.WaitCycles /
-// co.WaitUntil / co.Yield to give up control.
+// co.Yield to give up control.
 func NewCoroutine(eng *Engine, body func(co *Coroutine)) *Coroutine {
 	co := &Coroutine{
 		eng: eng,
 		ch:  make(chan struct{}),
 	}
-	co.resumeFn = func() { co.Resume() }
 	go func() {
 		e := eng
 		defer func() {
@@ -71,7 +64,6 @@ func NewCoroutine(eng *Engine, body func(co *Coroutine)) *Coroutine {
 						panic(r)
 					}
 					co.done = true
-					e.runActive = false
 					e.pendingPanic = r
 					e.handToHost(co)
 					return
@@ -82,16 +74,11 @@ func NewCoroutine(eng *Engine, body func(co *Coroutine)) *Coroutine {
 			case co.abortSync:
 				// Abort is blocked waiting for this unwind.
 				e.abortAck <- struct{}{}
-			case e.manualResume == co:
-				// Finished during a manual Resume: hand control back to
-				// the blocked caller.
-				e.handToHost(co)
 			case co.hasBaton:
 				// Died holding the baton: keep the event loop alive on
 				// this dying stack until the baton moves on.
 				defer func() {
 					if r := recover(); r != nil {
-						e.runActive = false
 						e.pendingPanic = r
 						e.handToHost(co)
 					}
@@ -128,45 +115,12 @@ func (co *Coroutine) Abort() {
 // Done reports whether the coroutine's body has returned.
 func (co *Coroutine) Done() bool { return co.done }
 
-// Resume hands control to the coroutine and blocks until it yields or
-// finishes. Legacy manual driver for tests; the simulator schedules
-// resumes with Engine.ScheduleResume instead. Safe to call from an
-// event callback: the resumed coroutine's next Yield returns here, not
-// into the event loop.
-func (co *Coroutine) Resume() {
-	if co.done {
-		return
-	}
-	e := co.eng
-	e.stats.CoroutineSwitches++
-	prevManual, prevCur := e.manualResume, e.current
-	e.manualResume = co
-	defer func() {
-		e.manualResume = prevManual
-		e.current = prevCur
-	}()
-	e.handTo(nil, co)
-	e.hostWait()
-}
-
-// ResumeFn returns the coroutine's cached resume thunk, for callers that
-// schedule resumption as a callback event (avoids a closure per wakeup).
-func (co *Coroutine) ResumeFn() func() { return co.resumeFn }
-
 // Yield gives up the baton until the coroutine's next resume event.
 // During a run the yielding goroutine keeps driving the event loop
 // itself; it only parks when the baton must move to another coroutine.
 // Must be called from within the coroutine body.
 func (co *Coroutine) Yield() {
-	e := co.eng
-	if !e.runActive || e.manualResume == co {
-		// Manual-resume context: hand straight back to the blocked
-		// Resume caller.
-		e.handToHost(co)
-		e.park(co)
-		return
-	}
-	e.loop(co, false)
+	co.eng.loop(co, false)
 	if co.aborted {
 		panic(abortSentinel{})
 	}
@@ -177,19 +131,6 @@ func (co *Coroutine) Yield() {
 func (co *Coroutine) WaitCycles(d Cycle) {
 	co.eng.ScheduleResume(d, co)
 	co.Yield()
-}
-
-// WaitUntil repeatedly re-checks cond each poll cycles until it is true.
-// Use only for back-pressure conditions with no dedicated wakeup signal;
-// the simulator's own stall sites all park on a Waiter instead, which
-// schedules zero events while the coroutine is parked.
-func (co *Coroutine) WaitUntil(cond func() bool, poll Cycle) {
-	if poll == 0 {
-		poll = 1
-	}
-	for !cond() {
-		co.WaitCycles(poll)
-	}
 }
 
 // Waiter is a one-shot wakeup list: coroutines park on it and are resumed

@@ -105,10 +105,23 @@ type Stats struct {
 	// far heap). The name predates the wheel.
 	PeakHeapDepth int `json:"peak_heap_depth"`
 	// CoroutineSwitches counts coroutine resumptions delivered: resume
-	// events fired on a live coroutine, manual Resume calls, and Abort
-	// unwinds. A pure function of the event order, like every counter
-	// here, regardless of which goroutine physically runs the loop.
+	// events fired on a live coroutine, and Abort unwinds. A pure
+	// function of the event order, like every counter here, regardless
+	// of which goroutine physically runs the loop.
 	CoroutineSwitches uint64 `json:"coroutine_switches"`
+}
+
+// Add folds other into s: counters sum, PeakHeapDepth takes the
+// maximum.
+func (s *Stats) Add(other Stats) {
+	s.EventsScheduled += other.EventsScheduled
+	s.EventsFired += other.EventsFired
+	s.FastPathHits += other.FastPathHits
+	s.FreelistHits += other.FreelistHits
+	if other.PeakHeapDepth > s.PeakHeapDepth {
+		s.PeakHeapDepth = other.PeakHeapDepth
+	}
+	s.CoroutineSwitches += other.CoroutineSwitches
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable;
@@ -146,23 +159,16 @@ type Engine struct {
 	// Baton-passing run state (see Coroutine). The goroutine holding
 	// the baton runs loop; current is the coroutine holding it (nil
 	// while the host does); hostCh returns the baton to the blocked
-	// Run (or legacy Resume) caller when the run terminates; abortAck
-	// acknowledges a synchronous Abort unwind; pendingPanic carries a
-	// panic raised on a coroutine's stack back to the host so it
-	// surfaces from Run, as it would if the host fired every event.
-	runActive    bool
+	// Run caller when the run terminates; abortAck acknowledges a
+	// synchronous Abort unwind; pendingPanic carries a panic raised on a
+	// coroutine's stack back to the host so it surfaces from Run, as it
+	// would if the host fired every event.
 	runCond      func() bool
 	runLimit     Cycle
 	current      *Coroutine
 	hostCh       chan struct{}
 	abortAck     chan struct{}
 	pendingPanic any
-	// manualResume marks a coroutine being driven by a legacy Resume
-	// call (tests): its next Yield — or its death — hands control
-	// straight back to the blocked Resume caller instead of running
-	// the event loop, preserving Resume's synchronous semantics even
-	// when the call happens inside an event fired during a Run.
-	manualResume *Coroutine
 }
 
 // NewEngine returns an engine with the clock at cycle 0.
@@ -356,26 +362,6 @@ func (e *Engine) fired(ev *eventEntry) {
 	}
 }
 
-// Step fires the next event, advancing the clock to its cycle. It returns
-// false if no events remain or the engine is stopped. Step is the manual
-// (test) driver; the simulator proper runs through Run's baton loop.
-func (e *Engine) Step() bool {
-	if e.stopped {
-		return false
-	}
-	ev, ok := e.popNext(0)
-	if !ok {
-		return false
-	}
-	e.fired(&ev)
-	if ev.co != nil {
-		ev.co.Resume()
-	} else {
-		ev.fn()
-	}
-	return true
-}
-
 // Run fires events until none remain, Stop is called, or the clock would
 // pass limit (limit 0 means no limit; the clock then rests at limit, or
 // stays put if it is already beyond it). It returns the cycle at which
@@ -394,11 +380,9 @@ func (e *Engine) RunUntil(cond func() bool, limit Cycle) Cycle {
 }
 
 func (e *Engine) run(cond func() bool, limit Cycle) Cycle {
-	e.runActive = true
 	e.runCond = cond
 	e.runLimit = limit
 	e.loop(nil, false)
-	e.runActive = false
 	e.runCond = nil
 	e.runLimit = 0
 	return e.now
@@ -469,7 +453,6 @@ func (e *Engine) loop(g *Coroutine, dying bool) {
 		return
 	}
 	// The run terminated on this goroutine.
-	e.runActive = false
 	if g == nil {
 		return
 	}
@@ -490,7 +473,7 @@ func (e *Engine) handTo(from, to *Coroutine) {
 }
 
 // handToHost returns the baton to the goroutine blocked in hostWait
-// (the Run caller, or a legacy Resume caller).
+// (the Run caller).
 func (e *Engine) handToHost(from *Coroutine) {
 	if from != nil {
 		from.hasBaton = false

@@ -378,7 +378,7 @@ func TestWaiterBroadcastZeroAlloc(t *testing.T) {
 			w.Park(co)
 		}
 	})
-	e.Schedule(0, co.ResumeFn())
+	e.ScheduleResume(0, co)
 	e.Run(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		w.Broadcast()

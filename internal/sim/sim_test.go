@@ -126,7 +126,7 @@ func TestCoroutineBasic(t *testing.T) {
 		co.WaitCycles(5)
 		trace = append(trace, "done")
 	})
-	e.Schedule(0, func() { co.Resume() })
+	e.ScheduleResume(0, co)
 	e.Run(0)
 	if !co.Done() {
 		t.Fatal("coroutine not done")
@@ -150,7 +150,7 @@ func TestCoroutineAbortUnwinds(t *testing.T) {
 		co.WaitCycles(1000)
 		t.Error("coroutine ran past abort point")
 	})
-	e.Schedule(0, func() { co.Resume() })
+	e.ScheduleResume(0, co)
 	e.Schedule(5, func() { e.Stop() })
 	e.Run(0)
 	co.Abort()
@@ -177,7 +177,7 @@ func TestWaiterFIFO(t *testing.T) {
 			w.Park(co)
 			woke = append(woke, i)
 		})
-		e.Schedule(Cycle(i), func() { co.Resume() })
+		e.ScheduleResume(Cycle(i), co)
 	}
 	e.Schedule(10, w.Broadcast)
 	e.Run(0)
@@ -191,21 +191,5 @@ func TestWaiterFIFO(t *testing.T) {
 	}
 	if w.Broadcasts() != 1 {
 		t.Errorf("Broadcasts = %d, want 1", w.Broadcasts())
-	}
-}
-
-func TestWaitUntil(t *testing.T) {
-	e := NewEngine()
-	flag := false
-	e.Schedule(100, func() { flag = true })
-	var doneAt Cycle
-	co := NewCoroutine(e, func(co *Coroutine) {
-		co.WaitUntil(func() bool { return flag }, 7)
-		doneAt = e.Now()
-	})
-	e.Schedule(0, func() { co.Resume() })
-	e.Run(0)
-	if doneAt < 100 || doneAt > 110 {
-		t.Errorf("WaitUntil completed at %d, want shortly after 100", doneAt)
 	}
 }

@@ -21,7 +21,7 @@ func TestWaiterBroadcastReparkFIFO(t *testing.T) {
 				woke = append(woke, i)
 			}
 		})
-		e.Schedule(Cycle(i), co.ResumeFn())
+		e.ScheduleResume(Cycle(i), co)
 	}
 	for r := 0; r < rounds; r++ {
 		e.Schedule(Cycle(100*(r+1)), w.Broadcast)
@@ -59,7 +59,7 @@ func TestWaiterReparkSameCycle(t *testing.T) {
 		w.Park(co)
 		count++
 	})
-	e.Schedule(0, co.ResumeFn())
+	e.ScheduleResume(0, co)
 	e.Schedule(1, w.Broadcast)
 	// Second broadcast in the same cycle: by then the coroutine has been
 	// woken by the first and parked again.

@@ -43,12 +43,13 @@ func (k entryKind) String() string {
 	return fmt.Sprintf("entryKind(%d)", uint8(k))
 }
 
-// sbEntry is one strand-buffer slot, with the CanIssue / HasIssued /
-// Completed state machine from Figure 3.
+// sbEntry is one strand-buffer slot, with the HasIssued / Completed
+// state machine from Figure 3. Figure 3's CanIssue is not stored:
+// issueEligible derives it from the entry's position, as no persist
+// barrier ahead of it in its buffer.
 type sbEntry struct {
 	kind       entryKind
 	line       mem.Addr
-	canIssue   bool
 	hasIssued  bool
 	completed  bool
 	onComplete func()
@@ -62,7 +63,8 @@ type sbEntry struct {
 	stamp uint64
 	// buf is the owning strand buffer while the entry is live, so the
 	// cached flush completion (flushDone) can retire without capturing
-	// it per issue.
+	// it per issue. It points into BufferUnit.buffers, which is never
+	// reallocated.
 	buf *strandBuffer
 	// flushDone is the entry's cached flush-acknowledgement thunk, built
 	// once at allocation and reused across recycles (an entry has at
@@ -73,22 +75,15 @@ type sbEntry struct {
 
 // strandBuffer manages persist order within one strand: CLWBs separated
 // by a persist barrier complete in order; CLWBs not separated by one may
-// issue concurrently. Entries retire from the head in order
-// (entries[head:], oldest first).
-type strandBuffer struct {
-	entries []*sbEntry
-	head    int
-}
-
-// live reports the unretired entry count.
-func (b *strandBuffer) live() int { return len(b.entries) - b.head }
+// issue concurrently. Entries retire from the front in order.
+type strandBuffer = sim.FIFO[*sbEntry]
 
 // BufferUnit is the strand buffer unit: an array of strand buffers plus
 // the ongoing-buffer index that NewStrand rotates round-robin.
 type BufferUnit struct {
 	eng         *sim.Engine
 	l1          *cache.L1
-	buffers     []*strandBuffer
+	buffers     []strandBuffer
 	capacity    int
 	ongoing     int
 	subscribers []func()
@@ -98,7 +93,7 @@ type BufferUnit struct {
 	appended uint64
 	// free recycles retired entries so the steady-state CLWB path
 	// allocates nothing.
-	free []*sbEntry
+	free sim.FreeList[*sbEntry]
 
 	stats UnitStats
 }
@@ -106,10 +101,7 @@ type BufferUnit struct {
 // alloc returns a recycled (or new) entry with its cached flush thunk
 // intact and every other field zeroed.
 func (u *BufferUnit) alloc() *sbEntry {
-	if n := len(u.free); n > 0 {
-		e := u.free[n-1]
-		u.free[n-1] = nil
-		u.free = u.free[:n-1]
+	if e, ok := u.free.Get(); ok {
 		return e
 	}
 	e := &sbEntry{}
@@ -143,11 +135,12 @@ func NewBufferUnit(eng *sim.Engine, l1 *cache.L1, buffers, entriesPerBuffer int)
 	if buffers <= 0 || entriesPerBuffer <= 0 {
 		panic("strand: buffer unit needs positive geometry")
 	}
-	u := &BufferUnit{eng: eng, l1: l1, capacity: entriesPerBuffer}
-	for i := 0; i < buffers; i++ {
-		u.buffers = append(u.buffers, &strandBuffer{})
+	return &BufferUnit{
+		eng:      eng,
+		l1:       l1,
+		buffers:  make([]strandBuffer, buffers),
+		capacity: entriesPerBuffer,
 	}
-	return u
 }
 
 // OnChange registers fn to be called whenever unit state changes in a way
@@ -171,12 +164,12 @@ func (u *BufferUnit) Buffers() int { return len(u.buffers) }
 func (u *BufferUnit) OngoingIndex() int { return u.ongoing }
 
 // Occupancy reports the number of unretired entries in buffer i.
-func (u *BufferUnit) Occupancy(i int) int { return u.buffers[i].live() }
+func (u *BufferUnit) Occupancy(i int) int { return u.buffers[i].Len() }
 
 // Drained reports whether every strand buffer is empty.
 func (u *BufferUnit) Drained() bool {
-	for _, b := range u.buffers {
-		if b.live() > 0 {
+	for i := range u.buffers {
+		if u.buffers[i].Len() > 0 {
 			return false
 		}
 	}
@@ -188,8 +181,8 @@ func (u *BufferUnit) Drained() bool {
 // fires when the flush has been acknowledged by the PM controller and
 // the entry has completed. ready, if non-nil, gates issue (see sbEntry).
 func (u *BufferUnit) TryAppendCLWB(line mem.Addr, ready func() bool, onComplete func()) bool {
-	b := u.buffers[u.ongoing]
-	if b.live() >= u.capacity {
+	b := &u.buffers[u.ongoing]
+	if b.Len() >= u.capacity {
 		return false
 	}
 	e := u.alloc()
@@ -204,8 +197,8 @@ func (u *BufferUnit) TryAppendCLWB(line mem.Addr, ready func() bool, onComplete 
 // returning false if full. onComplete fires when every entry ahead of
 // the barrier has completed and retired.
 func (u *BufferUnit) TryAppendPB(onComplete func()) bool {
-	b := u.buffers[u.ongoing]
-	if b.live() >= u.capacity {
+	b := &u.buffers[u.ongoing]
+	if b.Len() >= u.capacity {
 		return false
 	}
 	e := u.alloc()
@@ -221,21 +214,7 @@ func (u *BufferUnit) TryAppendPB(onComplete func()) bool {
 func (u *BufferUnit) push(b *strandBuffer, e *sbEntry) {
 	e.stamp = u.appended
 	u.appended++
-	b.entries, b.head = appendLive(b.entries, b.head, e)
-}
-
-// appendLive appends x to the FIFO whose live entries are s[head:].
-// When the backing array is full it first slides the live entries to
-// the front, so a FIFO that never empties reuses its array instead of
-// growing it: the live count is bounded by the FIFO's capacity, and
-// the array stops growing once it holds that many.
-func appendLive[T any](s []*T, head int, x *T) ([]*T, int) {
-	if head > 0 && len(s) == cap(s) {
-		n := copy(s, s[head:])
-		clear(s[n:])
-		s, head = s[:n], 0
-	}
-	return append(s, x), head
+	b.Push(e)
 }
 
 // NewStrand rotates the ongoing buffer index round-robin and completes
@@ -253,8 +232,7 @@ func (u *BufferUnit) NewStrand(onComplete func()) {
 // issueEligible issues every unissued CLWB in b that is not behind a
 // persist barrier and whose ready gate (if any) is satisfied.
 func (u *BufferUnit) issueEligible(b *strandBuffer) {
-	for i := b.head; i < len(b.entries); i++ {
-		x := b.entries[i]
+	for _, x := range b.Live() {
 		if x.kind == entryPB {
 			break
 		}
@@ -268,8 +246,8 @@ func (u *BufferUnit) issueEligible(b *strandBuffer) {
 // when external conditions (such as store-queue drains) may have
 // satisfied entry gates.
 func (u *BufferUnit) Kick() {
-	for _, b := range u.buffers {
-		u.issueEligible(b)
+	for i := range u.buffers {
+		u.issueEligible(&u.buffers[i])
 	}
 }
 
@@ -279,7 +257,6 @@ func (u *BufferUnit) issue(b *strandBuffer, e *sbEntry) {
 	if e.hasIssued {
 		return
 	}
-	e.canIssue = true
 	e.hasIssued = true
 	u.stats.CLWBsIssued++
 	u.stats.inFlight++
@@ -295,8 +272,8 @@ func (u *BufferUnit) issue(b *strandBuffer, e *sbEntry) {
 // next barrier.
 func (u *BufferUnit) tryRetire(b *strandBuffer) {
 	progressed := false
-	for b.live() > 0 {
-		head := b.entries[b.head]
+	for b.Len() > 0 {
+		head := b.Front()
 		if head.kind == entryPB {
 			head.completed = true
 			if head.onComplete != nil {
@@ -326,15 +303,9 @@ func (u *BufferUnit) tryRetire(b *strandBuffer) {
 // pop retires the buffer head and recycles the entry (its completion has
 // already been scheduled by value, so nothing references it afterwards).
 func (u *BufferUnit) pop(b *strandBuffer) {
-	e := b.entries[b.head]
-	b.entries[b.head] = nil
-	b.head++
-	if b.head == len(b.entries) {
-		b.entries = b.entries[:0]
-		b.head = 0
-	}
+	e := b.Pop()
 	*e = sbEntry{flushDone: e.flushDone}
-	u.free = append(u.free, e)
+	u.free.Put(e)
 }
 
 // RecordTails implements cache.PersistGate: it snapshots the unit's
@@ -360,8 +331,8 @@ func (u *BufferUnit) CallWhenDrained(t cache.GateToken, cb func()) {
 // drainedTo reports whether every entry appended before t has retired:
 // each buffer's head, its oldest live entry, is younger than the token.
 func (u *BufferUnit) drainedTo(t cache.GateToken) bool {
-	for _, b := range u.buffers {
-		if b.live() > 0 && b.entries[b.head].stamp < t.Tail {
+	for i := range u.buffers {
+		if b := &u.buffers[i]; b.Len() > 0 && b.Front().stamp < t.Tail {
 			return false
 		}
 	}

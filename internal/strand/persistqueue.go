@@ -80,11 +80,10 @@ type PersistQueue struct {
 	sbu      *BufferUnit
 	tracker  StoreTracker
 	capacity int
-	// entries[head:] are the live entries, oldest first (see
-	// appendLive), and free recycles retired slots.
-	entries []*pqEntry
-	head    int
-	free    []*pqEntry
+	// entries are the live entries, oldest first, and free recycles
+	// retired slots.
+	entries sim.FIFO[*pqEntry]
+	free    sim.FreeList[*pqEntry]
 	// lastSeq is the youngest inserted seq; issuedSeq and retiredSeq are
 	// the seqs of the youngest issued and retired entries (0 = none).
 	// Issue and retirement are in program order, so these three answer
@@ -128,7 +127,7 @@ func (pq *PersistQueue) Stats() QueueStats { return pq.stats }
 func (pq *PersistQueue) Full() bool { return pq.Len() >= pq.capacity }
 
 // Len reports current occupancy.
-func (pq *PersistQueue) Len() int { return len(pq.entries) - pq.head }
+func (pq *PersistQueue) Len() int { return pq.entries.Len() }
 
 // Empty reports whether the queue is empty.
 func (pq *PersistQueue) Empty() bool { return pq.Len() == 0 }
@@ -140,7 +139,7 @@ func (pq *PersistQueue) Issued(seq uint64) bool { return seq <= pq.issuedSeq }
 
 // live returns the live entry with the given seq, or nil.
 func (pq *PersistQueue) live(seq uint64) *pqEntry {
-	for _, x := range pq.entries[pq.head:] {
+	for _, x := range pq.entries.Live() {
 		if x.seq == seq {
 			return x
 		}
@@ -158,12 +157,8 @@ func (pq *PersistQueue) insert(kind entryKind, seq uint64, line mem.Addr, barrie
 		panic("strand: persist-queue insert out of program order")
 	}
 	pq.lastSeq = seq
-	var e *pqEntry
-	if n := len(pq.free); n > 0 {
-		e = pq.free[n-1]
-		pq.free[n-1] = nil
-		pq.free = pq.free[:n-1]
-	} else {
+	e, ok := pq.free.Get()
+	if !ok {
 		e = &pqEntry{}
 		e.doneFn = func() {
 			e.completed = true
@@ -171,7 +166,7 @@ func (pq *PersistQueue) insert(kind entryKind, seq uint64, line mem.Addr, barrie
 		}
 	}
 	e.kind, e.seq, e.line, e.barrierSeq = kind, seq, line, barrierSeq
-	pq.entries, pq.head = appendLive(pq.entries, pq.head, e)
+	pq.entries.Push(e)
 	if n := pq.Len(); n > pq.stats.MaxOccupancy {
 		pq.stats.MaxOccupancy = n
 	}
@@ -220,7 +215,7 @@ func (pq *PersistQueue) Pump() {
 		progressed := false
 		// Retire from the head in order.
 		for pq.Len() > 0 {
-			head := pq.entries[pq.head]
+			head := pq.entries.Front()
 			if head.kind == entryJS && !head.completed {
 				// JoinStrand completes when it reaches the head (all
 				// elder entries retired) and elder stores have drained.
@@ -247,20 +242,14 @@ func (pq *PersistQueue) Pump() {
 
 // retire pops the completed head entry and recycles its slot.
 func (pq *PersistQueue) retire() {
-	e := pq.entries[pq.head]
-	pq.entries[pq.head] = nil
-	pq.head++
-	if pq.head == len(pq.entries) {
-		pq.entries = pq.entries[:0]
-		pq.head = 0
-	}
+	e := pq.entries.Pop()
 	pq.retiredSeq = e.seq
 	*e = pqEntry{doneFn: e.doneFn}
-	pq.free = append(pq.free, e)
+	pq.free.Put(e)
 }
 
 func (pq *PersistQueue) oldestUnissued() *pqEntry {
-	for _, e := range pq.entries[pq.head:] {
+	for _, e := range pq.entries.Live() {
 		if e.kind == entryJS {
 			// JoinStrand blocks further issue until it retires; nothing
 			// younger can exist anyway because the front-end stalls.

@@ -40,14 +40,6 @@ type CellMetrics struct {
 	// order. Populated only for multi-controller cells (nil otherwise,
 	// so single-controller metrics keep their pre-topology shape).
 	Controllers []pmem.Stats `json:"controllers,omitempty"`
-	// OverflowHigh is the deepest overflow queue (arrivals waiting for
-	// a free PM write-queue entry) any of the cell's runs observed.
-	OverflowHigh int `json:"overflow_high,omitempty"`
-	// MediaRetries counts transient media write faults (each forces a
-	// bank retry); MediaRetriesExhausted counts lines whose retry
-	// budget ran out.
-	MediaRetries          uint64 `json:"media_retries,omitempty"`
-	MediaRetriesExhausted uint64 `json:"media_retries_exhausted,omitempty"`
 	// Engine folds the cell's discrete-event-core counters: event and
 	// switch counts sum across runs, the heap high-water mark takes the
 	// maximum. Deterministic for a given cell.
@@ -83,11 +75,6 @@ func (m *CellMetrics) AddRun(cycles uint64, st pmem.Stats) {
 		m.Controller = &pmem.Stats{}
 	}
 	m.Controller.Add(st)
-	if st.MaxPendingArrivals > m.OverflowHigh {
-		m.OverflowHigh = st.MaxPendingArrivals
-	}
-	m.MediaRetries += st.MediaWriteFaults
-	m.MediaRetriesExhausted += st.MediaRetriesExhausted
 }
 
 // AddPerController folds one run's per-controller statistics (in
@@ -112,14 +99,7 @@ func (m *CellMetrics) AddEngine(st sim.Stats) {
 	if m.Engine == nil {
 		m.Engine = &sim.Stats{}
 	}
-	m.Engine.EventsScheduled += st.EventsScheduled
-	m.Engine.EventsFired += st.EventsFired
-	m.Engine.FastPathHits += st.FastPathHits
-	m.Engine.FreelistHits += st.FreelistHits
-	m.Engine.CoroutineSwitches += st.CoroutineSwitches
-	if st.PeakHeapDepth > m.Engine.PeakHeapDepth {
-		m.Engine.PeakHeapDepth = st.PeakHeapDepth
-	}
+	m.Engine.Add(st)
 }
 
 // AddCOW folds copy-on-write checkpoint counters into the record.

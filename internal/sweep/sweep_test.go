@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"strandweaver/internal/pmem"
+	"strandweaver/internal/sim"
 )
 
 // mkCells returns n cells whose results encode their index, spinning a
@@ -178,16 +179,24 @@ func TestAddRunFoldsHighWaterByMax(t *testing.T) {
 	m.AddRun(10, pmem.Stats{MaxPendingArrivals: 3, MediaWriteFaults: 2})
 	m.AddRun(20, pmem.Stats{MaxPendingArrivals: 7, MediaRetriesExhausted: 1})
 	m.AddRun(30, pmem.Stats{MaxPendingArrivals: 5})
-	if m.OverflowHigh != 7 {
-		t.Errorf("OverflowHigh = %d, want 7", m.OverflowHigh)
-	}
 	if m.SimCycles != 60 || m.Runs != 3 {
 		t.Errorf("SimCycles/Runs = %d/%d", m.SimCycles, m.Runs)
 	}
-	if m.MediaRetries != 2 || m.MediaRetriesExhausted != 1 {
-		t.Errorf("retries = %d/%d", m.MediaRetries, m.MediaRetriesExhausted)
-	}
 	if m.Controller.MaxPendingArrivals != 7 {
-		t.Errorf("Controller.MaxPendingArrivals = %d", m.Controller.MaxPendingArrivals)
+		t.Errorf("Controller.MaxPendingArrivals = %d, want 7", m.Controller.MaxPendingArrivals)
+	}
+	if m.Controller.MediaWriteFaults != 2 || m.Controller.MediaRetriesExhausted != 1 {
+		t.Errorf("Controller media faults/retries exhausted = %d/%d, want 2/1",
+			m.Controller.MediaWriteFaults, m.Controller.MediaRetriesExhausted)
+	}
+}
+
+func TestAddEngineFoldsPeakByMax(t *testing.T) {
+	var m CellMetrics
+	m.AddEngine(sim.Stats{EventsFired: 3, CoroutineSwitches: 1, PeakHeapDepth: 9})
+	m.AddEngine(sim.Stats{EventsFired: 4, CoroutineSwitches: 2, PeakHeapDepth: 5})
+	want := sim.Stats{EventsFired: 7, CoroutineSwitches: 3, PeakHeapDepth: 9}
+	if *m.Engine != want {
+		t.Errorf("Engine = %+v, want %+v", *m.Engine, want)
 	}
 }
