@@ -248,6 +248,8 @@ type l1Line struct {
 type L1 struct {
 	h    *Hierarchy
 	core int
+	// sets is nil until the first install: a core that never touches
+	// memory costs no set headers.
 	sets [][]l1Line
 	tick uint64
 	wb   writebackBuffer
@@ -259,11 +261,7 @@ type L1 struct {
 }
 
 func newL1(h *Hierarchy, core int) *L1 {
-	l1 := &L1{
-		h:    h,
-		core: core,
-		sets: make([][]l1Line, h.cfg.L1Sets),
-	}
+	l1 := &L1{h: h, core: core}
 	l1.wb.l1 = l1
 	return l1
 }
@@ -273,6 +271,9 @@ func (l *L1) setIndex(line mem.Addr) int {
 }
 
 func (l *L1) lookup(line mem.Addr) *l1Line {
+	if l.sets == nil {
+		return nil
+	}
 	set := l.sets[l.setIndex(line)]
 	for i := range set {
 		if set[i].line == line {
@@ -295,6 +296,9 @@ func (l *L1) install(line mem.Addr, dirty bool) *l1Line {
 		e.dirty = e.dirty || dirty
 		l.touch(e)
 		return e
+	}
+	if l.sets == nil {
+		l.sets = make([][]l1Line, l.h.cfg.L1Sets)
 	}
 	idx := l.setIndex(line)
 	set := l.sets[idx]
@@ -341,6 +345,9 @@ func (l *L1) evict(e *l1Line) {
 // invalidation; the dirty payload conceptually travels with the
 // coherence reply).
 func (l *L1) drop(line mem.Addr) {
+	if l.sets == nil {
+		return
+	}
 	idx := l.setIndex(line)
 	set := l.sets[idx]
 	for i := range set {

@@ -10,17 +10,18 @@
 // scheduled pre-spawn at each cut, then an abandon after the last one.
 // A capture event fires at the position a cold run's Abandon would
 // (pre-spawn harness events take the lowest sequence numbers of their
-// cycle) and perturbs no machine state, so a restored checkpoint is
-// byte-identical, for every post-crash query, to a cold run abandoned
-// at the same cut.
+// cycle) and perturbs no machine state, so a checkpoint answers every
+// post-crash query byte-identically to a cold run abandoned at the same
+// cut.
 // docs/SNAPSHOT.md states the argument; the package's tests hold the
 // cache to a cold re-simulation for every target.
 //
 // Every crash cut in the tree is a request here: the torture sweep,
 // the fuzz search, litmus cross-validation and the harness's
 // RunWithCrash. What happens after the cut — which injector draws the
-// crash image (CutInjector, or the armed run injector restored to the
-// cut), recovery, invariant checks — stays with each caller.
+// crash image from the checkpoint (CutInjector, or the armed run
+// injector at the cut), recovery, invariant checks — stays with each
+// caller.
 package crashcut
 
 import (
@@ -85,11 +86,6 @@ type Prefix struct {
 	// bytes its checkpoints retain; zero when nothing was captured.
 	Captured int
 	COW      mem.Stats
-	// Sys, when the request captured, is the capture run's system,
-	// abandoned at the last captured cut: a caller that needs only that
-	// cut may query it in place of restoring the checkpoint. Nil when
-	// nothing was captured.
-	Sys *machine.System
 }
 
 // Cache memoises crash-free runs and crash-cut checkpoints. Crash-free
@@ -247,7 +243,6 @@ func (c *Cache) capture(r Request, p *Prefix, ats []sim.Cycle, missing []int) er
 	}
 	p.Captured = len(missing)
 	p.COW = sys.Mem.CowStats()
-	p.Sys = sys
 
 	// Store the new checkpoints, then evict. The bytes they add to the
 	// retained set are their own unique pages: a capture run's pages are
@@ -280,7 +275,7 @@ func (c *Cache) capture(r Request, p *Prefix, ats []sim.Cycle, missing []int) er
 // so the cuts of one run draw independent power-cut points and tears.
 // The torture sweep and litmus cross-validation both draw their crash
 // images this way; the fuzz search draws from the armed run injector
-// instead, restored to its position at the cut.
+// instead, at its position at the cut.
 func CutInjector(p faultinject.Plan, at sim.Cycle) *faultinject.Injector {
 	p.Seed += uint64(at) * 0x9e3779b97f4a7c15
 	return faultinject.New(p)

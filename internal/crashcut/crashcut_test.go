@@ -45,8 +45,7 @@ func quarterCuts(end sim.Cycle) []sim.Cycle {
 // persistent image, the controllers' unaccepted and accepted-in-flight
 // writes and statistics (engine counters excluded — a capture run
 // fires one more harness event than a cold run, visible only in
-// scheduling statistics), the crash images under both callers'
-// injector rules, and the injector counters.
+// scheduling statistics), and the post-crash queries.
 type state struct {
 	Now        sim.Cycle
 	Persistent *mem.Image
@@ -54,27 +53,51 @@ type state struct {
 	Accepted   []pmem.LineWrite
 	Ctrl       []pmem.Stats
 	RunStats   faultinject.Stats
+	queries
+}
+
+// queries are the post-crash queries the crash-cut consumers make: the
+// crash images under both callers' injector rules, the injector
+// counters and the merged PM statistics.
+type queries struct {
 	// Armed is the crash image drawn by the run's armed injector (the
 	// fuzz rule), Fresh by a fresh injector (the torture rule).
 	Armed, Fresh          uint64
 	ArmedStats, FreshStat faultinject.Stats
+	PM                    pmem.Stats
+}
+
+// ask makes the post-crash queries through image, which draws a crash
+// image with the given injector.
+func ask(armed *faultinject.Injector, pm pmem.Stats, image func(*faultinject.Injector) *mem.Image) queries {
+	fresh := faultinject.New(faultinject.Plan{Seed: 99, TornPersists: true, DropProb: 0.5})
+	q := queries{PM: pm}
+	q.Fresh = image(fresh).Fingerprint()
+	q.FreshStat = fresh.Stats()
+	q.Armed = image(armed).Fingerprint()
+	q.ArmedStats = armed.Stats()
+	return q
 }
 
 func observe(sys *machine.System, armed *faultinject.Injector) state {
-	st := state{
+	return state{
 		Now:        sys.Eng.Now(),
 		Persistent: sys.Mem.Persistent.Freeze(),
 		Unaccepted: sys.PM.UnacceptedWrites(),
 		Accepted:   sys.PM.AcceptedInFlight(),
 		Ctrl:       sys.PM.PerController(),
 		RunStats:   armed.Stats(),
+		queries: ask(armed, sys.PM.Stats(), func(fi *faultinject.Injector) *mem.Image {
+			return fi.CrashImage(sys)
+		}),
 	}
-	fresh := faultinject.New(faultinject.Plan{Seed: 99, TornPersists: true, DropProb: 0.5})
-	st.Fresh = fresh.CrashImage(sys).Fingerprint()
-	st.FreshStat = fresh.Stats()
-	st.Armed = armed.CrashImage(sys).Fingerprint()
-	st.ArmedStats = armed.Stats()
-	return st
+}
+
+// armedAt returns the run's armed injector at the cut.
+func armedAt(cut Cut) *faultinject.Injector {
+	fi := faultinject.New(testPlan)
+	fi.Restore(cut.FI)
+	return fi
 }
 
 // coldAt is the reference the cache is held to: the target built
@@ -102,9 +125,15 @@ func forked(t *testing.T, tg Target, cut Cut) state {
 		t.Fatal(err)
 	}
 	sys.Restore(cut.CP)
-	fi := faultinject.New(testPlan)
-	fi.Restore(cut.FI)
-	return observe(sys, fi)
+	return observe(sys, armedAt(cut))
+}
+
+// read makes the post-crash queries straight from a served cut's
+// checkpoint, with no system at all.
+func read(cut Cut) queries {
+	return ask(armedAt(cut), cut.CP.PMStats(), func(fi *faultinject.Injector) *mem.Image {
+		return fi.CheckpointImage(cut.CP)
+	})
 }
 
 func request(name string, tg Target, cuts func(sim.Cycle) []sim.Cycle) Request {
@@ -115,8 +144,9 @@ func request(name string, tg Target, cuts func(sim.Cycle) []sim.Cycle) Request {
 // two PM controllers: each served checkpoint, restored, must be
 // indistinguishable from a cold run abandoned at the same cut — the
 // crash-visible machine state, crash images under both injector rules,
-// injector counters — whether the cut was captured by this request or
-// served from cache.
+// injector counters, PM statistics — and so must the same queries read
+// straight from the checkpoint, whether the cut was captured by this
+// request or served from cache.
 func TestForkedMatchesCold(t *testing.T) {
 	for _, controllers := range []int{1, 2} {
 		for name, tg := range testTargets(t, controllers) {
@@ -136,17 +166,9 @@ func TestForkedMatchesCold(t *testing.T) {
 							t.Errorf("pass %d cut %d (cycle %d): forked state differs from cold\ncold: %+v\nforked: %+v",
 								pass, i, cut.At, cold, got)
 						}
-					}
-					if (p.Sys != nil) != (pass == 0) {
-						t.Fatalf("pass %d: capture system returned = %v", pass, p.Sys != nil)
-					}
-					if p.Sys != nil {
-						// The capture system itself stands at the last cut.
-						last := p.Cuts[len(p.Cuts)-1]
-						fi := faultinject.New(testPlan)
-						fi.Restore(last.FI)
-						if cold, got := coldAt(t, tg, last.At), observe(p.Sys, fi); !reflect.DeepEqual(cold, got) {
-							t.Errorf("capture system differs from cold at the last cut (cycle %d)", last.At)
+						if got := read(cut); !reflect.DeepEqual(cold.queries, got) {
+							t.Errorf("pass %d cut %d (cycle %d): queries read from the checkpoint differ from cold\ncold: %+v\nread: %+v",
+								pass, i, cut.At, cold.queries, got)
 						}
 					}
 				}

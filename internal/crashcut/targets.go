@@ -264,31 +264,41 @@ func redoTarget(cells genCells, controllers int) Target {
 // Workload runs a Table II persistent data structure through the TXN
 // language runtime on a machine with one core per thread, recovered by
 // the undo log. Verify checks against the instance of the most recent
-// Build (every build lays the structure out identically), so a Target
-// built concurrently from several goroutines must not be shared.
+// Build (every build lays the structure out identically), building once
+// itself when the target has never been built — as when a cache served
+// every cut from another target's runs. A Target used concurrently from
+// several goroutines must not be shared.
 func Workload(bench string, threads, ops int, seed int64, controllers int) (Target, error) {
 	f, err := workloads.Find(bench)
 	if err != nil {
 		return Target{}, err
 	}
 	var inst workloads.Instance
+	build := func() (*machine.System, []machine.Worker, error) {
+		sys, err := newMachine(threads, controllers)
+		if err != nil {
+			return nil, nil, err
+		}
+		rt := langmodel.New(sys, langmodel.TXN, threads, langmodel.DefaultOptions())
+		inst = f.New(workloads.Params{Threads: threads, OpsPerThread: ops, Seed: seed})
+		inst.Setup(sys, rt)
+		ws := make([]machine.Worker, threads)
+		for i := range ws {
+			ws[i] = inst.Worker(i)
+		}
+		return sys, ws, nil
+	}
 	return Target{
-		Build: func() (*machine.System, []machine.Worker, error) {
-			sys, err := newMachine(threads, controllers)
-			if err != nil {
-				return nil, nil, err
+		Build:   build,
+		Recover: undoRecover(threads),
+		Verify: func(img *mem.Image) error {
+			if inst == nil {
+				if _, _, err := build(); err != nil {
+					return err
+				}
 			}
-			rt := langmodel.New(sys, langmodel.TXN, threads, langmodel.DefaultOptions())
-			inst = f.New(workloads.Params{Threads: threads, OpsPerThread: ops, Seed: seed})
-			inst.Setup(sys, rt)
-			ws := make([]machine.Worker, threads)
-			for i := range ws {
-				ws[i] = inst.Worker(i)
-			}
-			return sys, ws, nil
+			return inst.Verify(img)
 		},
-		Recover:  undoRecover(threads),
-		Verify:   func(img *mem.Image) error { return inst.Verify(img) },
 		StateSig: func(*mem.Image) uint8 { return 0 },
 	}, nil
 }

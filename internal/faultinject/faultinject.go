@@ -65,6 +65,22 @@ type Plan struct {
 	MediaDelayCycles uint64
 }
 
+// RunVisible returns the part of the plan that reaches a simulated run
+// the plan is armed on: the media-fault knobs and the seed of the
+// streams they draw from. Tears and drops act at crash-image time,
+// off the machine. When both media probabilities are zero the armed
+// injector draws nothing during the run (chanceFrom consumes no stream
+// state for p <= 0), so the run is the same under every seed, the
+// injector's stream positions anywhere in it are those of a fresh one,
+// and RunVisible returns the zero Plan.
+func (p Plan) RunVisible() Plan {
+	if p.MediaFaultProb <= 0 && p.MediaDelayProb <= 0 {
+		return Plan{}
+	}
+	return Plan{Seed: p.Seed, MediaFaultProb: p.MediaFaultProb,
+		MediaDelayProb: p.MediaDelayProb, MediaDelayCycles: p.MediaDelayCycles}
+}
+
 // Stats counts injected faults.
 type Stats struct {
 	// MediaFaults counts injected transient media write failures.
@@ -97,7 +113,8 @@ type Stats struct {
 // machine has — which keeps every single-controller crash image
 // byte-identical to the pre-topology injector. Streams for controllers
 // past the first are derived from the plan seed and the controller
-// index on demand (Arm, or CrashImage on a freshly restored injector).
+// index on demand (Arm, or the first crash image an unarmed injector
+// draws).
 type Injector struct {
 	plan  Plan
 	state uint64
@@ -227,7 +244,24 @@ func (in *Injector) mediaWrite(state *uint64, line mem.Addr, attempt int) pmem.M
 // of the unaccepted in-flight writes the fault plan lets land. Call it
 // at the crash point (after Abandon). Each call consumes generator
 // state: with the same injector, successive calls model distinct
-// failure instants.
+// failure instants. It is CheckpointImage over the system's
+// crash-visible state, read in place.
+func (in *Injector) CrashImage(sys *machine.System) *mem.Image {
+	return in.powerCut(sys.Mem.CrashImage(), sys.PM.Snapshot())
+}
+
+// CheckpointImage is CrashImage for the system a checkpoint was
+// captured from, at the capture cycle, computed from the checkpoint
+// alone: no system is built or restored. It only reads cp, so any
+// number of goroutines may draw images from one shared checkpoint,
+// each with its own injector.
+func (in *Injector) CheckpointImage(cp *machine.Checkpoint) *mem.Image {
+	return in.powerCut(cp.Mem.Persistent.Clone(), cp.Ctrls)
+}
+
+// powerCut applies the power cut to img, a writable copy of the
+// persistent image, given every controller's crash-visible state, and
+// returns img.
 //
 // The power cut is applied per controller, in controller index order,
 // each controller drawing from its own stream: independent controllers
@@ -238,13 +272,11 @@ func (in *Injector) mediaWrite(state *uint64, line mem.Addr, attempt int) pmem.M
 // order across controllers cannot change the image. On a
 // single-controller machine the loop collapses to exactly the
 // pre-topology single-stream cut.
-func (in *Injector) CrashImage(sys *machine.System) *mem.Image {
-	img := sys.Mem.CrashImage()
-	ctrls := sys.PM.Controllers()
+func (in *Injector) powerCut(img *mem.Image, ctrls []*pmem.ControllerState) *mem.Image {
 	in.ensureStreams(len(ctrls))
 	for ci, c := range ctrls {
 		st := in.stream(ci)
-		ws := c.UnacceptedWrites()
+		ws := c.Unaccepted
 		if !in.plan.TornPersists {
 			in.stats.DroppedLines += uint64(len(ws))
 			continue
@@ -259,7 +291,7 @@ func (in *Injector) CrashImage(sys *machine.System) *mem.Image {
 		// ones, as acceptance would have.
 		k := int(splitmix(st) % uint64(len(ws)+1))
 		for i := 0; i < k; i++ {
-			w := ws[i]
+			w := &ws[i]
 			img.StoreLine(w.Line, &w.Data)
 		}
 		in.stats.LandedLines += uint64(k)
@@ -273,7 +305,7 @@ func (in *Injector) CrashImage(sys *machine.System) *mem.Image {
 					in.stats.WordsDropped++
 				}
 			}
-			w := ws[k]
+			w := &ws[k]
 			switch keep {
 			case 0:
 				in.stats.DroppedLines++
@@ -294,9 +326,9 @@ func (in *Injector) CrashImage(sys *machine.System) *mem.Image {
 		// unwind in order.
 		for ci, c := range ctrls {
 			st := in.stream(ci)
-			acc := c.AcceptedInFlight()
+			acc := c.Accepted
 			for i := len(acc) - 1; i >= 0; i-- {
-				w := acc[i]
+				w := &acc[i]
 				revert := uint8(0)
 				for bit := 0; bit < mem.LineWords; bit++ {
 					if chanceFrom(st, in.plan.DropProb) {

@@ -1,6 +1,8 @@
 package faultinject
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"strandweaver/internal/config"
@@ -227,5 +229,61 @@ func TestCheckConvergenceRejectsNonIdempotent(t *testing.T) {
 	}
 	if cv.CutsObserved == 0 {
 		t.Error("sweep observed no cuts")
+	}
+}
+
+// TestCheckpointImageSharedCheckpoint: crash images drawn from one
+// checkpoint equal the system's own at the capture cycle, and any
+// number of goroutines may draw them at once — each with its own
+// injector, each writing its own image — without touching the shared
+// checkpoint. Run under -race in CI.
+func TestCheckpointImageSharedCheckpoint(t *testing.T) {
+	plan := Plan{Seed: 7, TornPersists: true, DropProb: 0.5, TearAccepted: true}
+	cfg := config.Default()
+	cfg.Cores = 1
+	cfg.PMControllers = 2
+	s := machine.MustNew(cfg, hwdesign.StrandWeaver)
+	for i, a := range cells {
+		seed(s, a, uint64(i+1))
+	}
+	logs := undolog.Init(s, 1, 64)
+	var cp *machine.Checkpoint
+	s.RunAt(2_000, func() { cp = s.Snapshot() }) // mid-run: in-flight writes exist
+	s.RunAt(2_000, s.Abandon)
+	_, _ = s.Run([]machine.Worker{loggedWorker(logs.PerThread[0], 4)}, 100_000_000)
+	if cp == nil {
+		t.Fatal("run ended before the capture cycle")
+	}
+	live := New(plan)
+	want, wantStats := live.CrashImage(s).Fingerprint(), live.Stats()
+	if wantStats.LandedLines+wantStats.TornLines+wantStats.DroppedLines == 0 {
+		t.Fatal("no unaccepted writes at the capture cycle: the power cut tests nothing")
+	}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for r := 0; r < 10; r++ {
+				fi := New(plan)
+				img := fi.CheckpointImage(cp)
+				if img.Fingerprint() != want || fi.Stats() != wantStats {
+					errs <- fmt.Sprintf("goroutine %d: checkpoint image differs from the system's", g)
+					return
+				}
+				img.SetByte(cells[g%len(cells)], byte(r)) // recovery writes its own image
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if New(plan).CheckpointImage(cp).Fingerprint() != want {
+		t.Error("drawing crash images mutated the shared checkpoint")
 	}
 }

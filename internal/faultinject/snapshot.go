@@ -4,8 +4,8 @@ package faultinject
 // generator position(s) and the fault counters accumulated so far.
 // Restoring it onto a fresh Injector (built with New from the same
 // Plan) reproduces the remaining draw sequence exactly, which is what
-// keeps a crash image computed after a checkpoint restore byte-
-// identical to one computed on the original run (docs/SNAPSHOT.md).
+// keeps a crash image drawn from a checkpoint byte-identical to one
+// drawn on the original run (docs/SNAPSHOT.md).
 type InjectorSnapshot struct {
 	State uint64
 	Stats Stats

@@ -70,43 +70,43 @@ type ExecCache = crashcut.Cache
 // NewExecCache returns an empty execution cache.
 func NewExecCache() *ExecCache { return crashcut.NewCache() }
 
-// runKey identifies the run-visible part of a genome: the target and
-// its shape (threads, ops, mutant) and the fault plan's run-visible
-// part (the draw-stream seed and the media fault knobs), plus the
-// harness-level PM controller count — not a genome knob, but it shapes
-// the machine, so executions at different counts never share cache
-// entries. Everything else — CrashFrac, Torn, DropProbMilli,
-// TearAccepted, RecoveryCut(2) — acts at crash-image time or later, off
-// the simulated machine. Mutation walks those cheap knobs far more
-// often than the expensive ones, so a search re-simulates identical
-// runs constantly; the execution cache serves them instead. Cached
-// results are byte-identical to cold execution (docs/SNAPSHOT.md), so
-// corpus coverage keys, fingerprints and violations are unchanged at
-// any hit rate — hits and misses are observability, never coverage.
-func runKey(g Genome, controllers int) string {
-	return fmt.Sprintf("%s|t%d|o%d|c%d|%s|%d|%d|%d|%d", g.Target, g.Threads, g.Ops, controllers, g.Mutant,
-		g.FaultSeed, g.MediaFaultMilli, g.MediaDelayMilli, g.MediaDelayCycles)
-}
-
-// buildTarget lowers a genome's target to its crash-cut target;
-// controllers is the harness-level PM controller count (0 =
-// configuration default).
-func buildTarget(g Genome, controllers int) (crashcut.Target, error) {
+// buildTarget lowers a genome's target to its crash-cut target and the
+// target's run key; controllers is the harness-level PM controller
+// count (0 = configuration default).
+//
+// The run key names exactly what reaches the simulated run: the
+// arguments the target is built from, normalised as they are passed
+// (TargetRedolog takes neither Threads nor Mutant; a workload target
+// takes FaultSeed as its operation-mix seed), the controller count, and
+// the fault plan's run-visible part (faultinject.Plan.RunVisible), so
+// media-free plans share a run whatever their seed. Everything else —
+// CrashFrac, Torn, DropProbMilli, TearAccepted, RecoveryCut(2) — acts at
+// crash-image time or later, off the simulated machine. Mutation walks
+// those cheap knobs far more often than the expensive ones, so a search
+// re-simulates identical runs constantly; the execution cache serves
+// them instead. Cached results are byte-identical to cold execution
+// (docs/SNAPSHOT.md), so corpus coverage keys, fingerprints and
+// violations are unchanged at any hit rate — hits and misses are
+// observability, never coverage.
+func buildTarget(g Genome, controllers int) (crashcut.Target, string, error) {
 	threads := max(g.Threads, 1)
 	ops := max(g.Ops, 1)
+	run := fmt.Sprintf("c%d|%+v", controllers, g.Plan().RunVisible())
 	switch g.Target {
 	case TargetUndolog:
-		return crashcut.DirectUndolog(threads, ops, g.Mutant == MutantNoDataFlush, controllers), nil
+		mutant := g.Mutant == MutantNoDataFlush
+		return crashcut.DirectUndolog(threads, ops, mutant, controllers),
+			fmt.Sprintf("%s|t%d|o%d|m%t|%s", g.Target, threads, ops, mutant, run), nil
 	case TargetRedolog:
-		return crashcut.DirectRedolog(ops, controllers), nil
+		return crashcut.DirectRedolog(ops, controllers), fmt.Sprintf("%s|o%d|%s", g.Target, ops, run), nil
 	default:
 		// A Table II data structure through the TXN runtime, with the
 		// genome's FaultSeed doubling as the operation-mix seed.
 		t, err := crashcut.Workload(g.Target, threads, ops, int64(g.FaultSeed), controllers)
 		if err != nil {
-			return t, fmt.Errorf("fuzzsched: unknown target %q: %w", g.Target, err)
+			return t, "", fmt.Errorf("fuzzsched: unknown target %q: %w", g.Target, err)
 		}
-		return t, nil
+		return t, fmt.Sprintf("%s|t%d|o%d|s%d|%s", g.Target, threads, ops, g.FaultSeed, run), nil
 	}
 }
 
@@ -119,7 +119,7 @@ func buildTarget(g Genome, controllers int) (crashcut.Target, error) {
 // Outcome.Violation / Outcome.BeyondADR instead.
 func Execute(g Genome, o ExecOptions) (*Outcome, error) {
 	o = o.withDefaults()
-	target, err := buildTarget(g, o.Controllers)
+	target, key, err := buildTarget(g, o.Controllers)
 	if err != nil {
 		return nil, err
 	}
@@ -130,12 +130,13 @@ func Execute(g Genome, o ExecOptions) (*Outcome, error) {
 
 	// One crash cut at the genome's crash fraction of the crash-free
 	// run, which also validates the workload completes under the
-	// watchdog. The crash image draws from the armed run injector,
-	// restored to its stream position at the cut.
+	// watchdog. The crash image draws from the armed run injector at its
+	// stream position at the cut.
+	plan := g.Plan()
 	p, err := cache.Get(crashcut.Request{
-		Key:      runKey(g, o.Controllers),
+		Key:      key,
 		Build:    target.Build,
-		Plan:     g.Plan(),
+		Plan:     plan,
 		Limit:    o.CycleLimit,
 		Watchdog: o.EventBudget,
 		Cuts: func(end sim.Cycle) []sim.Cycle {
@@ -147,16 +148,15 @@ func Execute(g Genome, o ExecOptions) (*Outcome, error) {
 	}
 	end, cut := p.End, p.Cuts[0]
 	crashAt := cut.At
-	sys := p.Sys // captured just now: already positioned at the cut
-	if sys == nil {
-		if sys, _, err = target.Build(); err != nil {
-			return nil, err
-		}
-		sys.Restore(cut.CP)
+	fi := faultinject.New(plan)
+	if plan.RunVisible() != (faultinject.Plan{}) {
+		// The run drew media faults from the armed injector. Under a
+		// media-free plan it drew nothing, so a fresh injector already
+		// stands where it stood at the cut, and the cut may come from a
+		// run armed with another seed.
+		fi.Restore(cut.FI)
 	}
-	fi := faultinject.New(g.Plan())
-	fi.Restore(cut.FI)
-	crash := fi.CrashImage(sys)
+	crash := fi.CheckpointImage(cut.CP)
 
 	out := &Outcome{End: end, CrashAt: crashAt, Fingerprint: crash.Fingerprint()}
 	fst := fi.Stats()

@@ -3,6 +3,7 @@ package fuzzsched
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"strandweaver/internal/sim"
@@ -162,44 +163,63 @@ func TestExecuteRecoveryCutConverges(t *testing.T) {
 // TestExecCacheEquivalence: an Execute served from a shared cache must
 // reproduce a fresh execution's Outcome byte for byte, including across
 // the knobs excluded from the run key (crash fraction, tearing,
-// recovery cuts), which are exactly the ones a hit short-circuits past.
+// recovery cuts, and under a media-free plan the fault seed and delay
+// magnitude; the threads and mutant of targets that ignore them), which
+// are exactly the ones a hit short-circuits past. A variant whose run
+// and cut an earlier variant already simulated must hit on its first
+// cached pass; a media plan's seed, and a workload target's op-mix
+// seed, reach the run, so a variant differing only in them must not.
 func TestExecCacheEquivalence(t *testing.T) {
+	type variant struct {
+		g   Genome
+		hit bool // first cached pass served from the cache
+	}
 	base := SeedGenome(TargetUndolog)
-	variants := []Genome{base}
+	variants := []variant{{base, false}}
+	with := func(g Genome, hit bool, edit func(*Genome)) {
+		edit(&g)
+		variants = append(variants, variant{g, hit})
+	}
 	for _, frac := range []uint32{0, 9000, 32768, 50000, 65535} {
-		g := base
-		g.CrashFrac = frac
-		variants = append(variants, g)
+		with(base, frac == base.CrashFrac, func(g *Genome) { g.CrashFrac = frac })
 	}
-	{
-		g := base
-		g.Torn = true
-		g.DropProbMilli = 200
-		variants = append(variants, g)
+	with(base, true, func(g *Genome) { g.Torn, g.DropProbMilli = true, 200 })
+	with(base, true, func(g *Genome) { g.RecoveryCut, g.RecoveryCut2 = 3, 1 })
+	with(base, true, func(g *Genome) { g.TearAccepted, g.Torn = true, true })
+	for _, d := range []Genome{base, SeedGenome(TargetRedolog)} {
+		if d.Target == TargetRedolog {
+			with(d, false, func(*Genome) {})
+			with(d, true, func(g *Genome) { g.Threads = 3 })
+			with(d, true, func(g *Genome) { g.Mutant = MutantNoDataFlush })
+		}
+		with(d, true, func(g *Genome) { g.FaultSeed = 5 })
+		with(d, true, func(g *Genome) { g.MediaDelayCycles = 900 })
+		with(d, true, func(g *Genome) { g.FaultSeed, g.Torn, g.TearAccepted = 9, true, true })
 	}
-	{
-		g := base
-		g.RecoveryCut = 3
-		g.RecoveryCut2 = 1
-		variants = append(variants, g)
-	}
-	{
-		g := base
-		g.TearAccepted = true
-		g.Torn = true
-		variants = append(variants, g)
-	}
+	media := base
+	media.MediaFaultMilli, media.MediaDelayMilli, media.MediaDelayCycles = 300, 300, 200
+	with(media, false, func(*Genome) {})
+	with(media, false, func(g *Genome) { g.FaultSeed = 2 })
+	// A workload target verifies against a laid-out instance even when
+	// the cache served its cut, and takes FaultSeed as its op-mix seed.
+	wl := SeedGenome("queue")
+	with(wl, false, func(*Genome) {})
+	with(wl, true, func(g *Genome) { g.Torn, g.DropProbMilli = true, 200 })
+	with(wl, true, func(g *Genome) { g.Mutant = MutantNoDataFlush })
+	with(wl, false, func(g *Genome) { g.FaultSeed = 2 })
 
 	cache := NewExecCache()
-	for i, g := range variants {
-		fresh, err := Execute(g, ExecOptions{})
+	for i, v := range variants {
+		fresh, err := Execute(v.g, ExecOptions{})
 		if err != nil {
 			t.Fatalf("variant %d fresh: %v", i, err)
 		}
-		// Twice through the cache: the first call may miss and capture,
-		// the second must hit; both must equal the fresh outcome.
+		// Twice through the cache: the first call hits only when an
+		// earlier variant simulated the same run and cut, the second
+		// must hit; both must equal the fresh outcome.
 		for pass := 0; pass < 2; pass++ {
-			warm, err := Execute(g, ExecOptions{Cache: cache})
+			before, _ := cache.Stats()
+			warm, err := Execute(v.g, ExecOptions{Cache: cache})
 			if err != nil {
 				t.Fatalf("variant %d cached pass %d: %v", i, pass, err)
 			}
@@ -207,9 +227,60 @@ func TestExecCacheEquivalence(t *testing.T) {
 				t.Errorf("variant %d pass %d: cached outcome differs from a fresh execution\nfresh: %+v\nwarm:  %+v",
 					i, pass, fresh, warm)
 			}
+			after, _ := cache.Stats()
+			if hit, want := after > before, v.hit || pass == 1; hit != want {
+				t.Errorf("variant %d (%s) pass %d: hit = %v, want %v", i, v.g.Key(), pass, hit, want)
+			}
 		}
 	}
-	if hits, _ := cache.Stats(); hits == 0 {
-		t.Error("no checkpoint hits across repeated executions")
+}
+
+// TestExecuteHitBuildsNoMachine: an Execute served from the cache
+// builds no machine; its crash image is read from the checkpoint, so it
+// allocates a fraction of what a machine costs.
+func TestExecuteHitBuildsNoMachine(t *testing.T) {
+	const budget = 48 << 10
+	for _, target := range []string{TargetUndolog, TargetRedolog} {
+		o := ExecOptions{Cache: NewExecCache()}
+		g := SeedGenome(target)
+		if _, err := Execute(g, o); err != nil {
+			t.Fatal(err)
+		}
+		const n = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if _, err := Execute(g, o); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if hits, misses := o.Cache.Stats(); hits != n || misses != 1 {
+			t.Fatalf("%s: %d hits, %d misses; want %d hits after one miss", target, hits, misses, n)
+		}
+		if got := (after.TotalAlloc - before.TotalAlloc) / n; got > budget {
+			t.Errorf("%s: a cache-hit Execute allocated %d bytes, want at most %d", target, got, budget)
+		}
+	}
+}
+
+// BenchmarkExecuteHit measures one Execute served from the cache on
+// each direct target: crash image, recovery and invariant check.
+func BenchmarkExecuteHit(b *testing.B) {
+	for _, target := range []string{TargetUndolog, TargetRedolog} {
+		b.Run(target, func(b *testing.B) {
+			o := ExecOptions{Cache: NewExecCache()}
+			g := SeedGenome(target)
+			if _, err := Execute(g, o); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Execute(g, o); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strandweaver/internal/crashcut"
 	"strandweaver/internal/faultinject"
 	"strandweaver/internal/litmus"
-	"strandweaver/internal/machine"
 	"strandweaver/internal/mem"
 	"strandweaver/internal/pmem"
 	"strandweaver/internal/sim"
@@ -397,8 +396,8 @@ func redologSubject(o TortureOptions) subject {
 // request to the sweep's crash-cut cache places o.Crashes cuts evenly
 // over the crash-free run — the first cell to ask captures them, every
 // other cell whose plan replays the same run (all media-free plans)
-// reuses them — and each cut's checkpoint is restored into one warm
-// system and turned into a combo outcome.
+// reuses them — and each cut's checkpoint is turned into a combo
+// outcome.
 func cutCell(o TortureOptions, cache *crashcut.Cache, s subject, pi int, plan faultinject.Plan, comboBase int) tortureCell {
 	return tortureCell{
 		cell: sweep.Cell[*tortureOutcome]{
@@ -422,21 +421,14 @@ func cutCell(o TortureOptions, cache *crashcut.Cache, s subject, pi int, plan fa
 				m.CheckpointMisses += uint64(p.Captured)
 				m.AddRun(uint64(p.End), p.Ctrl)
 				m.AddEngine(p.Eng)
-				sys, _, err := target.Build()
-				if err != nil {
-					return nil, err
-				}
+				m.AddCOW(p.COW)
 				combos := make([]comboOutcome, len(p.Cuts))
 				for i, cut := range p.Cuts {
-					sys.Restore(cut.CP)
 					m.CheckpointHits++
-					m.AddRun(uint64(cut.At), sys.PM.Stats())
+					combos[i] = comboAt(o, s, target, pi, plan, comboBase+i+1, cut)
+					m.AddRun(uint64(cut.At), combos[i].ctrl)
 					m.AddEngine(cut.CP.Eng.Stats)
-					combos[i] = comboAt(o, s, target, pi, plan, comboBase+i+1, cut, sys)
 				}
-				cow := sys.Mem.CowStats()
-				cow.Add(p.COW)
-				m.AddCOW(cow)
 				return &tortureOutcome{combos: combos, redo: s.redo}, nil
 			},
 		},
@@ -446,35 +438,27 @@ func cutCell(o TortureOptions, cache *crashcut.Cache, s subject, pi int, plan fa
 
 // planRunKey names the parts of the sweep options and a fault plan
 // that can influence the simulated run itself (the rest of the options
-// are fixed for the sweep, whose cache this key indexes). The PM
-// controller count shapes the machine (and the checkpoints'
-// []ControllerState), so it is always part of the key; beyond that only
-// media faults perturb the machine — torn and dropped persists are
-// decided at crash-image time against the controllers' tracked writes.
-// An armed injector whose media probabilities are zero draws nothing —
-// chanceFrom(p) returns without consuming generator state for p <= 0 —
-// so every media-free plan shares one run regardless of seed, and its
-// injector snapshots (all-zero counters) are plan-independent.
+// are fixed for the sweep, whose cache this key indexes): the PM
+// controller count, which shapes the machine (and the checkpoints'
+// []ControllerState), and the plan's run-visible part. Every media-free
+// plan of a subject therefore shares one run regardless of seed, and
+// its injector snapshots (all-zero counters) are plan-independent.
 func planRunKey(o TortureOptions, plan faultinject.Plan) string {
-	if plan.MediaFaultProb <= 0 && plan.MediaDelayProb <= 0 {
-		return fmt.Sprintf("ctrl%d|media-free", o.Controllers)
-	}
-	return fmt.Sprintf("ctrl%d|media/%d/%v/%v/%d",
-		o.Controllers, plan.Seed, plan.MediaFaultProb, plan.MediaDelayProb, plan.MediaDelayCycles)
+	return fmt.Sprintf("ctrl%d|%+v", o.Controllers, plan.RunVisible())
 }
 
-// comboAt turns a system positioned at a crash cut into the combo's
-// outcome: crash image, recovery, invariant check, and — on every
+// comboAt turns a crash cut's checkpoint into the combo's outcome:
+// crash image, recovery, invariant check, and — on every
 // ConvergeEvery-th combo of the sweep (combo numbers it globally) — the
 // crash-during-recovery convergence sweep. The crash image draws from a
 // fresh per-cut injector (crashcut.CutInjector), while media-fault
 // counters come from the armed run injector's snapshot at the cut; the
 // two touch disjoint Stats fields, so the merge is exact.
 func comboAt(o TortureOptions, s subject, target crashcut.Target, pi int, plan faultinject.Plan,
-	combo int, cut crashcut.Cut, sys *machine.System) comboOutcome {
+	combo int, cut crashcut.Cut) comboOutcome {
 	fiImg := crashcut.CutInjector(plan, cut.At)
-	crash := fiImg.CrashImage(sys)
-	co := comboOutcome{fingerprint: crash.Fingerprint(), fault: fiImg.Stats(), ctrl: sys.PM.Stats()}
+	crash := fiImg.CheckpointImage(cut.CP)
+	co := comboOutcome{fingerprint: crash.Fingerprint(), fault: fiImg.Stats(), ctrl: cut.CP.PMStats()}
 	co.fault.MediaFaults = cut.FI.Stats.MediaFaults
 	co.fault.MediaDelays = cut.FI.Stats.MediaDelays
 	co.torn = co.fault.TornLines > 0

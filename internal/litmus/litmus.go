@@ -120,7 +120,7 @@ func newSystem(p pmo.Program) (*machine.System, error) {
 	}
 	s, err := machine.New(cfg, hwdesign.StrandWeaver)
 	if err != nil {
-		return nil, fmt.Errorf("litmus: building system for %d-thread program: %w", len(p), err)
+		return nil, fmt.Errorf("building system for %d-thread program: %w", len(p), err)
 	}
 	return s, nil
 }
@@ -168,18 +168,14 @@ const runLimit = 10_000_000
 // request. The plan's injector is armed on the run, so media faults
 // and latency spikes stretch the schedule the cuts are placed on. Cuts
 // fall at 1, 1+stride, … up to end+1 over the crash-free run of end
-// cycles; each is restored into one warm system, and its crash image
-// draws from a fresh injector under the per-cut seed rule
-// (crashcut.CutInjector). The final state is read from an extra cut at
-// end+1, after everything has drained, and recorded first, at cycle
-// end.
+// cycles; each cut's crash image is drawn from its checkpoint by a
+// fresh injector under the per-cut seed rule (crashcut.CutInjector).
+// The final state is read from an extra cut at end+1, after everything
+// has drained, and recorded first, at cycle end.
 //
-// Under a media-fault plan every cut shares the one run the plan
-// seeds, the rule the torture sweep applies to its workload cuts;
-// before litmus moved onto crashcut, each cut re-simulated under its
-// own per-cut seed. Fault-free Check and media-free plans are
-// unchanged by this: an injector without media faults draws nothing
-// during a run, so the run is the same under every seed.
+// Every cut shares the one run the plan is armed on, the rule the
+// torture sweep applies to its workload cuts; only the plan's
+// run-visible part (faultinject.Plan.RunVisible) shapes that run.
 //
 // Torn persists keep every litmus invariant intact, and this function
 // asserts it: the injector's power cut truncates the FIFO submission
@@ -198,10 +194,6 @@ func CheckWithFaults(p pmo.Program, stride uint64, plan faultinject.Plan) (*Resu
 	allowed, err := pmo.NewBuilder(p).States()
 	if err != nil {
 		return nil, fmt.Errorf("litmus: %w", err)
-	}
-	sys, err := newSystem(p)
-	if err != nil {
-		return nil, err
 	}
 	rec := &primErr{}
 	pre, err := crashcut.NewCache().Get(crashcut.Request{
@@ -232,16 +224,14 @@ func CheckWithFaults(p pmo.Program, stride uint64, plan faultinject.Plan) (*Resu
 
 	res := &Result{TotalCycles: uint64(pre.End), States: make(map[string]uint64)}
 	cuts, final := pre.Cuts[:len(pre.Cuts)-1], pre.Cuts[len(pre.Cuts)-1]
-	sys.Restore(final.CP)
-	st := observedState(sys.Mem.Persistent, p)
+	st := observedState(final.CP.Mem.Persistent, p)
 	if _, ok := allowed[st.Key()]; !ok {
 		return res, fmt.Errorf("litmus: final state %q not allowed by the model", st.Key())
 	}
 	res.States[st.Key()] = uint64(pre.End)
 
 	for _, cut := range cuts {
-		sys.Restore(cut.CP)
-		st := observedState(crashcut.CutInjector(plan, cut.At).CrashImage(sys), p)
+		st := observedState(crashcut.CutInjector(plan, cut.At).CheckpointImage(cut.CP), p)
 		res.CrashPoints++
 		if _, ok := allowed[st.Key()]; !ok {
 			return res, fmt.Errorf("litmus: crash at cycle %d observed forbidden state %q", cut.At, st.Key())

@@ -86,7 +86,7 @@ func TestWorkerLoopZeroAlloc(t *testing.T) {
 
 // newBudget bounds what machine.New allocates: construction costs what
 // a run touches, not the configured cache geometry.
-const newBudget = 128 << 10
+const newBudget = 32 << 10
 
 func TestNewAllocBudget(t *testing.T) {
 	for _, d := range hwdesign.All {

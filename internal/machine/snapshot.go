@@ -12,13 +12,14 @@ import (
 // preserves and a post-crash query reads. That is the engine state
 // (clock and counters), the frozen persistent image, and per PM
 // controller the unaccepted writes, the accepted-in-flight writes and
-// the statistics — the inputs of faultinject.CrashImage, recovery,
-// invariant checks and PM.Stats. The image is a frozen copy-on-write
-// view sharing page storage with the live system, but that storage is
-// immutable from the moment of capture (the system's next write to a
-// captured page copies it first), so the checkpoint shares no MUTABLE
-// storage with its source and can be restored any number of times,
-// concurrently, into different (identically configured) systems.
+// the statistics — the inputs of the crash image, recovery, invariant
+// checks and PM.Stats. Every post-crash query reads it directly
+// (faultinject.CheckpointImage, Mem.Persistent, PMStats). The image is
+// a frozen copy-on-write view sharing page storage with the live
+// system, but that storage is immutable from the moment of capture
+// (the system's next write to a captured page copies it first), so the
+// checkpoint shares no MUTABLE storage with its source and may be read
+// by any number of goroutines at once.
 //
 // Everything else — the volatile image, pending simulation events,
 // worker coroutines, cores, persist backends and strand structures —
@@ -45,14 +46,34 @@ func (s *System) Snapshot() *Checkpoint {
 	}
 }
 
+// PMStats returns the PM statistics of the captured system at the
+// capture cycle: what PM.Stats reports, the controllers merged in index
+// order. The result shares no storage with the checkpoint.
+func (cp *Checkpoint) PMStats() pmem.Stats {
+	var st pmem.Stats
+	for i, c := range cp.Ctrls {
+		cs := c.Stats
+		// Deep-copied as Controller.Stats does: checkpoints are shared
+		// across goroutines, and Add adopts the slice it keeps.
+		cs.OverflowHighWater = append([]pmem.OverflowSample(nil), cs.OverflowHighWater...)
+		if i == 0 {
+			st = cs
+			continue
+		}
+		st.Add(cs)
+	}
+	return st
+}
+
 // Restore rewinds the system's crash-visible state to a previously
 // captured checkpoint. A restored system answers the post-crash
 // queries — faultinject.CrashImage, UnacceptedWrites,
 // AcceptedInFlight, PM.Stats, the persistent image — byte-identically
 // to the original at the capture cycle, and is never run: its cores,
-// backends, caches and volatile image are not restored. The target
-// must have the checkpoint's PM controller count; Restore panics
-// otherwise.
+// backends, caches and volatile image are not restored. Production
+// code reads checkpoints directly; Restore is the reference the tests
+// and the benchmark hold those reads to. The target must have the
+// checkpoint's PM controller count; Restore panics otherwise.
 func (s *System) Restore(cp *Checkpoint) {
 	if len(cp.Ctrls) != s.PM.NumControllers() {
 		panic(fmt.Sprintf("machine: Restore checkpoint (%d PM controllers) into mismatched system (%d)",

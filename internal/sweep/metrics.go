@@ -50,8 +50,8 @@ type CellMetrics struct {
 	// scheduling, so this is not deterministic across runs — results
 	// are, checkpoint provenance is not.
 	PrefixReused bool `json:"prefix_reused,omitempty"`
-	// CheckpointHits counts crash cuts this cell served by restoring a
-	// prefix checkpoint instead of re-simulating from cycle zero;
+	// CheckpointHits counts crash cuts this cell served from a prefix
+	// checkpoint instead of re-simulating from cycle zero;
 	// CheckpointMisses counts checkpoints the cell had to capture
 	// itself. Like PrefixReused, scheduling-dependent under parallelism.
 	CheckpointHits   uint64 `json:"checkpoint_hits,omitempty"`
@@ -59,8 +59,8 @@ type CellMetrics struct {
 	// COW folds the cell's copy-on-write checkpoint counters (pages
 	// frozen by captures, COW faults paid, restore pages-diverged,
 	// peak unique checkpoint bytes; mem.Stats.Add is the merge rule).
-	// Nil for cells that never capture or restore images, so existing
-	// metrics keep their pre-COW JSON shape.
+	// Nil for cells that never capture images, so existing metrics keep
+	// their pre-COW JSON shape.
 	COW *mem.Stats `json:"cow,omitempty"`
 	// Err records the cell's failure, if any.
 	Err string `json:"error,omitempty"`
@@ -103,9 +103,9 @@ func (m *CellMetrics) AddEngine(st sim.Stats) {
 }
 
 // AddCOW folds copy-on-write checkpoint counters into the record.
-// Called by cell bodies that capture, clone or restore memory images
-// (torture cells fold their warm system's and shared prefix's
-// counters; the gauge field CheckpointBytes merges by maximum).
+// Called by cell bodies that capture memory images (torture cells fold
+// their capture run's counters; the gauge field CheckpointBytes merges
+// by maximum).
 func (m *CellMetrics) AddCOW(st mem.Stats) {
 	if st == (mem.Stats{}) {
 		return
