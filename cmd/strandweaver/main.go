@@ -152,6 +152,9 @@ func validate(o options) error {
 	if o.threads <= 0 {
 		return fmt.Errorf("-threads must be positive (got %d)", o.threads)
 	}
+	if o.threads > sw.MaxCores {
+		return fmt.Errorf("-threads must be at most %d, the simulated machine's core limit (got %d)", sw.MaxCores, o.threads)
+	}
 	if o.ops <= 0 {
 		return fmt.Errorf("-ops must be positive (got %d)", o.ops)
 	}
@@ -538,7 +541,10 @@ func runLitmus() error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", pr.name, err)
 		}
-		allowed := sw.AllowedStates(pr.p)
+		allowed, err := sw.AllowedStates(pr.p)
+		if err != nil {
+			return fmt.Errorf("%s: %w", pr.name, err)
+		}
 		fmt.Printf("  %-44s %4d crash points, %d observed states, all within the %d model-allowed states: OK\n",
 			pr.name, res.CrashPoints, len(res.States), len(allowed))
 	}

@@ -45,6 +45,18 @@ func TestValidateRejectsNonPositiveCounts(t *testing.T) {
 	}
 }
 
+// TestThreadsFlagLimit: -threads past the simulated machine's core
+// limit fails validation with an error naming the limit.
+func TestThreadsFlagLimit(t *testing.T) {
+	if err := validate(parse(t, "experiments", "-threads", "64")); err != nil {
+		t.Errorf("-threads 64 rejected: %v", err)
+	}
+	err := validate(parse(t, "experiments", "-threads", "65", "-ops", "3", "-benchmarks", "queue", "-design", "intel-x86,strandweaver"))
+	if err == nil || !strings.Contains(err.Error(), "at most 64") {
+		t.Errorf("-threads 65: error = %v, want one naming the 64-core limit", err)
+	}
+}
+
 func TestValidateRejectsUnknownBenchmark(t *testing.T) {
 	err := validate(parse(t, "torture", "-benchmarks", "queue,nosuch"))
 	if err == nil {

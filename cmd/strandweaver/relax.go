@@ -3,12 +3,12 @@ package main
 // The relax command runs the search-based auto-relaxation optimizer
 // (internal/relax) over the undo- and redo-log recipe streams of every
 // hardware design: each program is rewritten to minimal strand
-// annotations, with every rewrite step proved against the exact
-// crash-cut oracle. It prints the per-subject relaxation logs plus a
-// summary table, and with -gate exits non-zero unless the optimizer
-// rediscovers the strand recipe from the Intel undo baseline (at most
-// one stalling barrier, at most the hand-written recipe's 21 must
-// edges).
+// annotations, with every rewrite step proved against the crash cuts
+// the formal model allows. It prints the per-subject relaxation logs
+// plus a summary table, and with -gate exits non-zero unless the
+// optimizer rediscovers the strand recipe from the Intel undo baseline
+// (at most one stalling barrier, at most the hand-written recipe's 21
+// must edges).
 //
 // Like lint, this command reaches under the facade: the optimizer's
 // inputs (ordering plans, emit-for-analysis streams) are internal

@@ -65,7 +65,10 @@ func main() {
 	for _, s := range shapes {
 		fmt.Printf("== %s ==\n   %s\n", s.name, s.descr)
 
-		allowed := sw.AllowedStates(s.program)
+		allowed, err := sw.AllowedStates(s.program)
+		if err != nil {
+			log.Fatalf("model: %v", err)
+		}
 		keys := make([]string, 0, len(allowed))
 		for k := range allowed {
 			keys = append(keys, k)

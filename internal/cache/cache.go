@@ -61,7 +61,8 @@ type dirEntry struct {
 	owner int
 	// ownerDirty reports whether the owner's copy is dirty.
 	ownerDirty bool
-	// sharers is a bitmask of cores holding the line in S state.
+	// sharers is a bitmask of cores holding the line in S state, one
+	// bit per core: config.MaxCores bounds the core count to fit it.
 	sharers uint64
 }
 

@@ -6,9 +6,14 @@ package config
 
 import "fmt"
 
+// MaxCores is the largest core count a machine can have: the coherence
+// directory keeps each line's sharers as one bit per core in a uint64.
+const MaxCores = 64
+
 // Config describes one simulated machine.
 type Config struct {
-	// Cores is the number of simulated cores / hardware threads.
+	// Cores is the number of simulated cores / hardware threads, at
+	// most MaxCores.
 	Cores int
 
 	// StoreQueueEntries is the per-core store queue capacity (Table I:
@@ -139,6 +144,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Cores <= 0:
 		return errf("Cores must be positive, got %d", c.Cores)
+	case c.Cores > MaxCores:
+		return errf("Cores must be at most %d (the coherence directory's sharer set is a 64-bit mask), got %d", MaxCores, c.Cores)
 	case c.StoreQueueEntries <= 0:
 		return errf("StoreQueueEntries must be positive, got %d", c.StoreQueueEntries)
 	case c.PersistQueueEntries <= 0:

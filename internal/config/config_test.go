@@ -1,6 +1,9 @@
 package config
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestDefaultIsValid(t *testing.T) {
 	if err := Default().Validate(); err != nil {
@@ -52,9 +55,25 @@ func TestPMControllersValidation(t *testing.T) {
 	}
 }
 
+// TestCoresLimit: the directory's sharer set has one bit per core, so
+// 64 cores is the largest machine, and the error names the limit.
+func TestCoresLimit(t *testing.T) {
+	c := Default()
+	c.Cores = MaxCores
+	if err := c.Validate(); err != nil {
+		t.Errorf("Cores=%d rejected: %v", MaxCores, err)
+	}
+	c.Cores = MaxCores + 1
+	err := c.Validate()
+	if err == nil || !strings.Contains(err.Error(), "at most 64") {
+		t.Errorf("Cores=%d: error = %v, want one naming the 64-core limit", c.Cores, err)
+	}
+}
+
 func TestValidateCatchesNonsense(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.Cores = 0 },
+		func(c *Config) { c.Cores = MaxCores + 1 },
 		func(c *Config) { c.StoreQueueEntries = -1 },
 		func(c *Config) { c.PersistQueueEntries = 0 },
 		func(c *Config) { c.StrandBuffers = 0 },

@@ -11,7 +11,7 @@ import (
 // way to the formal model's abstract program, with the stream's
 // declared persist-order requirements resolved onto stable store
 // ordinals. The optimizer searches rewrites of the abstract program
-// and proves each step against pmo.CutMasks — the same
+// and proves each step against the model's crash cuts — the same
 // lowering the static analyzer uses, so the two tools agree on what
 // the stream means.
 

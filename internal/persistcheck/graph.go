@@ -122,26 +122,37 @@ func buildGraph(threads [][]irOp, visOrdered bool) *graph {
 	return g
 }
 
+// count is the one census rule behind a Report's counters: an op
+// counts by its ordering role, and a barrier also by whether its
+// mnemonic stalls the core.
+func (fp *Footprint) count(kind pmo.Kind, src isa.OpKind) {
+	switch kind {
+	case pmo.KStore:
+		fp.Stores++
+	case pmo.KLoad:
+		fp.Loads++
+	default:
+		fp.Barriers++
+		if stalling(src) {
+			fp.StallBarriers++
+		}
+	}
+}
+
 // analyze runs the four finding passes over the IR.
 func analyze(name string, threads [][]irOp, requires []Requirement, visOrdered bool) (*Report, error) {
 	g := buildGraph(threads, visOrdered)
-	rep := &Report{Name: name, Threads: len(threads)}
+	fp := Footprint{MustEdges: g.order.Pairs()}
 	for _, ops := range threads {
 		for _, op := range ops {
-			switch op.kind {
-			case pmo.KStore:
-				rep.Stores++
-			case pmo.KLoad:
-				rep.Loads++
-			default:
-				rep.Barriers++
-				if stalling(op.src) {
-					rep.StallBarriers++
-				}
-			}
+			fp.count(op.kind, op.src)
 		}
 	}
-	rep.MustEdges = g.order.Pairs()
+	rep := &Report{
+		Name: name, Threads: len(threads),
+		Stores: fp.Stores, Loads: fp.Loads,
+		Barriers: fp.Barriers, StallBarriers: fp.StallBarriers, MustEdges: fp.MustEdges,
+	}
 
 	// Resolve requirement labels to store numbers up front.
 	labelStore := make(map[string]int)

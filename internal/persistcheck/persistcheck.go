@@ -300,6 +300,37 @@ func AnalyzeProgram(name string, p pmo.Program) *Report {
 	return rep
 }
 
+// Footprint is the part of a Report that needs no finding pass: the
+// op census and the size of the must-persist-before relation.
+type Footprint struct {
+	Stores, Loads int
+	// Barriers counts every ordering primitive; StallBarriers the ones
+	// that stall the core (see Report).
+	Barriers, StallBarriers int
+	// MustEdges is the number of store pairs in the must relation.
+	MustEdges int
+}
+
+// ProgramOrder returns an abstract program's must-persist-before
+// relation over its stores, numbered in (thread, ordinal) order, and
+// the footprint AnalyzeProgram reports for it. It runs one
+// pmo.Builder.MustOrder and the census, and none of the finding passes
+// (each of which closes the relation again per barrier), so it is the
+// cheap way to price and compare many rewrites of one program.
+func ProgramOrder(p pmo.Program) (*pmo.Relation, Footprint) {
+	order := pmo.NewBuilder(p).MustOrder(false, nil)
+	fp := Footprint{MustEdges: order.Pairs()}
+	for _, ops := range p {
+		for _, op := range ops {
+			// The ops fromProgram lowers, with their mnemonics.
+			if int(op.Kind) < len(srcOf) {
+				fp.count(op.Kind, srcOf[op.Kind])
+			}
+		}
+	}
+	return order, fp
+}
+
 // AnalyzeStream statically analyzes an ISA instruction stream with its
 // declared persist-order requirements. It returns an error only for
 // malformed inputs (a requirement naming a label the stream never

@@ -10,8 +10,10 @@ package pmo
 // Nodes are a program's memory events (stores and loads) numbered in
 // (thread, program order). Every relation is a Relation of bitset rows.
 // Eq. 1-2 come from one barrier-interval scan per thread, Eq. 3 adds
-// the same-location store edges, and Eq. 4 is a bitset Warshall
-// closure, through which loads relay order. Results are projected onto
+// the same-location store edges, and Eq. 4 is a bitset closure, through
+// which loads relay order: one forward pass for the must order, whose
+// edges all run forward in program order, and Warshall once an
+// interleaving adds cross-thread edges. Results are projected onto
 // the stores, numbered in (thread, ordinal) order: the StoreRef
 // numbering, so bit i of a cut mask is the same store in every rewrite
 // of a program.
@@ -27,13 +29,14 @@ import (
 // stores, so a program may have at most MaxMaskStores stores. Loads and
 // barriers add no visibility choices, so the interleavings walked are
 // those of the stores. The work grows with the number of allowed cuts,
-// which maxCuts bounds: 2^22 masks are 32 MiB, and every cut of a
+// which MaxCuts bounds: 2^22 masks are 32 MiB, and every cut of a
 // family is held at once to sort and deduplicate it. A program with 23
-// or more mutually unordered stores is past that cap.
+// or more mutually unordered stores is past that cap. Relation.Downsets
+// counts cuts exactly up to the same cap.
 const (
 	MaxMaskStores    = 64
 	maxInterleavings = 1 << 17
-	maxCuts          = 1 << 22
+	MaxCuts          = 1 << 22
 )
 
 // Relation is a binary relation over n elements stored as bitset rows:
@@ -67,6 +70,20 @@ func (r *Relation) Pairs() int {
 	return n
 }
 
+// SubsetOf reports whether every pair of r is a pair of s. Both must
+// be over the same elements.
+func (r *Relation) SubsetOf(s *Relation) bool {
+	if r.n != s.n {
+		panic(fmt.Sprintf("pmo: SubsetOf over %d and %d elements", r.n, s.n))
+	}
+	for i, w := range r.bits {
+		if w&^s.bits[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Close makes the relation transitive (Warshall over bitset rows): for
 // each k, every b after k inherits k's predecessors.
 func (r *Relation) Close() {
@@ -84,10 +101,47 @@ func (r *Relation) Close() {
 	}
 }
 
+// closeForward is Close for a relation whose every pair a -> b has
+// a < b, as the events of one thread in program order do: one pass in
+// element order, where each row inherits the already closed rows of
+// its direct predecessors. The predecessors are walked from the
+// highest down, and one whose row an inherited row already holds is
+// skipped, since its own row is inside that one; on a barrier-ordered
+// thread only the few maximal predecessors are walked.
+func (r *Relation) closeForward() {
+	direct := make([]uint64, r.words)
+	for b := 0; b < r.n; b++ {
+		rb := r.Row(b)
+		copy(direct, rb)
+		for w := len(direct) - 1; w >= 0; w-- {
+			for direct[w] != 0 {
+				hi := 63 - bits.LeadingZeros64(direct[w])
+				ra := r.Row(w<<6 + hi)
+				direct[w] &^= 1 << hi
+				for v := range ra {
+					rb[v] |= ra[v]
+					direct[v] &^= ra[v]
+				}
+			}
+		}
+	}
+}
+
 // addRange records a -> b for every a in [lo, hi).
 func (r *Relation) addRange(lo, hi, b int) {
-	for a := lo; a < hi; a++ {
-		r.Add(a, b)
+	if lo >= hi {
+		return
+	}
+	row := r.Row(b)
+	for w := lo >> 6; w <= (hi-1)>>6; w++ {
+		mask := ^uint64(0)
+		if w == lo>>6 {
+			mask &= ^uint64(0) << (lo & 63)
+		}
+		if w == (hi-1)>>6 {
+			mask &= ^uint64(0) >> (63 - (hi-1)&63)
+		}
+		row[w] |= mask
 	}
 }
 
@@ -112,7 +166,23 @@ type Builder struct {
 
 // NewBuilder numbers the program's memory events and stores.
 func NewBuilder(p Program) *Builder {
-	b := &Builder{p: p, base: make([]int, len(p))}
+	events, stores := 0, 0
+	for _, ops := range p {
+		for _, op := range ops {
+			switch op.Kind {
+			case KStore:
+				stores++
+				fallthrough
+			case KLoad:
+				events++
+			}
+		}
+	}
+	b := &Builder{
+		p: p, base: make([]int, len(p)),
+		storeOf: make([]int, 0, events), locOf: make([]int, 0, events),
+		stores: make([]StoreID, 0, stores), storeNode: make([]int, 0, stores),
+	}
 	for t, ops := range p {
 		b.base[t] = b.nodes
 		for i, op := range ops {
@@ -217,7 +287,7 @@ func (b *Builder) MustOrder(visOrdered bool, skip *OpPos) *Relation {
 		}
 		b.threadEdges(r, t, s, visOrdered)
 	}
-	r.Close()
+	r.closeForward()
 	return b.project(r)
 }
 
@@ -252,7 +322,7 @@ func (b *Builder) forEachCut(emit func(mask uint64, vis []int)) error {
 	r := NewRelation(b.nodes)
 	vis := make([]int, 0, len(b.stores)) // stores, visibility order
 	idx := make([]int, len(b.p))
-	budget := maxCuts
+	budget := MaxCuts
 	var downsets func(k int, mask uint64) bool
 	downsets = func(k int, mask uint64) bool {
 		if k == len(vis) {
@@ -287,7 +357,7 @@ func (b *Builder) forEachCut(emit func(mask uint64, vis []int)) error {
 		}
 		seen[string(key)] = true
 		if !downsets(0, 0) {
-			return fmt.Errorf("pmo: program has more than %d crash cuts to enumerate", maxCuts)
+			return fmt.Errorf("pmo: program has more than %d crash cuts to enumerate", MaxCuts)
 		}
 		return nil
 	}

@@ -5,12 +5,14 @@
 // post-crash PM state and crash cut a small multi-threaded program
 // allows. Within one interleaving the allowed crash cuts are exactly
 // the downsets of the store-projected PMO; CutMasks returns their union
-// over interleavings as sorted store masks. The static analyzer
-// (internal/persistcheck) takes its must-persist-before relation from
-// the same builder, the auto-relaxation optimizer (internal/relax)
-// proves every rewrite against CutMasks, and the timing simulator is
-// cross-validated against AllowedStates: any crash state the hardware
-// produces must be allowed here.
+// over interleavings as sorted store masks, and Relation.Downsets
+// counts the downsets of one order without listing them. The static
+// analyzer (internal/persistcheck) takes its must-persist-before
+// relation from the same builder; the auto-relaxation optimizer
+// (internal/relax) proves a one-thread rewrite by inclusion of that
+// relation and a multi-thread one against CutMasks; and the timing
+// simulator is cross-validated against AllowedStates: any crash state
+// the hardware produces must be allowed here.
 //
 // The model works at the abstraction of the paper's Figure 2: a "store"
 // is a persist (the flush is implicit), loads participate in ordering

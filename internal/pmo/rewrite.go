@@ -115,11 +115,17 @@ func (p Program) WithOp(t, i int, op Op) Program {
 // WithInsert returns a copy of the program with op inserted at (t, i);
 // i may equal the thread length (append).
 func (p Program) WithInsert(t, i int, op Op) Program {
-	q := p.Clone()
-	if t < 0 || t >= len(q) || i < 0 || i > len(q[t]) {
+	if t < 0 || t >= len(p) || i < 0 || i > len(p[t]) {
 		panic(fmt.Sprintf("pmo: WithInsert(%d, %d) out of range", t, i))
 	}
-	q[t] = append(q[t][:i], append([]Op{op}, q[t][i:]...)...)
+	q := make(Program, len(p))
+	for u, ops := range p {
+		if u != t {
+			q[u] = append([]Op(nil), ops...)
+		}
+	}
+	ops := make([]Op, 0, len(p[t])+1)
+	q[t] = append(append(append(ops, p[t][:i]...), op), p[t][i:]...)
 	return q
 }
 

@@ -9,12 +9,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"strandweaver/internal/backend"
-	"strandweaver/internal/hwdesign"
-	"strandweaver/internal/persistcheck"
-	"strandweaver/internal/redolog"
-	"strandweaver/internal/undolog"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the relax goldens under testdata/ from the current implementation")
@@ -25,22 +19,13 @@ var updateGolden = flag.Bool("update", false, "rewrite the relax goldens under t
 func recipeLogs(t *testing.T, pairs int) string {
 	t.Helper()
 	var b strings.Builder
-	for _, d := range hwdesign.All {
-		plan, err := backend.PlanFor(d)
+	for _, s := range recipeStreams(t, pairs) {
+		res, err := OptimizeStream(s)
 		if err != nil {
-			t.Fatalf("PlanFor(%s): %v", d, err)
+			t.Fatalf("%s: %v", s.Name, err)
 		}
-		for _, s := range []persistcheck.Stream{
-			undolog.AnalysisStream(d, plan, pairs),
-			redolog.AnalysisStream(d, plan, pairs),
-		} {
-			res, err := OptimizeStream(s)
-			if err != nil {
-				t.Fatalf("%s: %v", s.Name, err)
-			}
-			b.WriteString(res.String())
-			b.WriteByte('\n')
-		}
+		b.WriteString(res.String())
+		b.WriteByte('\n')
 	}
 	return b.String()
 }

@@ -5,8 +5,7 @@
 // (internal/persistcheck) opens — where persistcheck reports
 // over-ordering advisories and leaves the rewrite to a human, relax
 // applies the rewrites mechanically and proves every step against the
-// exact crash-cut oracle (pmo.CutMasks: every crash cut the paper's
-// Equations 1-4 allow, as sorted store masks).
+// crash cuts the paper's Equations 1-4 allow.
 //
 // The search is greedy first-improvement over a fixed transform
 // enumeration (docs/DETERMINISM.md):
@@ -20,14 +19,22 @@
 //  3. delete each remaining barrier;
 //  4. split strands: insert a NewStrand at each program position.
 //
-// A candidate is accepted only when (a) its allowed persist sets are
-// a superset of the current program's — a transform may only relax,
-// never forbid a crash state the model allowed — and (b) every
-// declared requirement still holds in the candidate's allowed sets,
-// and (c) the cost tuple (stalling barriers, must edges, barriers)
-// strictly decreases lexicographically. The cost order is
-// well-founded, so the search terminates; the accepted steps form the
-// relaxation log.
+// A candidate is accepted only when (a) the cost tuple (stalling
+// barriers, must edges, barriers) strictly decreases
+// lexicographically, (b) it allows every crash cut the current program
+// allows — a transform may only relax, never forbid a crash state the
+// model allowed — and (c) every declared requirement still holds in
+// every cut it allows. The cost order is well-founded, so the search
+// terminates; the accepted steps form the relaxation log.
+//
+// How (b) and (c) are proved depends on the stores, which no rewrite
+// changes. When they sit on at most one thread there is one visibility
+// order, and the allowed cuts are exactly the downsets of the closed
+// store order (persistcheck.ProgramOrder): (b) is order inclusion and
+// (c) one bit per requirement, with no limit on program size. When
+// they sit on several threads the gates compare pmo.CutMasks families,
+// which hold at most pmo.MaxMaskStores stores, 2^17 store
+// interleavings and pmo.MaxCuts cuts.
 //
 // Durability points are pinned: a stalling barrier labelled
 // persistcheck.DurableLabel, or one with no later persists in its
@@ -158,7 +165,8 @@ type Step struct {
 	EdgesRemoved       int `json:"edges_removed"`
 	// OracleSets counts the model-allowed crash cuts after the step;
 	// OracleDelta is the growth over the previous program (a
-	// relaxation only ever adds allowed cuts).
+	// relaxation only ever adds allowed cuts). Either is
+	// NotEnumerated (-1) when a count involved is past pmo.MaxCuts.
 	OracleSets  int `json:"oracle_sets"`
 	OracleDelta int `json:"oracle_delta"`
 }
@@ -169,7 +177,8 @@ type Summary struct {
 	Barriers      int `json:"barriers"`
 	StallBarriers int `json:"stall_barriers"`
 	MustEdges     int `json:"must_edges"`
-	// OracleSets counts the model-allowed crash cuts.
+	// OracleSets counts the model-allowed crash cuts, or is
+	// NotEnumerated (-1) past pmo.MaxCuts.
 	OracleSets int `json:"oracle_sets"`
 }
 
@@ -196,68 +205,36 @@ type Result struct {
 // lexicographic cost order already guarantees termination.
 const maxSteps = 1024
 
-// oracle is one program's allowed crash cuts: pmo.CutMasks, sorted
-// store masks in (thread, ordinal) numbering. Every rewrite keeps the
-// stores, so a bit names the same store in every program of a run.
-type oracle []uint64
+// NotEnumerated is the OracleSets of a program whose allowed cuts
+// outnumber pmo.MaxCuts, and the OracleDelta of a step either side of
+// which is past that cap: the count was not enumerated.
+const NotEnumerated = -1
 
-func enumerate(p pmo.Program) (oracle, error) { return pmo.CutMasks(p) }
-
-// covers reports whether o allows every cut of sub: a merge of the two
-// sorted families.
-func (o oracle) covers(sub oracle) bool {
-	i := 0
-	for _, m := range sub {
-		for i < len(o) && o[i] < m {
-			i++
-		}
-		if i == len(o) || o[i] != m {
-			return false
-		}
-	}
-	return true
+// version is one program of a run with the evidence the gates read:
+// its must order over the stores ((thread, ordinal) numbering, so a
+// row or bit names the same store in every rewrite of the run), its
+// footprint, and on the mask route its allowed cuts.
+type version struct {
+	prog pmo.Program
+	must *pmo.Relation
+	fp   persistcheck.Footprint
+	cuts []uint64
 }
 
-// reqBit is a requirement resolved onto mask bits; ok is false when it
-// names a store the program does not have.
-type reqBit struct {
-	before, after uint64
-	ok            bool
-}
-
-func resolve(p pmo.Program, reqs []Requirement) []reqBit {
-	out := make([]reqBit, len(reqs))
-	for i, r := range reqs {
-		b, bok := pmo.MaskBit(p, r.Before)
-		a, aok := pmo.MaskBit(p, r.After)
-		out[i] = reqBit{before: 1 << b, after: 1 << a, ok: bok && aok}
-	}
-	return out
-}
-
-// violated returns the (input-order) indexes of requirements that some
-// allowed cut breaks: the cut contains After without Before.
-func violated(o oracle, reqs []reqBit) []int {
-	var out []int
-	for i, r := range reqs {
-		if !r.ok {
-			out = append(out, i)
-			continue
-		}
-		for _, m := range o {
-			if m&r.after != 0 && m&r.before == 0 {
-				out = append(out, i)
-				break
-			}
-		}
-	}
-	return out
+// measure prices a program: one persistcheck.ProgramOrder.
+func measure(p pmo.Program) *version {
+	must, fp := persistcheck.ProgramOrder(p)
+	return &version{prog: p, must: must, fp: fp}
 }
 
 // cost is the lexicographic objective: stalling barriers first (they
 // serialize the core), then must-persist-before edges (the ordering
 // the hardware must enforce), then total barriers (program size).
 type cost struct{ stalls, edges, barriers int }
+
+func (v *version) cost() cost {
+	return cost{stalls: v.fp.StallBarriers, edges: v.fp.MustEdges, barriers: v.fp.Barriers}
+}
 
 func (c cost) less(d cost) bool {
 	if c.stalls != d.stalls {
@@ -269,14 +246,128 @@ func (c cost) less(d cost) bool {
 	return c.barriers < d.barriers
 }
 
-// measure runs the static analyzer over the program for the step
-// metrics: the persist-order DAG's store-pair count and the barrier
-// census. For single-threaded programs the static relation is exact;
-// for multi-threaded ones it is the must projection — the oracle
-// acceptance test is always the exact enumeration either way.
-func measure(p pmo.Program) (*persistcheck.Report, cost) {
-	rep := persistcheck.AnalyzeProgram("relax", p)
-	return rep, cost{stalls: rep.StallBarriers, edges: rep.MustEdges, barriers: rep.Barriers}
+// reqPair is a requirement resolved onto store numbers; ok is false
+// when it names a store the program does not have.
+type reqPair struct {
+	before, after int
+	ok            bool
+}
+
+// oracle proves the rewrites of one run against the model's crash
+// cuts. Every rewrite keeps the stores, so the input program fixes the
+// route:
+//
+//   - Stores on at most one thread have one visibility order, and the
+//     allowed cuts are exactly the downsets of the closed store order.
+//     Then Cuts(Q) ⊇ Cuts(P) exactly when Q ⊆ P as relations, and
+//     every cut holding b holds a exactly when a = b or a <_Q b. Both
+//     gates are bitset tests on the must order the cost already needs,
+//     and no store, interleaving or cut limit applies.
+//   - Stores on several threads make the allowed cuts a union over
+//     interleavings, where order inclusion is sound but not complete.
+//     There the gates compare pmo.CutMasks families, within their
+//     limits.
+type oracle struct {
+	masks bool
+	// storeThread is the one thread with stores, on the order route.
+	storeThread int
+	reqs        []reqPair
+}
+
+func newOracle(p pmo.Program, reqs []Requirement) *oracle {
+	o := &oracle{reqs: make([]reqPair, len(reqs))}
+	threads := 0
+	for t, ops := range p {
+		for _, op := range ops {
+			if op.Kind == pmo.KStore {
+				threads++
+				o.storeThread = t
+				break
+			}
+		}
+	}
+	o.masks = threads > 1
+	for i, r := range reqs {
+		b, bok := pmo.MaskBit(p, r.Before)
+		a, aok := pmo.MaskBit(p, r.After)
+		o.reqs[i] = reqPair{before: b, after: a, ok: bok && aok}
+	}
+	return o
+}
+
+// enumerate lists v's allowed cuts on the mask route.
+func (o *oracle) enumerate(v *version) error {
+	if !o.masks {
+		return nil
+	}
+	cuts, err := pmo.CutMasks(v.prog)
+	v.cuts = cuts
+	return err
+}
+
+// relaxes reports whether cand allows every crash cut cur allows.
+func (o *oracle) relaxes(cur, cand *version) bool {
+	if !o.masks {
+		return cand.must.SubsetOf(cur.must)
+	}
+	// A merge of the two sorted families.
+	i := 0
+	for _, m := range cur.cuts {
+		for i < len(cand.cuts) && cand.cuts[i] < m {
+			i++
+		}
+		if i == len(cand.cuts) || cand.cuts[i] != m {
+			return false
+		}
+	}
+	return true
+}
+
+// holds reports whether every allowed cut of v that holds r.after
+// holds r.before.
+func (o *oracle) holds(v *version, r reqPair) bool {
+	if !o.masks {
+		return r.before == r.after || v.must.Has(r.before, r.after)
+	}
+	before, after := uint64(1)<<r.before, uint64(1)<<r.after
+	for _, m := range v.cuts {
+		if m&after != 0 && m&before == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// violated returns the (input-order) indexes of the requirements some
+// allowed cut of v breaks: the cut holds After without Before.
+func (o *oracle) violated(v *version) []int {
+	var out []int
+	for i, r := range o.reqs {
+		if !r.ok || !o.holds(v, r) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// sets counts v's allowed cuts, or returns NotEnumerated past
+// pmo.MaxCuts.
+func (o *oracle) sets(v *version) int {
+	if o.masks {
+		return len(v.cuts)
+	}
+	if n, ok := v.must.Downsets(); ok {
+		return n
+	}
+	return NotEnumerated
+}
+
+// growth is a step's OracleDelta.
+func growth(from, to int) int {
+	if from == NotEnumerated || to == NotEnumerated {
+		return NotEnumerated
+	}
+	return to - from
 }
 
 func isBarrier(k pmo.Kind) bool { return k == pmo.KPB || k == pmo.KNS || k == pmo.KJS }
@@ -365,28 +456,34 @@ func candidates(p pmo.Program, rep *persistcheck.Report) []candidate {
 	return out
 }
 
-func summary(p pmo.Program, rep *persistcheck.Report, o oracle) Summary {
+func summary(v *version, sets int) Summary {
 	ops := 0
-	for _, t := range p {
+	for _, t := range v.prog {
 		ops += len(t)
 	}
 	return Summary{
 		Ops:           ops,
-		Barriers:      rep.Barriers,
-		StallBarriers: rep.StallBarriers,
-		MustEdges:     rep.MustEdges,
-		OracleSets:    len(o),
+		Barriers:      v.fp.Barriers,
+		StallBarriers: v.fp.StallBarriers,
+		MustEdges:     v.fp.MustEdges,
+		OracleSets:    sets,
 	}
 }
 
 // Optimize searches for the minimal-ordering rewrite of the input
 // program whose allowed persist sets still satisfy every declared
 // requirement, proving each accepted step (and the final program)
-// against the exact crash-cut oracle. It returns an error for
-// malformed inputs (a requirement naming a store the program does not
-// have) and for programs past the oracle's limits (more than
-// pmo.MaxMaskStores stores, too many interleavings of its stores, or
-// too many allowed cuts); unsatisfiable requirements are a
+// against the model's crash cuts. Each candidate costs one
+// persistcheck.ProgramOrder; the full analyzer runs only on accepted
+// programs, whose findings rank the next step's candidates.
+//
+// A program with stores on at most one thread is proved by order
+// inclusion and has no size limit. One with stores on several threads
+// is proved on pmo.CutMasks and is held to its limits: at most
+// pmo.MaxMaskStores stores, 2^17 interleavings of its stores and
+// pmo.MaxCuts allowed cuts. Optimize returns an error for a program
+// past a limit and for a malformed input (a requirement naming a
+// store the program does not have); unsatisfiable requirements are a
 // Status, not an error.
 func Optimize(in Input) (*Result, error) {
 	for _, r := range in.Requires {
@@ -398,62 +495,62 @@ func Optimize(in Input) (*Result, error) {
 		}
 	}
 
-	cur := in.Program.Clone()
-	curOracle, err := enumerate(cur)
-	if err != nil {
+	o := newOracle(in.Program, in.Requires)
+	cur := measure(in.Program.Clone())
+	if err := o.enumerate(cur); err != nil {
 		return nil, fmt.Errorf("relax: %s: %w", in.Name, err)
 	}
-	reqs := resolve(cur, in.Requires)
-	curRep, curCost := measure(cur)
-	res := &Result{Name: in.Name, Initial: summary(cur, curRep, curOracle)}
+	curSets := o.sets(cur)
+	res := &Result{Name: in.Name, Initial: summary(cur, curSets)}
 
-	if bad := violated(curOracle, reqs); len(bad) > 0 {
+	if bad := o.violated(cur); len(bad) > 0 {
 		res.Status = StatusUnsatisfiable
 		res.Note = fmt.Sprintf("input violates %d of its %d declared requirements before any rewrite (first: %s); nothing sound to relax",
 			len(bad), len(in.Requires), in.Requires[bad[0]])
 		res.Final = res.Initial
-		res.Program = cur
-		res.Rendered = cur.String()
+		res.Program = cur.prog
+		res.Rendered = cur.prog.String()
 		return res, nil
 	}
 
+	curRep := persistcheck.AnalyzeProgram("relax", cur.prog)
 	for len(res.Steps) < maxSteps {
 		applied := false
-		for _, c := range candidates(cur, curRep) {
-			cand := c.apply(cur)
-			candRep, candCost := measure(cand)
-			if !candCost.less(curCost) {
+		for _, c := range candidates(cur.prog, curRep) {
+			cand := measure(c.apply(cur.prog))
+			if !cand.cost().less(cur.cost()) {
 				continue
 			}
-			candOracle, err := enumerate(cand)
-			if err != nil {
+			if err := o.enumerate(cand); err != nil {
 				return nil, fmt.Errorf("relax: %s: %w", in.Name, err)
 			}
 			// Soundness gate 1: a transform may only relax — every
 			// crash cut the model allowed must stay allowed.
-			if !candOracle.covers(curOracle) {
+			if !o.relaxes(cur, cand) {
 				continue
 			}
-			// Soundness gate 2: the exact oracle still excludes every
-			// crash cut a declared requirement forbids.
-			if len(violated(candOracle, reqs)) > 0 {
+			// Soundness gate 2: the candidate's cuts still exclude
+			// every crash cut a declared requirement forbids.
+			if len(o.violated(cand)) > 0 {
 				continue
 			}
+			sets := o.sets(cand)
 			res.Steps = append(res.Steps, Step{
 				Index:              len(res.Steps) + 1,
 				Kind:               c.kind,
 				Thread:             c.thread,
 				Pos:                c.at,
-				Op:                 c.render(cur),
-				Barriers:           candRep.Barriers,
-				StallBarriers:      candRep.StallBarriers,
-				MustEdges:          candRep.MustEdges,
-				BarriersEliminated: curRep.StallBarriers - candRep.StallBarriers,
-				EdgesRemoved:       curRep.MustEdges - candRep.MustEdges,
-				OracleSets:         len(candOracle),
-				OracleDelta:        len(candOracle) - len(curOracle),
+				Op:                 c.render(cur.prog),
+				Barriers:           cand.fp.Barriers,
+				StallBarriers:      cand.fp.StallBarriers,
+				MustEdges:          cand.fp.MustEdges,
+				BarriersEliminated: cur.fp.StallBarriers - cand.fp.StallBarriers,
+				EdgesRemoved:       cur.fp.MustEdges - cand.fp.MustEdges,
+				OracleSets:         sets,
+				OracleDelta:        growth(curSets, sets),
 			})
-			cur, curOracle, curRep, curCost = cand, candOracle, candRep, candCost
+			cur, curSets = cand, sets
+			curRep = persistcheck.AnalyzeProgram("relax", cur.prog)
 			applied = true
 			break
 		}
@@ -463,10 +560,10 @@ func Optimize(in Input) (*Result, error) {
 	}
 
 	res.Status = StatusOptimized
-	res.Final = summary(cur, curRep, curOracle)
-	res.Program = cur
-	res.Rendered = cur.String()
-	if err := Validate(in.Program, in.Requires, cur); err != nil {
+	res.Final = summary(cur, curSets)
+	res.Program = cur.prog
+	res.Rendered = cur.prog.String()
+	if err := Validate(in.Program, in.Requires, cur.prog); err != nil {
 		// Unreachable when the per-step gates hold; a failure here is
 		// an optimizer bug and must not be reported as a valid result.
 		return nil, fmt.Errorf("relax: %s: final validation failed: %w", in.Name, err)
@@ -476,31 +573,53 @@ func Optimize(in Input) (*Result, error) {
 }
 
 // Validate proves a rewritten program sound against its original: the
-// stores are unchanged, the rewritten program's allowed persist sets
-// are a superset of the original's (the rewrite only relaxed), and
-// every declared requirement still holds exactly. It is the
-// whole-run check Optimize runs over its own output, and the
-// conviction test for unsound external rewrites.
+// stores are unchanged, the rewritten program allows every crash cut
+// the original allows (the rewrite only relaxed), and every declared
+// requirement still holds exactly. It takes Optimize's route: order
+// inclusion when the stores sit on at most one thread, pmo.CutMasks
+// families within their limits otherwise. It is the whole-run check
+// Optimize runs over its own output, and the conviction test for
+// unsound external rewrites.
 func Validate(orig pmo.Program, reqs []Requirement, rewritten pmo.Program) error {
 	if !pmo.SameStores(orig, rewritten) {
 		return fmt.Errorf("rewritten program changes the stores; only barrier structure may differ")
 	}
-	origCuts, err := enumerate(orig)
-	if err != nil {
+	o := newOracle(orig, reqs)
+	before, after := measure(orig), measure(rewritten)
+	if err := o.enumerate(before); err != nil {
 		return err
 	}
-	o, err := enumerate(rewritten)
-	if err != nil {
+	if err := o.enumerate(after); err != nil {
 		return err
 	}
-	if !o.covers(origCuts) {
-		return fmt.Errorf("rewritten program forbids a crash cut the original allowed (%d sets vs %d): not a relaxation", len(o), len(origCuts))
+	if !o.relaxes(before, after) {
+		if o.masks {
+			return fmt.Errorf("rewritten program forbids a crash cut the original allowed (%d sets vs %d): not a relaxation",
+				len(after.cuts), len(before.cuts))
+		}
+		a, b := o.newPair(before, after)
+		return fmt.Errorf("rewritten program persists %s before %s, which the original leaves unordered, so it forbids a crash cut the original allowed: not a relaxation",
+			a, b)
 	}
-	if bad := violated(o, resolve(rewritten, reqs)); len(bad) > 0 {
+	if bad := o.violated(after); len(bad) > 0 {
 		return fmt.Errorf("rewritten program violates requirement %s: a model-allowed crash cut persists %s without %s",
 			reqs[bad[0]], reqs[bad[0]].After, reqs[bad[0]].Before)
 	}
 	return nil
+}
+
+// newPair names a store pair that after orders and before does not,
+// on the order route (both orders are over the stores of storeThread).
+func (o *oracle) newPair(before, after *version) (pmo.StoreRef, pmo.StoreRef) {
+	n := after.fp.Stores
+	for b := 0; b < n; b++ {
+		for a := 0; a < n; a++ {
+			if after.must.Has(a, b) && !before.must.Has(a, b) {
+				return pmo.StoreRef{Thread: o.storeThread, Ord: a}, pmo.StoreRef{Thread: o.storeThread, Ord: b}
+			}
+		}
+	}
+	panic("relax: newPair called on an included order")
 }
 
 // OptimizeStream lowers an analyzable ISA stream (a logging recipe's
@@ -516,9 +635,18 @@ func OptimizeStream(s persistcheck.Stream) (*Result, error) {
 			Note:   "persist order is visibility order (persist-at-visibility design); no ordering annotations to relax",
 		}, nil
 	}
-	prog, areqs, err := persistcheck.AbstractStream(s)
+	in, err := streamInput(s)
 	if err != nil {
 		return nil, err
+	}
+	return Optimize(in)
+}
+
+// streamInput lowers a stream to the optimizer's input.
+func streamInput(s persistcheck.Stream) (Input, error) {
+	prog, areqs, err := persistcheck.AbstractStream(s)
+	if err != nil {
+		return Input{}, err
 	}
 	reqs := make([]Requirement, len(areqs))
 	for i, r := range areqs {
@@ -528,5 +656,5 @@ func OptimizeStream(s persistcheck.Stream) (*Result, error) {
 			Reason: r.Reason,
 		}
 	}
-	return Optimize(Input{Name: s.Name, Program: prog, Requires: reqs})
+	return Input{Name: s.Name, Program: prog, Requires: reqs}, nil
 }

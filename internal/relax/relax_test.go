@@ -1,8 +1,10 @@
 package relax
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"strandweaver/internal/backend"
 	"strandweaver/internal/hwdesign"
@@ -280,8 +282,11 @@ func TestRelaxFindsStrandSplit(t *testing.T) {
 	}
 }
 
-// TestOptimizeLimitsAreErrors: programs beyond the crash-cut oracle's
-// limits come back as errors that name the limit, never as panics.
+// TestOptimizeLimitsAreErrors: programs beyond the crash-cut masks'
+// limits come back as errors that name the limit, never as panics. The
+// limits bind only programs with stores on several threads, which take
+// the mask route, so every case spreads its stores over two or three
+// threads; TestOneThreadHasNoLimits covers the one-thread programs.
 func TestOptimizeLimitsAreErrors(t *testing.T) {
 	// stores returns n stores to loc (or to distinct locations when
 	// loc < 0), each behind a NewStrand so no two are ordered.
@@ -301,9 +306,9 @@ func TestOptimizeLimitsAreErrors(t *testing.T) {
 		p    pmo.Program
 		want string
 	}{
-		{"65 stores", pmo.Program{stores(65, -1, 1)}, "limited to 64 stores"},
+		{"65 stores", pmo.Program{stores(64, -1, 1), {pmo.St(64, 65)}}, "limited to 64 stores"},
 		{"conflicting interleavings", pmo.Program{stores(8, 0, 1), stores(8, 0, 101), stores(8, 0, 201)}, "the cap is 131072"},
-		{"crash cuts", pmo.Program{stores(23, -1, 1)}, "more than 4194304 crash cuts"},
+		{"crash cuts", pmo.Program{stores(22, -1, 1), {pmo.St(22, 23)}}, "more than 4194304 crash cuts"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, err := Optimize(Input{Name: c.name, Program: c.p})
@@ -314,6 +319,41 @@ func TestOptimizeLimitsAreErrors(t *testing.T) {
 				t.Fatalf("Validate error = %v, want one containing %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestOneThreadHasNoLimits: a program with its stores on one thread is
+// proved by order inclusion, so the mask limits do not bind it. Past
+// the cap its cut count is recorded as not enumerated, and finding
+// that must not walk the cuts.
+func TestOneThreadHasNoLimits(t *testing.T) {
+	var wide []pmo.Op // 65 mutually unordered stores behind a JS chain
+	for i := 0; i < 65; i++ {
+		wide = append(wide, pmo.JS(), pmo.St(i, uint64(i+1)), pmo.NS())
+	}
+	// A load-only second thread does not add a store interleaving.
+	p := pmo.Program{wide, {pmo.Ld(0), pmo.JS(), pmo.Ld(1)}}
+	start := time.Now()
+	res, err := Optimize(Input{Name: "wide", Program: p})
+	if err != nil {
+		t.Fatalf("Optimize: %v", err)
+	}
+	if res.Status != StatusOptimized || !res.Validated {
+		t.Fatalf("status %s, validated %v\n%s", res.Status, res.Validated, res)
+	}
+	// The load thread's JS has no later stores, so it is pinned.
+	if res.Final.OracleSets != NotEnumerated || res.Final.StallBarriers != 1 {
+		t.Errorf("final oracle sets %d and stalls %d, want not enumerated and 1\n%s",
+			res.Final.OracleSets, res.Final.StallBarriers, res)
+	}
+	if !strings.Contains(res.String(), "oracle-sets=>4194304") {
+		t.Errorf("log does not mark the count as past the cap:\n%s", res)
+	}
+	if err := Validate(p, nil, res.Program); err != nil {
+		t.Errorf("Validate: %v", err)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("relaxing 65 stores took %v: the count walked the cuts", d)
 	}
 }
 
@@ -332,23 +372,19 @@ func BenchmarkOptimizeIntelUndo(b *testing.B) {
 }
 
 // BenchmarkOptimizeAllSubjects optimizes the undo and redo recipes of
-// every design at four pairs: the benchmark's relax pass.
+// every design at four pairs (the benchmark's relax pass) and at eight.
 func BenchmarkOptimizeAllSubjects(b *testing.B) {
-	var streams []persistcheck.Stream
-	for _, d := range hwdesign.All {
-		plan, err := backend.PlanFor(d)
-		if err != nil {
-			b.Fatal(err)
-		}
-		streams = append(streams, undolog.AnalysisStream(d, plan, 4), redolog.AnalysisStream(d, plan, 4))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, s := range streams {
-			if _, err := OptimizeStream(s); err != nil {
-				b.Fatal(err)
+	for _, pairs := range []int{4, 8} {
+		streams := recipeStreams(b, pairs)
+		b.Run(fmt.Sprintf("pairs%d", pairs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, s := range streams {
+					if _, err := OptimizeStream(s); err != nil {
+						b.Fatal(err)
+					}
+				}
 			}
-		}
+		})
 	}
 }

@@ -8,7 +8,18 @@ package relax
 import (
 	"fmt"
 	"strings"
+
+	"strandweaver/internal/pmo"
 )
+
+// setsText renders an oracle-set count: ">4194304" when it was past
+// the cap and not enumerated.
+func setsText(n int) string {
+	if n == NotEnumerated {
+		return fmt.Sprintf(">%d", pmo.MaxCuts)
+	}
+	return fmt.Sprint(n)
+}
 
 // String renders the relaxation log: header, initial footprint, one
 // line per accepted step with its oracle-set delta, final footprint,
@@ -22,16 +33,20 @@ func (r *Result) String() string {
 	if r.Status == StatusVisibilityOrdered {
 		return b.String()
 	}
-	fmt.Fprintf(&b, "  initial: ops=%d barriers=%d stalls=%d must-edges=%d oracle-sets=%d\n",
-		r.Initial.Ops, r.Initial.Barriers, r.Initial.StallBarriers, r.Initial.MustEdges, r.Initial.OracleSets)
+	fmt.Fprintf(&b, "  initial: ops=%d barriers=%d stalls=%d must-edges=%d oracle-sets=%s\n",
+		r.Initial.Ops, r.Initial.Barriers, r.Initial.StallBarriers, r.Initial.MustEdges, setsText(r.Initial.OracleSets))
 	for _, s := range r.Steps {
-		fmt.Fprintf(&b, "  step %d: %s t%d@%d %s -> stalls=%d must-edges=%d barriers=%d (eliminated=%d edges-removed=%d oracle-sets=%d delta=%+d)\n",
+		delta := "n/a"
+		if s.OracleDelta != NotEnumerated {
+			delta = fmt.Sprintf("%+d", s.OracleDelta)
+		}
+		fmt.Fprintf(&b, "  step %d: %s t%d@%d %s -> stalls=%d must-edges=%d barriers=%d (eliminated=%d edges-removed=%d oracle-sets=%s delta=%s)\n",
 			s.Index, s.Kind, s.Thread, s.Pos, s.Op,
 			s.StallBarriers, s.MustEdges, s.Barriers,
-			s.BarriersEliminated, s.EdgesRemoved, s.OracleSets, s.OracleDelta)
+			s.BarriersEliminated, s.EdgesRemoved, setsText(s.OracleSets), delta)
 	}
-	fmt.Fprintf(&b, "  final: ops=%d barriers=%d stalls=%d must-edges=%d oracle-sets=%d",
-		r.Final.Ops, r.Final.Barriers, r.Final.StallBarriers, r.Final.MustEdges, r.Final.OracleSets)
+	fmt.Fprintf(&b, "  final: ops=%d barriers=%d stalls=%d must-edges=%d oracle-sets=%s",
+		r.Final.Ops, r.Final.Barriers, r.Final.StallBarriers, r.Final.MustEdges, setsText(r.Final.OracleSets))
 	if r.Status == StatusOptimized {
 		fmt.Fprintf(&b, " (stalls -%d, must-edges -%d, steps %d",
 			r.Initial.StallBarriers-r.Final.StallBarriers,

@@ -89,6 +89,12 @@ type Options struct {
 	// order, instead of stopping at the lowest-index failure. Healthy
 	// cells' results are byte-identical either way.
 	KeepGoing bool
+
+	// cellDone, when non-nil, runs on the worker right after it has
+	// recorded cell i's outcome, so after a failure of cell i has
+	// stopped further claims. Tests use it to order cells against
+	// that point.
+	cellDone func(i int)
 }
 
 // workers resolves the pool size.
@@ -142,6 +148,9 @@ func Run[T any](o Options, cells []Cell[T]) ([]T, error) {
 		for i := range cells {
 			runCell(cells[i], i, &metrics[i], &results[i], &errs[i])
 			ran[i] = true
+			if o.cellDone != nil {
+				o.cellDone(i)
+			}
 			if errs[i] != nil && !o.KeepGoing {
 				break
 			}
@@ -179,6 +188,9 @@ func Run[T any](o Options, cells []Cell[T]) ([]T, error) {
 						mu.Lock()
 						failed = true
 						mu.Unlock()
+					}
+					if o.cellDone != nil {
+						o.cellDone(i)
 					}
 				}
 			}(w)

@@ -97,7 +97,24 @@ func TestErrorStopsClaimingNewCells(t *testing.T) {
 	cells[0].Run = func(m *CellMetrics) (int, error) {
 		return 0, errors.New("boom")
 	}
-	if _, err := Run(Options{Parallel: 4}, cells); err == nil {
+	// Every later cell waits until cell 0's failure is recorded. Without
+	// the wait, a worker descheduled between claiming cell 0 and
+	// recording its failure lets the other three workers drain all 99
+	// trivial cells first.
+	cell0Done := make(chan struct{})
+	for i := 1; i < len(cells); i++ {
+		run := cells[i].Run
+		cells[i].Run = func(m *CellMetrics) (int, error) {
+			<-cell0Done
+			return run(m)
+		}
+	}
+	o := Options{Parallel: 4, cellDone: func(i int) {
+		if i == 0 {
+			close(cell0Done)
+		}
+	}}
+	if _, err := Run(o, cells); err == nil {
 		t.Fatal("no error")
 	}
 	// Workers may each have claimed one cell before observing the

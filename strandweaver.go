@@ -76,6 +76,9 @@ type Config = config.Config
 // DefaultConfig returns the paper's Table I configuration.
 func DefaultConfig() Config { return config.Default() }
 
+// MaxCores is the largest simulated core count a Config may ask for.
+const MaxCores = config.MaxCores
+
 // Design selects the persist-ordering hardware.
 type Design = hwdesign.Design
 
@@ -341,11 +344,24 @@ var (
 )
 
 // AllowedStates enumerates every crash state the strand persistency
-// model (Equations 1-4) allows for the program.
-func AllowedStates(p LitmusProgram) map[string]LitmusState { return pmo.AllowedStates(p) }
+// model (Equations 1-4) allows for the program, keyed by
+// LitmusState.Key. A program past the enumeration's limits (more than
+// 64 stores, more than 2^17 interleavings of its stores or more than
+// 2^22 allowed crash cuts) is an error naming the limit.
+func AllowedStates(p LitmusProgram) (map[string]LitmusState, error) {
+	return pmo.NewBuilder(p).States()
+}
 
-// StateAllowed reports whether the model allows the state.
-func StateAllowed(p LitmusProgram, s LitmusState) bool { return pmo.Allowed(p, s) }
+// StateAllowed reports whether the model allows the state. It returns
+// AllowedStates' error for a program past the limits.
+func StateAllowed(p LitmusProgram, s LitmusState) (bool, error) {
+	states, err := AllowedStates(p)
+	if err != nil {
+		return false, err
+	}
+	_, ok := states[s.Key()]
+	return ok, nil
+}
 
 // LitmusCheckResult summarises a hardware-vs-model cross-validation.
 type LitmusCheckResult = litmus.Result
@@ -433,9 +449,11 @@ const (
 // strand annotations: it greedily demotes, deletes, and strand-splits
 // barriers, accepting only rewrites whose allowed crash cuts are a
 // superset of the original's and still satisfy every requirement —
-// each step proved against the exact crash-cut oracle. Programs past
-// the oracle's limits (more than 64 stores, among others) return an
-// error naming the limit.
+// each step proved against the model's crash cuts. A program with its
+// stores on one thread is proved by order inclusion and has no size
+// limit; one with stores on several threads is proved against the
+// enumerated cut masks, and past their limits (more than 64 stores,
+// among others) returns an error naming the limit.
 func RelaxLitmusProgram(name string, p LitmusProgram, reqs []RelaxRequirement) (*RelaxResult, error) {
 	return relax.Optimize(relax.Input{Name: name, Program: p, Requires: reqs})
 }

@@ -81,12 +81,15 @@ func TestPublicAPIStructures(t *testing.T) {
 
 func TestPublicAPILitmus(t *testing.T) {
 	p := sw.LitmusProgram{{sw.LSt(0, 1), sw.LPB(), sw.LSt(1, 1)}}
-	states := sw.AllowedStates(p)
+	states, err := sw.AllowedStates(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(states) != 3 {
 		t.Errorf("PB pair allows %d states, want 3", len(states))
 	}
-	if sw.StateAllowed(p, sw.LitmusState{1: 1}) {
-		t.Error("B-without-A allowed despite barrier")
+	if ok, err := sw.StateAllowed(p, sw.LitmusState{1: 1}); err != nil || ok {
+		t.Errorf("B-without-A: allowed %v, error %v; want forbidden by the barrier", ok, err)
 	}
 	res, err := sw.CheckLitmus(p, 32)
 	if err != nil {
@@ -107,11 +110,29 @@ func TestPublicAPILitmus(t *testing.T) {
 	}
 }
 
-// TestPublicAPIRelaxLimit: a program past the crash-cut oracle's
-// 64-store limit is an error, not a panic.
-func TestPublicAPIRelaxLimit(t *testing.T) {
+// TestPublicAPIAllowedStatesLimit: the crash-state enumeration of a
+// program past its 64-store limit is an error naming the limit, not a
+// panic.
+func TestPublicAPIAllowedStatesLimit(t *testing.T) {
 	p := sw.LitmusProgram{nil}
 	for i := 0; i < 65; i++ {
+		p[0] = append(p[0], sw.LSt(i, uint64(i+1)))
+	}
+	if _, err := sw.AllowedStates(p); err == nil || !strings.Contains(err.Error(), "limited to 64 stores") {
+		t.Errorf("AllowedStates error = %v, want the 64-store limit", err)
+	}
+	if _, err := sw.StateAllowed(p, sw.LitmusState{}); err == nil || !strings.Contains(err.Error(), "limited to 64 stores") {
+		t.Errorf("StateAllowed error = %v, want the 64-store limit", err)
+	}
+}
+
+// TestPublicAPIRelaxLimit: a program past the crash-cut masks' 64-store
+// limit is an error, not a panic. The limit binds programs with stores
+// on several threads; one-thread programs are proved by order
+// inclusion.
+func TestPublicAPIRelaxLimit(t *testing.T) {
+	p := sw.LitmusProgram{nil, {sw.LSt(64, 65)}}
+	for i := 0; i < 64; i++ {
 		p[0] = append(p[0], sw.LSt(i, uint64(i+1)))
 	}
 	if _, err := sw.RelaxLitmusProgram("big", p, nil); err == nil || !strings.Contains(err.Error(), "64") {
