@@ -18,6 +18,7 @@ import (
 	"strandweaver/internal/hwdesign"
 	"strandweaver/internal/isa"
 	"strandweaver/internal/mem"
+	"strandweaver/internal/pmem"
 	"strandweaver/internal/sim"
 	"strandweaver/internal/strand"
 )
@@ -174,6 +175,9 @@ type Deps struct {
 	L1 *cache.L1
 	// Mem is the functional memory pair (volatile + persistent images).
 	Mem *mem.Machine
+	// PM is the persistence boundary; a design that persists at
+	// visibility writes through it (Topology.PersistVisible).
+	PM *pmem.Topology
 	// Tracker exposes the core's store queue to persist hardware that
 	// must order against undrained stores.
 	Tracker strand.StoreTracker

@@ -5,6 +5,7 @@ import (
 	"strandweaver/internal/hwdesign"
 	"strandweaver/internal/isa"
 	"strandweaver/internal/mem"
+	"strandweaver/internal/pmem"
 )
 
 func init() {
@@ -34,7 +35,7 @@ func init() {
 // Backend in one file, call register from init, and add the name to
 // hwdesign.
 type eadrBackend struct {
-	m *mem.Machine
+	pm *pmem.Topology
 
 	clwbsElided    uint64
 	barriersElided uint64
@@ -48,7 +49,7 @@ func newEADR(d Deps) Backend {
 	// durability action at all, so tell the functional memory to ignore
 	// them.
 	d.Mem.SetPersistAtVisibility(true)
-	return &eadrBackend{m: d.Mem}
+	return &eadrBackend{pm: d.PM}
 }
 
 func (b *eadrBackend) Design() hwdesign.Design { return hwdesign.EADR }
@@ -69,19 +70,14 @@ func (b *eadrBackend) Barrier(h Host, k isa.OpKind) error {
 }
 
 // OnStoreVisible is the persistence point: the visible bytes land in
-// the persistent image immediately.
+// the persistent image immediately, through the persistence boundary
+// so a crash-cut log records them in order with the controllers'
+// acceptances (an acceptance copies the line's old contents).
 func (b *eadrBackend) OnStoreVisible(addr mem.Addr, value uint64, size uint8) {
 	if !mem.IsPM(addr) {
 		return
 	}
-	switch size {
-	case 8:
-		b.m.Persistent.Write64(addr, value)
-	case 4:
-		b.m.Persistent.Write32(addr, uint32(value))
-	case 1:
-		b.m.Persistent.SetByte(addr, byte(value))
-	}
+	b.pm.PersistVisible(addr, value, size)
 	b.wordsPersisted++
 }
 

@@ -180,6 +180,7 @@ func NewCore(id int, eng *sim.Engine, cfg config.Config, design hwdesign.Design,
 		Cfg:     cfg,
 		L1:      l1,
 		Mem:     machine,
+		PM:      pm,
 		Tracker: c.sq,
 		Kick:    c.kick,
 	})

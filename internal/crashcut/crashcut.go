@@ -4,15 +4,18 @@
 //
 // A crash cut needs the crash-free run's length (cuts are placed
 // relative to it) and the machine state at the cut. Cache memoises
-// both. Per run key it runs the crash-free (discovery) run once, and it
-// serves each (key, cut) from a stored checkpoint, capturing every
-// missing cut of a request in one capture run: snapshot events
-// scheduled pre-spawn at each cut, then an abandon after the last one.
-// A capture event fires at the position a cold run's Abandon would
-// (pre-spawn harness events take the lowest sequence numbers of their
-// cycle) and perturbs no machine state, so a checkpoint answers every
-// post-crash query byte-identically to a cold run abandoned at the same
-// cut.
+// both. Per run key it simulates the crash-free (discovery) run once,
+// recording the PM controllers' log (pmem.Log) as it goes, and it
+// serves each (key, cut) from a stored checkpoint, producing every
+// missing cut of a request by one replay: the log entries before each
+// cut applied to a freshly built, never-run system of the key with a
+// fresh armed injector, then a snapshot. Under ADR the controller's
+// acceptance is the persistence point, so everything a cut reads — the
+// persistent image, the controllers' unaccepted and in-flight writes
+// and statistics, the injector's stream — is the controllers' own
+// history, and the replayed system stands exactly where a cold run
+// abandoned by a pre-spawn event at the cut stands. A checkpoint so
+// answers every post-crash query byte-identically to that cold run.
 // docs/SNAPSHOT.md states the argument; the package's tests hold the
 // cache to a cold re-simulation for every target.
 //
@@ -25,8 +28,10 @@
 package crashcut
 
 import (
+	"cmp"
 	"container/list"
 	"fmt"
+	"slices"
 	"sync"
 
 	"strandweaver/internal/faultinject"
@@ -44,12 +49,24 @@ import (
 // performance only: results are identical at any budget.
 const Budget = 256 << 20
 
+// LogBudget is the bytes a Cache's recorded run logs retain before
+// least-recently-used eviction; a later cut of a key whose log is gone
+// records it again with one more discovery run. A fuzz search's logs
+// are about 10 KB each and serve cut after cut, so about a hundred stay.
+// A torture subject's log is megabytes and serves one request (torture
+// asks for all of a run's cuts at once), so a log larger than the whole
+// budget serves its own request and is dropped. Logs are live heap, so
+// the budget is kept small next to the checkpoints'. Like Budget it
+// shapes performance only.
+const LogBudget = 1 << 20
+
 // Request is one crash-cut request: a run and the cuts wanted on it.
 type Request struct {
 	// Key names everything that reaches the simulated run: the target
 	// and its shape, the machine's PM controller count and the fault
 	// plan's run-visible part. Requests with equal keys must describe
-	// identical runs; they share the crash-free run and checkpoints.
+	// identical runs; they share the crash-free run, its log and
+	// checkpoints.
 	Key string
 	// Build returns a freshly constructed, un-run system and its workers.
 	Build func() (*machine.System, []machine.Worker, error)
@@ -65,7 +82,8 @@ type Request struct {
 }
 
 // Cut is one crash cut: the machine checkpoint at cycle At and the
-// armed injector's stream position there.
+// armed injector's stream position there. A replayed checkpoint's
+// engine state is its clock alone (Eng.Now = At, no counters).
 type Cut struct {
 	At sim.Cycle
 	CP *machine.Checkpoint
@@ -80,22 +98,23 @@ type Prefix struct {
 	Eng  sim.Stats
 	// Cuts holds one entry per requested cut, in request order.
 	Cuts []Cut
-	// Captured counts the cuts this request captured itself (the rest
-	// were served from the cache). COW is the capture run's
-	// copy-on-write cost, with CheckpointBytes set to the unique page
-	// bytes its checkpoints retain; zero when nothing was captured.
+	// Captured counts the cuts this request replayed itself (the rest
+	// were served from the cache). COW is the replay's copy-on-write
+	// cost, with CheckpointBytes set to the unique page bytes its
+	// checkpoints retain; zero when nothing was replayed.
 	Captured int
 	COW      mem.Stats
 }
 
-// Cache memoises crash-free runs and crash-cut checkpoints. Crash-free
-// results are kept for the cache's lifetime; checkpoints are bounded by
-// their unique page bytes (checkpoints are copy-on-write views that
-// share pages, so entry counts overstate the footprint; mem.PageRefs
-// counts each page once), least recently used evicted first. Safe for
-// concurrent use: requests for one key are serialised, so a key's
-// crash-free run and each of its cuts are simulated at most once while
-// they stay cached.
+// Cache memoises crash-free runs, their logs and crash-cut checkpoints.
+// Crash-free results are kept for the cache's lifetime. Checkpoints are
+// bounded by their unique page bytes (checkpoints are copy-on-write
+// views that share pages, so entry counts overstate the footprint;
+// mem.PageRefs counts each page once) and logs by their bytes, each
+// least recently used evicted first. Safe for concurrent use: requests
+// for one key are serialised, so a key is simulated once while its log
+// stays cached, and each of its cuts is replayed at most once while it
+// stays cached.
 type Cache struct {
 	mu     sync.Mutex
 	runs   map[string]*run
@@ -105,10 +124,15 @@ type Cache struct {
 	budget uint64
 	hits   uint64
 	misses uint64
+
+	logs      map[string]*list.Element
+	logLRU    *list.List // of *logSlot; front = most recently used
+	logBytes  uint64
+	logBudget uint64
 }
 
 // run is one key's crash-free result; mu serialises the key's
-// discovery and capture runs.
+// discovery runs and replays.
 type run struct {
 	mu   sync.Mutex
 	done bool
@@ -127,23 +151,32 @@ type lruEntry struct {
 	cut Cut
 }
 
-// NewCache returns an empty cache retaining up to Budget bytes.
-func NewCache() *Cache { return newCache(Budget) }
+type logSlot struct {
+	key string
+	log *pmem.Log
+}
 
-func newCache(budget uint64) *Cache {
+// NewCache returns an empty cache retaining up to Budget checkpoint
+// bytes and LogBudget log bytes.
+func NewCache() *Cache { return newCache(Budget, LogBudget) }
+
+func newCache(budget, logBudget uint64) *Cache {
 	return &Cache{
-		runs:   make(map[string]*run),
-		cps:    make(map[cutKey]*list.Element),
-		lru:    list.New(),
-		refs:   mem.NewPageRefs(),
-		budget: budget,
+		runs:      make(map[string]*run),
+		cps:       make(map[cutKey]*list.Element),
+		lru:       list.New(),
+		refs:      mem.NewPageRefs(),
+		budget:    budget,
+		logs:      make(map[string]*list.Element),
+		logLRU:    list.New(),
+		logBudget: logBudget,
 	}
 }
 
 // Get serves a request: the crash-free run's results (simulated on the
-// key's first request) and a checkpoint per requested cut, capturing
-// the missing ones in one run. A failed crash-free run is returned as
-// the error and not memoised.
+// key's first request) and a checkpoint per requested cut, replaying
+// the key's log for the missing ones. A failed crash-free run is
+// returned as the error and not memoised.
 func (c *Cache) Get(r Request) (*Prefix, error) {
 	c.mu.Lock()
 	ru := c.runs[r.Key]
@@ -158,16 +191,12 @@ func (c *Cache) Get(r Request) (*Prefix, error) {
 	ru.mu.Lock()
 	defer ru.mu.Unlock()
 
+	var log *pmem.Log
 	if !ru.done {
-		sys, ws, _, err := r.start()
-		if err != nil {
+		var err error
+		if log, err = c.discover(r, ru); err != nil {
 			return nil, err
 		}
-		end, err := sys.Run(ws, r.Limit)
-		if err != nil {
-			return nil, fmt.Errorf("crash-free run: %w", err)
-		}
-		ru.done, ru.end, ru.ctrl, ru.eng = true, end, sys.PM.Stats(), sys.Eng.Stats()
 	}
 	p := &Prefix{End: ru.end, Ctrl: ru.ctrl, Eng: ru.eng}
 	ats := r.Cuts(ru.end)
@@ -185,11 +214,25 @@ func (c *Cache) Get(r Request) (*Prefix, error) {
 		c.lru.MoveToFront(el)
 		p.Cuts[i] = el.Value.(*lruEntry).cut
 	}
+	if log == nil && len(missing) > 0 {
+		if el := c.logs[r.Key]; el != nil {
+			c.logLRU.MoveToFront(el)
+			log = el.Value.(*logSlot).log
+		}
+	}
 	c.mu.Unlock()
-	if len(missing) > 0 {
-		if err := c.capture(r, p, ats, missing); err != nil {
+	if len(missing) == 0 {
+		return p, nil
+	}
+	if log == nil {
+		// The log was evicted: record it again.
+		var err error
+		if log, err = c.discover(r, ru); err != nil {
 			return nil, err
 		}
+	}
+	if err := c.replay(r, log, p, ats, missing); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -209,44 +252,73 @@ func (r Request) start() (*machine.System, []machine.Worker, *faultinject.Inject
 	return sys, ws, fi, nil
 }
 
-// capture runs the request's prefix once more, snapshotting the
-// machine and injector at every missing cut (pre-spawn, so each
-// snapshot fires where a cold run's Abandon would), abandons after the
-// last one, and stores the new checkpoints, evicting least recently
-// used ones past the budget (the most recent is always kept).
-func (c *Cache) capture(r Request, p *Prefix, ats []sim.Cycle, missing []int) error {
-	sys, ws, fi, err := r.start()
+// discover simulates the request's crash-free run, recording its log,
+// stores the run's results in ru and, when it fits the log budget, the
+// log in the cache (evicting least recently used logs past the
+// budget), and returns the log.
+func (c *Cache) discover(r Request, ru *run) (*pmem.Log, error) {
+	sys, ws, _, err := r.start()
+	if err != nil {
+		return nil, err
+	}
+	log := &pmem.Log{}
+	sys.PM.Record(log)
+	end, err := sys.Run(ws, r.Limit)
+	if err != nil {
+		return nil, fmt.Errorf("crash-free run: %w", err)
+	}
+	ru.done, ru.end, ru.ctrl, ru.eng = true, end, sys.PM.Stats(), sys.Eng.Stats()
+
+	// A key is recorded only while it has no kept log, and its
+	// discoveries are serialised, so the key has no slot here.
+	if log.Bytes() > c.logBudget {
+		return log, nil
+	}
+	log.Compact()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.logs[r.Key] = c.logLRU.PushFront(&logSlot{key: r.Key, log: log})
+	c.logBytes += log.Bytes()
+	for c.logBytes > c.logBudget {
+		back := c.logLRU.Back()
+		ev := back.Value.(*logSlot)
+		c.logLRU.Remove(back)
+		delete(c.logs, ev.key)
+		c.logBytes -= ev.log.Bytes()
+	}
+	return log, nil
+}
+
+// replay produces the missing cuts from the key's log: one freshly
+// built, never-run system with a fresh armed injector, the log replayed
+// up to each missing cut in cycle order and the system and injector
+// snapshotted there. It stores the new checkpoints, evicting least
+// recently used ones past the budget (the most recent is always kept).
+func (c *Cache) replay(r Request, log *pmem.Log, p *Prefix, ats []sim.Cycle, missing []int) error {
+	order := slices.Clone(missing)
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(ats[i], ats[j]) })
+	if last := order[len(order)-1]; r.Limit != 0 && ats[last] > r.Limit {
+		return fmt.Errorf("cut %d (cycle %d) is past the run's limit of %d cycles", last+1, ats[last], r.Limit)
+	}
+	sys, _, fi, err := r.start()
 	if err != nil {
 		return err
 	}
-	taken := map[sim.Cycle]*Cut{}
-	for _, i := range missing {
-		at := ats[i]
-		if taken[at] != nil {
+	rp := sys.PM.Replay(log)
+	for k, i := range order {
+		if k > 0 && ats[order[k-1]] == ats[i] {
+			p.Cuts[i] = p.Cuts[order[k-1]] // a repeated cut of this request
 			continue
 		}
-		cut := &Cut{At: at}
-		taken[at] = cut
-		sys.RunAt(at, func() {
-			cut.CP = sys.Snapshot()
-			cut.FI = fi.Snapshot()
-		})
-	}
-	sys.RunAt(ats[missing[len(missing)-1]], sys.Abandon)
-	_, _ = sys.Run(ws, r.Limit) // abandoned at the last cut: error expected
-
-	for _, i := range missing {
-		if taken[ats[i]].CP == nil {
-			return fmt.Errorf("capture run ended before cut %d (cycle %d)", i+1, ats[i])
-		}
-		p.Cuts[i] = *taken[ats[i]]
+		rp.To(ats[i])
+		p.Cuts[i] = Cut{At: ats[i], CP: sys.Snapshot(), FI: fi.Snapshot()}
 	}
 	p.Captured = len(missing)
 	p.COW = sys.Mem.CowStats()
 
 	// Store the new checkpoints, then evict. The bytes they add to the
-	// retained set are their own unique pages: a capture run's pages are
-	// fresh storage, shared with no other run's checkpoints.
+	// retained set are their own unique pages: a replay's pages are
+	// fresh storage, shared with no other replay's checkpoints.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	before := c.refs.UniqueBytes()
@@ -282,7 +354,7 @@ func CutInjector(p faultinject.Plan, at sim.Cycle) *faultinject.Injector {
 }
 
 // Stats reports per-cut checkpoint lookups served from the cache
-// (hits) and captured (misses). Counts depend on scheduling under
+// (hits) and replayed (misses). Counts depend on scheduling under
 // concurrent use; results never do.
 func (c *Cache) Stats() (hits, misses uint64) {
 	c.mu.Lock()

@@ -32,6 +32,8 @@
 package faultinject
 
 import (
+	"strconv"
+
 	"strandweaver/internal/machine"
 	"strandweaver/internal/mem"
 	"strandweaver/internal/pmem"
@@ -79,6 +81,27 @@ func (p Plan) RunVisible() Plan {
 	}
 	return Plan{Seed: p.Seed, MediaFaultProb: p.MediaFaultProb,
 		MediaDelayProb: p.MediaDelayProb, MediaDelayCycles: p.MediaDelayCycles}
+}
+
+// RunKey names RunVisible as a string: two plans' keys are equal
+// exactly when their run-visible parts are (for plans without NaN
+// probabilities, which equal nothing). It is the plan's part of the
+// crash-cut run keys the torture sweep and the fuzz search build.
+func (p Plan) RunKey() string { return string(p.AppendRunKey(nil)) }
+
+// AppendRunKey appends RunKey's text to b. Floats are written in their
+// shortest exact form ('g', -1), so distinct values never share a key;
+// adding 0 folds -0 into +0, which compare equal.
+func (p Plan) AppendRunKey(b []byte) []byte {
+	v := p.RunVisible()
+	b = append(b, "seed="...)
+	b = strconv.AppendUint(b, v.Seed, 10)
+	b = append(b, ",fault="...)
+	b = strconv.AppendFloat(b, v.MediaFaultProb+0, 'g', -1, 64)
+	b = append(b, ",delay="...)
+	b = strconv.AppendFloat(b, v.MediaDelayProb+0, 'g', -1, 64)
+	b = append(b, "x"...)
+	return strconv.AppendUint(b, v.MediaDelayCycles, 10)
 }
 
 // Stats counts injected faults.

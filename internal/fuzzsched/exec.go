@@ -2,6 +2,7 @@ package fuzzsched
 
 import (
 	"fmt"
+	"strconv"
 
 	"strandweaver/internal/crashcut"
 	"strandweaver/internal/faultinject"
@@ -78,8 +79,9 @@ func NewExecCache() *ExecCache { return crashcut.NewCache() }
 // arguments the target is built from, normalised as they are passed
 // (TargetRedolog takes neither Threads nor Mutant; a workload target
 // takes FaultSeed as its operation-mix seed), the controller count, and
-// the fault plan's run-visible part (faultinject.Plan.RunVisible), so
-// media-free plans share a run whatever their seed. Everything else —
+// the fault plan's run-visible part (faultinject.Plan.RunKey), so
+// media-free plans share a run whatever their seed. It is built by
+// appends: a cache-hit schedule builds one per Execute. Everything else —
 // CrashFrac, Torn, DropProbMilli, TearAccepted, RecoveryCut(2) — acts at
 // crash-image time or later, off the simulated machine. Mutation walks
 // those cheap knobs far more often than the expensive ones, so a search
@@ -91,23 +93,37 @@ func NewExecCache() *ExecCache { return crashcut.NewCache() }
 func buildTarget(g Genome, controllers int) (crashcut.Target, string, error) {
 	threads := max(g.Threads, 1)
 	ops := max(g.Ops, 1)
-	run := fmt.Sprintf("c%d|%+v", controllers, g.Plan().RunVisible())
+	key := append(make([]byte, 0, 96), g.Target...)
+	var t crashcut.Target
 	switch g.Target {
 	case TargetUndolog:
 		mutant := g.Mutant == MutantNoDataFlush
-		return crashcut.DirectUndolog(threads, ops, mutant, controllers),
-			fmt.Sprintf("%s|t%d|o%d|m%t|%s", g.Target, threads, ops, mutant, run), nil
+		t = crashcut.DirectUndolog(threads, ops, mutant, controllers)
+		key = appendField(key, "|t", uint64(threads))
+		key = appendField(key, "|o", uint64(ops))
+		key = strconv.AppendBool(append(key, "|m"...), mutant)
 	case TargetRedolog:
-		return crashcut.DirectRedolog(ops, controllers), fmt.Sprintf("%s|o%d|%s", g.Target, ops, run), nil
+		t = crashcut.DirectRedolog(ops, controllers)
+		key = appendField(key, "|o", uint64(ops))
 	default:
 		// A Table II data structure through the TXN runtime, with the
 		// genome's FaultSeed doubling as the operation-mix seed.
-		t, err := crashcut.Workload(g.Target, threads, ops, int64(g.FaultSeed), controllers)
-		if err != nil {
+		var err error
+		if t, err = crashcut.Workload(g.Target, threads, ops, int64(g.FaultSeed), controllers); err != nil {
 			return t, "", fmt.Errorf("fuzzsched: unknown target %q: %w", g.Target, err)
 		}
-		return t, fmt.Sprintf("%s|t%d|o%d|s%d|%s", g.Target, threads, ops, g.FaultSeed, run), nil
+		key = appendField(key, "|t", uint64(threads))
+		key = appendField(key, "|o", uint64(ops))
+		key = appendField(key, "|s", g.FaultSeed)
 	}
+	key = appendField(key, "|c", uint64(controllers))
+	key = g.Plan().AppendRunKey(append(key, '|'))
+	return t, string(key), nil
+}
+
+// appendField appends tag and v in decimal to b.
+func appendField(b []byte, tag string, v uint64) []byte {
+	return strconv.AppendUint(append(b, tag...), v, 10)
 }
 
 // Execute runs one schedule: a crash-free run to measure the

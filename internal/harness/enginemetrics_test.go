@@ -151,7 +151,7 @@ func TestCheckpointCountersReachCellMetrics(t *testing.T) {
 		t.Error("no cell reused a prefix built by another cell (media-free plans share one)")
 	}
 	// The COW checkpoint counters must reach the same side channel: the
-	// capture run freezes pages, and the building cell reports the
+	// replay's snapshots freeze pages, and the building cell reports the
 	// prefix's retained unique bytes.
 	if cow.PagesFrozen == 0 {
 		t.Error("no cell counted pages frozen by checkpoint captures")

@@ -163,9 +163,10 @@ func newResult(spec Spec, sys *machine.System, cycles uint64) *Result {
 // its crash-free run of end cycles (a cut at end+1 crashes the drained
 // final state), runs recovery on each crash image, and verifies the
 // workload's structural invariants. It is one crashcut request: the
-// crash-free run and one capture run, with every cut's crash image read
-// from its checkpoint. It returns the recovery reports in cut order,
-// stopping at the first failure.
+// crash-free run, which records the PM log, and one replay of that log
+// to every cut, with every cut's crash image read from its checkpoint.
+// It returns the recovery reports in cut order, stopping at the first
+// failure.
 func RunWithCrash(spec Spec, cuts func(end sim.Cycle) []sim.Cycle) ([]*undolog.Report, error) {
 	spec = spec.withDefaults()
 	// The instance Verify checks against; every build lays the workload

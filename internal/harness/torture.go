@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"strandweaver/internal/crashcut"
 	"strandweaver/internal/faultinject"
@@ -394,10 +395,10 @@ func redologSubject(o TortureOptions) subject {
 
 // cutCell sweeps crash cuts over one (subject, fault plan) pair. One
 // request to the sweep's crash-cut cache places o.Crashes cuts evenly
-// over the crash-free run — the first cell to ask captures them, every
-// other cell whose plan replays the same run (all media-free plans)
-// reuses them — and each cut's checkpoint is turned into a combo
-// outcome.
+// over the crash-free run — the first cell to ask simulates the run
+// and replays its PM log to every cut, every other cell whose plan
+// replays the same run (all media-free plans) reuses the checkpoints —
+// and each cut's checkpoint is turned into a combo outcome.
 func cutCell(o TortureOptions, cache *crashcut.Cache, s subject, pi int, plan faultinject.Plan, comboBase int) tortureCell {
 	return tortureCell{
 		cell: sweep.Cell[*tortureOutcome]{
@@ -427,7 +428,6 @@ func cutCell(o TortureOptions, cache *crashcut.Cache, s subject, pi int, plan fa
 					m.CheckpointHits++
 					combos[i] = comboAt(o, s, target, pi, plan, comboBase+i+1, cut)
 					m.AddRun(uint64(cut.At), combos[i].ctrl)
-					m.AddEngine(cut.CP.Eng.Stats)
 				}
 				return &tortureOutcome{combos: combos, redo: s.redo}, nil
 			},
@@ -444,7 +444,7 @@ func cutCell(o TortureOptions, cache *crashcut.Cache, s subject, pi int, plan fa
 // plan of a subject therefore shares one run regardless of seed, and
 // its injector snapshots (all-zero counters) are plan-independent.
 func planRunKey(o TortureOptions, plan faultinject.Plan) string {
-	return fmt.Sprintf("ctrl%d|%+v", o.Controllers, plan.RunVisible())
+	return "ctrl" + strconv.Itoa(o.Controllers) + "|" + plan.RunKey()
 }
 
 // comboAt turns a crash cut's checkpoint into the combo's outcome:

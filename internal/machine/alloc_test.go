@@ -2,6 +2,7 @@ package machine
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"strandweaver/internal/config"
@@ -33,9 +34,21 @@ func loopLine(cfg config.Config, i int) mem.Addr {
 // workerAllocs runs iteration warm times on core 0 of a fresh system,
 // then n more times, and returns the heap allocations per measured
 // iteration.
+//
+// The count is process-wide, so nothing else may allocate in the
+// window. The test runner's own goroutine is the one thing that did:
+// having started the test, it parks in T.Run waiting for it, and that
+// first park allocates a sudog. Under the race detector's randomized
+// scheduler it was sometimes delayed into the window (1 in about 30
+// fresh -race processes, always the first design). A collection first
+// lets every runnable goroutine reach its park while this one waits,
+// and holding the collector off keeps a cycle from starting (and
+// clearing the runtime's caches) mid-window.
 func workerAllocs(t *testing.T, d hwdesign.Design, warm, n int, iteration func(c *cpu.Core, i int)) float64 {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	s := MustNew(config.Default(), d)
 	if _, err := s.Run([]Worker{func(c *cpu.Core) {

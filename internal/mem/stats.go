@@ -10,8 +10,8 @@ type Stats struct {
 	// PagesFrozen counts owned pages whose storage became shared (and
 	// therefore immutable in place) by a Freeze or Clone capture. Only
 	// ownership transitions count: re-capturing an unchanged page is
-	// free and uncounted, so across a capture run this is the sum of
-	// inter-capture deltas, not captures x footprint.
+	// free and uncounted, so across one image's successive captures
+	// this is the sum of inter-capture deltas, not captures x footprint.
 	PagesFrozen uint64 `json:"pages_frozen,omitempty"`
 	// COWFaults counts shared pages copied because of a write — the
 	// deferred per-page cost of capture.

@@ -138,6 +138,12 @@ type Controller struct {
 	// faults, when non-nil, is consulted at each media write attempt.
 	faults FaultHook
 
+	// log, when non-nil, records every call that changes crash-visible
+	// state (see Log); index is the controller's position in its
+	// topology, which names it there.
+	log   *Log
+	index int
+
 	// readsInFlight counts outstanding PM reads (bounded by the read
 	// queue). PM read latency is one constant, so in-flight reads
 	// complete FIFO: readAcks holds their completions in issue order and
@@ -234,13 +240,21 @@ const overflowSampleCap = 64
 func New(eng *sim.Engine, cfg config.Config, machine *mem.Machine) *Controller {
 	c := &Controller{eng: eng, cfg: cfg, machine: machine}
 	c.seqSrc = &c.submitSeq
-	c.arriveFn = func() { c.arrive(c.transit.Pop()) }
+	c.arriveFn = func() {
+		if c.log != nil {
+			c.log.add(logArrive, c.eng.Now(), c.index, 0, 0)
+		}
+		c.arrive(c.transit.Pop())
+	}
 	c.volAckFn = func() {
 		if ack := c.volAcks.Pop(); ack != nil {
 			ack()
 		}
 	}
 	c.readDoneFn = func() {
+		if c.log != nil {
+			c.log.add(logReadDone, c.eng.Now(), c.index, 0, 0)
+		}
 		done := c.readAcks.Pop()
 		c.readsInFlight--
 		c.stats.PMReads++
@@ -267,8 +281,18 @@ func (c *Controller) allocDE() *drainEntry {
 		return e
 	}
 	e := &drainEntry{}
-	e.doneFn = func() { c.mediaWriteDone(e, e.pendingFail) }
-	e.retryFn = func() { c.startMediaWrite(e) }
+	e.doneFn = func() {
+		if c.log != nil {
+			c.log.add(logMediaDone, c.eng.Now(), c.index, 0, c.inflightIndex(e))
+		}
+		c.mediaWriteDone(e, e.pendingFail)
+	}
+	e.retryFn = func() {
+		if c.log != nil {
+			c.log.add(logMediaRetry, c.eng.Now(), c.index, 0, c.inflightIndex(e))
+		}
+		c.startMediaWrite(e)
+	}
 	return e
 }
 
@@ -298,6 +322,10 @@ func (c *Controller) SubmitPMWrite(line mem.Addr, data [mem.LineSize]byte, ack W
 		c.volAcks.Push(ack)
 		c.eng.Schedule(sim.Cycle(c.cfg.PMWriteToControllerCycles+c.cfg.PMAckCycles), c.volAckFn)
 		return
+	}
+	if c.log != nil {
+		c.log.add(logSubmitPM, c.eng.Now(), c.index, line, 0)
+		c.log.lines.push(data)
 	}
 	*c.seqSrc++
 	w := c.allocPW()
@@ -471,6 +499,9 @@ func (c *Controller) SubmitRead(line mem.Addr, done ReadDone) {
 	if done == nil {
 		panic("pmem: SubmitRead with nil completion")
 	}
+	if c.log != nil {
+		c.log.add(logSubmitRead, c.eng.Now(), c.index, line, 0)
+	}
 	if !mem.IsPM(line) {
 		c.stats.DRAMReads++
 		c.eng.Schedule(sim.Cycle(c.cfg.DRAMReadCycles), sim.Event(done))
@@ -495,5 +526,8 @@ func (c *Controller) startRead(done ReadDone) {
 // SubmitDRAMWrite absorbs a volatile write-back; DRAM writes complete
 // without modelled back-pressure.
 func (c *Controller) SubmitDRAMWrite(line mem.Addr) {
+	if c.log != nil {
+		c.log.add(logDRAMWrite, c.eng.Now(), c.index, line, 0)
+	}
 	c.stats.DRAMWrites++
 }

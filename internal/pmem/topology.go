@@ -35,6 +35,11 @@ import (
 type Topology struct {
 	ctrls []*Controller
 	mask  uint64
+	eng   *sim.Engine
+	// machine is the functional images PersistVisible writes; log, when
+	// non-nil, is the Log every controller records to (see Record).
+	machine *mem.Machine
+	log     *Log
 	// submitSeq is the shared submission counter all controllers stamp
 	// from (see Controller.seqSrc).
 	submitSeq uint64
@@ -48,10 +53,11 @@ func NewTopology(eng *sim.Engine, cfg config.Config, machine *mem.Machine) *Topo
 	if n == 0 {
 		n = 1
 	}
-	t := &Topology{ctrls: make([]*Controller, n), mask: uint64(n - 1)}
+	t := &Topology{ctrls: make([]*Controller, n), mask: uint64(n - 1), eng: eng, machine: machine}
 	for i := range t.ctrls {
 		c := New(eng, cfg, machine)
 		c.seqSrc = &t.submitSeq
+		c.index = i
 		t.ctrls[i] = c
 	}
 	return t

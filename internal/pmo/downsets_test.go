@@ -75,3 +75,18 @@ func TestDownsetsPastTheCap(t *testing.T) {
 		}
 	}
 }
+
+// TestCutCapDecidedBeforeWalking: a two-thread program of 23 mutually
+// unordered stores has 2^23 cuts; forEachCut refuses it by counting
+// the PMO's downsets, before emitting a single mask.
+func TestCutCapDecidedBeforeWalking(t *testing.T) {
+	var wide []Op
+	for loc := 0; loc < 22; loc++ {
+		wide = append(wide, St(loc, 1))
+	}
+	emitted := 0
+	err := NewBuilder(Program{wide, {St(22, 1)}}).forEachCut(func(uint64, []int) { emitted++ })
+	if err != errTooManyCuts || emitted != 0 {
+		t.Errorf("forEachCut = %v after %d masks, want %v after none", err, emitted, errTooManyCuts)
+	}
+}

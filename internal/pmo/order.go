@@ -291,6 +291,9 @@ func (b *Builder) MustOrder(visOrdered bool, skip *OpPos) *Relation {
 	return b.project(r)
 }
 
+// errTooManyCuts is forEachCut's error for a program past MaxCuts.
+var errTooManyCuts = fmt.Errorf("pmo: program has more than %d crash cuts to enumerate", MaxCuts)
+
 // forEachCut emits every crash cut of every distinct store-projected
 // PMO over all interleavings of the stores, with vis, the store numbers
 // in the interleaving's visibility order. Each PMO's cuts are its
@@ -356,8 +359,18 @@ func (b *Builder) forEachCut(emit func(mask uint64, vis []int)) error {
 			return nil
 		}
 		seen[string(key)] = true
+		// Charge the PMO's cuts against the budget before walking them,
+		// so a program past the cap is refused in a few counting splits
+		// instead of after MaxCuts masks. A PMO over s stores has at most
+		// 2^s cuts; when that fits the budget the walk's own count
+		// suffices.
+		if len(pred) >= 63 || 1<<len(pred) > budget {
+			if n, ok := p.Downsets(); !ok || n > budget {
+				return errTooManyCuts
+			}
+		}
 		if !downsets(0, 0) {
-			return fmt.Errorf("pmo: program has more than %d crash cuts to enumerate", MaxCuts)
+			return errTooManyCuts
 		}
 		return nil
 	}
