@@ -71,7 +71,7 @@ func runFuzz(o options, metrics *sw.SweepReport) error {
 		Targets:   o.fuzzTargets,
 		Mutant:    o.fuzzMutant,
 		Exec:      sw.FuzzExecOptions{Controllers: o.controllers},
-		Parallel:  o.workers(),
+		Parallel:  o.parallel,
 		Metrics:   metrics,
 	}
 	if o.fuzzSchedules == 0 {

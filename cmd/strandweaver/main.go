@@ -10,7 +10,7 @@
 // Experiments: table2, fig7 (includes the headline-claims summary),
 // fig8, fig9, fig10, experiments (the grid once, as fig7+claims+fig8),
 // litmus, crash, torture, ablation, all. Sweep-backed commands accept
-// -parallel/-serial/-metrics-out; see docs/DETERMINISM.md for why the
+// -parallel/-metrics-out; see docs/DETERMINISM.md for why the
 // results are byte-identical at any worker count.
 package main
 
@@ -43,7 +43,6 @@ type options struct {
 	skipLitmus   bool
 	stride       uint64
 	parallel     int
-	serial       bool
 	serialCheck  bool
 	metricsOut   string
 	cpuProfile   string
@@ -59,15 +58,6 @@ type options struct {
 	fuzzRepro     string
 	fuzzMinimize  bool
 	fuzzOut       string
-}
-
-// workers resolves the -parallel/-serial pair into a sweep worker
-// count: -serial forces 1; -parallel 0 means GOMAXPROCS.
-func (o options) workers() int {
-	if o.serial {
-		return 1
-	}
-	return o.parallel
 }
 
 var commands = []string{
@@ -102,7 +92,6 @@ func parseArgs(args []string, errw *os.File) (options, error) {
 	fs.BoolVar(&o.skipLitmus, "skip-litmus", false, "skip the litmus phase (torture)")
 	fs.Uint64Var(&o.stride, "stride", 64, "litmus crash-sweep stride in cycles (torture)")
 	fs.IntVar(&o.parallel, "parallel", 0, "sweep worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-	fs.BoolVar(&o.serial, "serial", false, "force serial sweeps (same as -parallel 1)")
 	fs.BoolVar(&o.serialCheck, "serial-check", false, "run experiments both parallel and serial and fail on any result mismatch")
 	fs.StringVar(&o.metricsOut, "metrics-out", "", "write per-cell sweep metrics (JSON array) to this file")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -176,9 +165,6 @@ func validate(o options) error {
 	if o.parallel < 0 {
 		return fmt.Errorf("-parallel must be non-negative (got %d)", o.parallel)
 	}
-	if o.serial && o.parallel > 1 {
-		return fmt.Errorf("-serial conflicts with -parallel %d", o.parallel)
-	}
 	if o.serialCheck && o.cmd != "experiments" {
 		return fmt.Errorf("-serial-check only applies to the experiments command")
 	}
@@ -238,7 +224,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "strandweaver:", err)
 		os.Exit(2)
 	}
-	opt := sw.ExpOptions{Threads: o.threads, OpsPerThread: o.ops, Seed: o.seed, Benchmarks: o.benchmarks, Designs: o.designs, Controllers: o.controllers, Parallel: o.workers()}
+	opt := sw.ExpOptions{Threads: o.threads, OpsPerThread: o.ops, Seed: o.seed, Benchmarks: o.benchmarks, Designs: o.designs, Controllers: o.controllers, Parallel: o.parallel}
 
 	if o.cpuProfile != "" {
 		f, perr := os.Create(o.cpuProfile)
@@ -433,7 +419,7 @@ flags (see -h per experiment): -threads -ops -seed -benchmarks -design
                                -crashes -controllers N (power of two;
                                shards the PM persistence boundary
                                across N address-interleaved controllers)
-sweep flags: -parallel N (0 = GOMAXPROCS) -serial -metrics-out FILE
+sweep flags: -parallel N (0 = GOMAXPROCS, 1 = serial) -metrics-out FILE
              -serial-check (experiments only)
 profiling:   -cpuprofile FILE -memprofile FILE (pprof format; see
              README "Running sweeps and profiling")
@@ -458,7 +444,7 @@ func runTorture(o options, metrics *sw.SweepReport) error {
 		TearAccepted: o.tearAccepted,
 		SkipLitmus:   o.skipLitmus,
 		LitmusStride: o.stride,
-		Parallel:     o.workers(),
+		Parallel:     o.parallel,
 		Metrics:      metrics,
 	}
 	rep, err := sw.Torture(to)

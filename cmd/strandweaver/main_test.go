@@ -107,25 +107,15 @@ func TestParseArgsRequiresCommand(t *testing.T) {
 }
 
 func TestParallelFlags(t *testing.T) {
-	// -serial forces one worker regardless of the -parallel default.
-	if got := parse(t, "experiments", "-serial").workers(); got != 1 {
-		t.Errorf("-serial workers = %d, want 1", got)
-	}
-	if got := parse(t, "experiments", "-parallel", "4").workers(); got != 4 {
+	if got := parse(t, "experiments", "-parallel", "4").parallel; got != 4 {
 		t.Errorf("-parallel 4 workers = %d, want 4", got)
 	}
 	// 0 delegates the worker count to the sweep engine (GOMAXPROCS).
-	if got := parse(t, "experiments").workers(); got != 0 {
+	if got := parse(t, "experiments").parallel; got != 0 {
 		t.Errorf("default workers = %d, want 0", got)
 	}
 	if err := validate(parse(t, "experiments", "-parallel", "-2")); err == nil {
 		t.Error("negative -parallel accepted")
-	}
-	if err := validate(parse(t, "experiments", "-serial", "-parallel", "4")); err == nil {
-		t.Error("-serial with -parallel 4 accepted")
-	}
-	if err := validate(parse(t, "experiments", "-serial", "-parallel", "1")); err != nil {
-		t.Errorf("-serial with -parallel 1 rejected: %v", err)
 	}
 	if err := validate(parse(t, "torture", "-serial-check")); err == nil {
 		t.Error("-serial-check accepted outside experiments")

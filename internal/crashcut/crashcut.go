@@ -81,9 +81,8 @@ type Request struct {
 	Cuts func(end sim.Cycle) []sim.Cycle
 }
 
-// Cut is one crash cut: the machine checkpoint at cycle At and the
-// armed injector's stream position there. A replayed checkpoint's
-// engine state is its clock alone (Eng.Now = At, no counters).
+// Cut is one crash cut: the machine checkpoint at cycle At (CP.At ==
+// At) and the armed injector's stream position there.
 type Cut struct {
 	At sim.Cycle
 	CP *machine.Checkpoint

@@ -43,15 +43,14 @@ func quarterCuts(end sim.Cycle) []sim.Cycle {
 }
 
 // state is everything a crash-cut consumer can observe at a cut: the
-// persistent image, the controllers' unaccepted and accepted-in-flight
-// writes and statistics (engine counters excluded — a replayed
-// checkpoint carries its clock alone), and the post-crash queries.
+// persistent image, the unaccepted write stream and each controller's
+// accepted-in-flight writes and statistics (engine counters excluded —
+// a replayed checkpoint carries its clock alone), and the post-crash
+// queries.
 type state struct {
 	Now        sim.Cycle
 	Persistent *mem.Image
-	Unaccepted []pmem.LineWrite
-	Accepted   []pmem.LineWrite
-	Ctrl       []pmem.Stats
+	PM         *pmem.TopologyState
 	RunStats   faultinject.Stats
 	queries
 }
@@ -83,9 +82,7 @@ func observe(sys *machine.System, armed *faultinject.Injector) state {
 	return state{
 		Now:        sys.Eng.Now(),
 		Persistent: sys.Mem.Persistent.Freeze(),
-		Unaccepted: sys.PM.UnacceptedWrites(),
-		Accepted:   sys.PM.AcceptedInFlight(),
-		Ctrl:       sys.PM.PerController(),
+		PM:         sys.PM.Snapshot(),
 		RunStats:   armed.Stats(),
 		queries: ask(armed, sys.PM.Stats(), func(fi *faultinject.Injector) *mem.Image {
 			return fi.CrashImage(sys)

@@ -10,19 +10,23 @@
 // partitions in-flight writes in two:
 //
 //   - submitted-but-unaccepted writes (on-chip transit plus the
-//     controller's overflow queue) race the failure. They travel to the
-//     controller in a FIFO stream and are accepted in submission order,
-//     so the power cut truncates that stream at one point: writes
-//     before the cut reach acceptance and land fully, the single write
+//     controllers' overflow queues) race the failure. They travel to
+//     the controllers in one FIFO stream, every write at the same
+//     transit latency, and are accepted in submission order, so the
+//     power cut truncates that stream at one point: writes before the
+//     cut reach acceptance and land fully, the single write
 //     mid-transfer at the cut tears at mem.PersistAtomicBytes (8-byte)
 //     granularity — each of its words independently lands or is lost —
 //     and writes after the cut never arrive. Without TornPersists the
 //     cut is at the stream's head (all dropped, the line-atomic
-//     baseline). The FIFO property is load-bearing: un-barriered
-//     traffic such as cache-eviction write-backs is ordered only by
-//     submission, and recovery soundness (a torn log entry implies its
-//     in-place update never persisted) relies on a later submission
-//     never landing when an earlier one is lost.
+//     baseline). The stream is machine-wide at every controller count
+//     (pmem.TopologyState.Unaccepted merges the controllers' shares by
+//     submission stamp): a crash image is the persistence domain's
+//     state at one instant. The FIFO property is load-bearing:
+//     un-barriered traffic such as cache-eviction write-backs is
+//     ordered only by submission, and recovery soundness (a torn log
+//     entry implies its in-place update never persisted) relies on a
+//     later submission never landing when an earlier one is lost.
 //   - accepted-but-undrained writes are inside the ADR domain and
 //     survive. The TearAccepted torture mode deliberately breaks this
 //     guarantee (modelling a failed ADR flush) by reverting a random
@@ -129,21 +133,19 @@ type Stats struct {
 // Injector draws fault decisions from a seeded generator. It implements
 // pmem.FaultHook; install it with Arm.
 //
-// Multi-controller topologies: each PM controller draws from its own
-// disjoint splitmix64 stream, so controllers' event interleavings never
-// perturb each other's fault sequences. Controller 0 draws from the
-// injector's primary stream — the only stream a single-controller
-// machine has — which keeps every single-controller crash image
-// byte-identical to the pre-topology injector. Streams for controllers
-// past the first are derived from the plan seed and the controller
-// index on demand (Arm, or the first crash image an unarmed injector
-// draws).
+// Crash images draw from the injector's primary stream alone. Media
+// faults during a run draw per controller: controller 0 from the
+// primary stream — the only stream a single-controller machine has —
+// and each further controller from its own disjoint splitmix64 stream,
+// derived from the plan seed and the controller index by Arm, so
+// controllers' event interleavings never perturb each other's media
+// fault sequences.
 type Injector struct {
 	plan  Plan
 	state uint64
 	stats Stats
-	// ctrlStates[i] is controller i's draw-stream state for i >= 1
-	// (index 0 is unused: controller 0 aliases the primary state above).
+	// ctrlStates[i] is controller i's media-fault stream state for
+	// i >= 1 (index 0 is unused: controller 0 draws from state above).
 	// Nil until armed on a multi-controller system.
 	ctrlStates []uint64
 }
@@ -164,10 +166,13 @@ func (in *Injector) Stats() Stats { return in.stats }
 // Arm installs the injector as every PM controller's media fault hook,
 // in controller index order. Controller 0 gets the injector itself;
 // each further controller gets a thin adapter drawing from that
-// controller's disjoint stream.
+// controller's disjoint stream, derived here if it is missing
+// (existing stream positions are never reset).
 func (in *Injector) Arm(sys *machine.System) {
 	ctrls := sys.PM.Controllers()
-	in.ensureStreams(len(ctrls))
+	for len(in.ctrlStates) < len(ctrls) {
+		in.ctrlStates = append(in.ctrlStates, streamSeed(in.plan.Seed, len(in.ctrlStates)))
+	}
 	for i, c := range ctrls {
 		if i == 0 {
 			c.SetFaultHook(in)
@@ -175,26 +180,6 @@ func (in *Injector) Arm(sys *machine.System) {
 		}
 		c.SetFaultHook(&ctrlHook{in: in, idx: i})
 	}
-}
-
-// ensureStreams sizes the per-controller stream table for n
-// controllers, deriving any missing streams from the plan seed.
-// Existing stream positions are never reset (an armed injector may be
-// snapshotted, restored and re-armed mid-stream).
-func (in *Injector) ensureStreams(n int) {
-	for len(in.ctrlStates) < n {
-		i := len(in.ctrlStates)
-		in.ctrlStates = append(in.ctrlStates, streamSeed(in.plan.Seed, i))
-	}
-}
-
-// stream returns controller i's draw-stream state: the primary stream
-// for controller 0, the derived disjoint stream otherwise.
-func (in *Injector) stream(i int) *uint64 {
-	if i == 0 {
-		return &in.state
-	}
-	return &in.ctrlStates[i]
 }
 
 // streamSeed derives controller i's initial stream state from the plan
@@ -215,7 +200,7 @@ type ctrlHook struct {
 }
 
 func (h *ctrlHook) MediaWrite(line mem.Addr, attempt int) pmem.MediaVerdict {
-	return h.in.mediaWrite(h.in.stream(h.idx), line, attempt)
+	return h.in.mediaWrite(&h.in.ctrlStates[h.idx], line, attempt)
 }
 
 // splitmix advances state by one splitmix64 step: deterministic,
@@ -279,40 +264,24 @@ func (in *Injector) CrashImage(sys *machine.System) *mem.Image {
 // number of goroutines may draw images from one shared checkpoint,
 // each with its own injector.
 func (in *Injector) CheckpointImage(cp *machine.Checkpoint) *mem.Image {
-	return in.powerCut(cp.Mem.Persistent.Clone(), cp.Ctrls)
+	return in.powerCut(cp.Mem.Persistent.Clone(), cp.PM)
 }
 
 // powerCut applies the power cut to img, a writable copy of the
-// persistent image, given every controller's crash-visible state, and
-// returns img.
-//
-// The power cut is applied per controller, in controller index order,
-// each controller drawing from its own stream: independent controllers
-// accept their streams concurrently, so the cut truncates each
-// controller's FIFO at its own point. The per-line FIFO guarantee is
-// unaffected — a line's writes all route to one controller — and
-// different controllers' writes touch disjoint lines, so the landing
-// order across controllers cannot change the image. On a
-// single-controller machine the loop collapses to exactly the
-// pre-topology single-stream cut.
-func (in *Injector) powerCut(img *mem.Image, ctrls []*pmem.ControllerState) *mem.Image {
-	in.ensureStreams(len(ctrls))
-	for ci, c := range ctrls {
-		st := in.stream(ci)
-		ws := c.Unaccepted
-		if !in.plan.TornPersists {
-			in.stats.DroppedLines += uint64(len(ws))
-			continue
-		}
-		if len(ws) == 0 {
-			continue
-		}
-		// Power-cut point in this controller's FIFO submission stream:
-		// k writes reach acceptance, write k is mid-transfer and tears
-		// per-word, the rest never arrive. The prefix must land in
-		// submission order — later same-line writes overwrite earlier
-		// ones, as acceptance would have.
-		k := int(splitmix(st) % uint64(len(ws)+1))
+// persistent image, given the PM side's crash-visible state, and
+// returns img. Every draw comes from the primary stream: one cut point
+// in the machine-wide stream of unaccepted writes (the package's fault
+// model), then, under TearAccepted, the accepted writes' reverts.
+func (in *Injector) powerCut(img *mem.Image, pm *pmem.TopologyState) *mem.Image {
+	if ws := pm.Unaccepted; !in.plan.TornPersists {
+		in.stats.DroppedLines += uint64(len(ws))
+	} else if len(ws) > 0 {
+		// Power-cut point in the FIFO submission stream: k writes reach
+		// acceptance, write k is mid-transfer and tears per-word, the
+		// rest never arrive. The prefix must land in submission order —
+		// later same-line writes overwrite earlier ones, as acceptance
+		// would have.
+		k := int(splitmix(&in.state) % uint64(len(ws)+1))
 		for i := 0; i < k; i++ {
 			w := &ws[i]
 			img.StoreLine(w.Line, &w.Data)
@@ -321,7 +290,7 @@ func (in *Injector) powerCut(img *mem.Image, ctrls []*pmem.ControllerState) *mem
 		if k < len(ws) {
 			keep := uint8(0)
 			for bit := 0; bit < mem.LineWords; bit++ {
-				if !chanceFrom(st, in.plan.DropProb) {
+				if !chanceFrom(&in.state, in.plan.DropProb) {
 					keep |= 1 << bit
 					in.stats.WordsKept++
 				} else {
@@ -344,17 +313,16 @@ func (in *Injector) powerCut(img *mem.Image, ctrls []*pmem.ControllerState) *mem
 	}
 	if in.plan.TearAccepted {
 		// Beyond-ADR torture: revert a random subset of each accepted
-		// undrained line's words to their pre-write contents, newest
-		// acceptance first within each controller so layered writes
-		// unwind in order.
-		for ci, c := range ctrls {
-			st := in.stream(ci)
+		// undrained line's words to their pre-write contents, over
+		// controllers in index order and newest acceptance first within
+		// each, so layered writes unwind in order.
+		for _, c := range pm.Ctrls {
 			acc := c.Accepted
 			for i := len(acc) - 1; i >= 0; i-- {
 				w := &acc[i]
 				revert := uint8(0)
 				for bit := 0; bit < mem.LineWords; bit++ {
-					if chanceFrom(st, in.plan.DropProb) {
+					if chanceFrom(&in.state, in.plan.DropProb) {
 						revert |= 1 << bit
 					}
 				}

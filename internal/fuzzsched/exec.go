@@ -15,8 +15,6 @@ type ExecOptions struct {
 	// DefaultEventBudget): a schedule that livelocks the simulator
 	// degrades into a typed error instead of hanging the search.
 	EventBudget uint64
-	// CycleLimit bounds each run in simulated time (0 uses a default).
-	CycleLimit sim.Cycle
 	// Controllers is the number of address-interleaved PM controllers
 	// each executed machine shards the persistence boundary across (0 =
 	// the configuration default, one controller). Part of the execution
@@ -33,12 +31,12 @@ type ExecOptions struct {
 // ExecOptions does not override it.
 const DefaultEventBudget = 50_000_000
 
+// cycleLimit bounds each run in simulated time.
+const cycleLimit = 2_000_000_000
+
 func (o ExecOptions) withDefaults() ExecOptions {
 	if o.EventBudget == 0 {
 		o.EventBudget = DefaultEventBudget
-	}
-	if o.CycleLimit == 0 {
-		o.CycleLimit = 2_000_000_000
 	}
 	return o
 }
@@ -153,7 +151,7 @@ func Execute(g Genome, o ExecOptions) (*Outcome, error) {
 		Key:      key,
 		Build:    target.Build,
 		Plan:     plan,
-		Limit:    o.CycleLimit,
+		Limit:    cycleLimit,
 		Watchdog: o.EventBudget,
 		Cuts: func(end sim.Cycle) []sim.Cycle {
 			return []sim.Cycle{sim.Cycle(1 + uint64(end-1)*uint64(g.CrashFrac&0xffff)/65536)}

@@ -25,25 +25,28 @@ type Options struct {
 	// Parallel bounds the sweep engine's worker pool (0 = GOMAXPROCS).
 	// Results are byte-identical for every value.
 	Parallel int
-	// Batch is the number of schedules dispatched per sweep round
-	// (default 16). Mutation draws happen before dispatch, in schedule
-	// order, so the batch size never changes what is executed — only
-	// how much runs concurrently.
-	Batch int
 	// Deadline, when non-nil, is polled between batches; a true return
 	// stops the search early. The CLI injects wall-clock deadlines
 	// here — fuzz scheduling itself never reads the clock, so a
 	// schedule-budget run is fully deterministic.
 	Deadline func() bool
-	// MaxShrinks caps how many violations are shrunk to minimal repros
-	// (default 4; further violations are recorded unshrunk).
-	MaxShrinks int
-	// Exec bounds each schedule execution (watchdog, cycle limit).
+	// Exec configures each schedule execution (watchdog, controller
+	// count, execution cache).
 	Exec ExecOptions
 	// Metrics, when non-nil, receives per-schedule sweep metrics.
 	// Observability only.
 	Metrics *sweep.Report
 }
+
+// batchSize is the number of schedules dispatched per sweep round.
+// Mutation draws happen before dispatch, in schedule order, so the
+// batch size never changes what is executed — only how much runs
+// concurrently.
+const batchSize = 16
+
+// maxShrinks caps how many violations are shrunk to minimal repros;
+// further violations are recorded unshrunk.
+const maxShrinks = 4
 
 func (o Options) withDefaults() Options {
 	if o.Seed == 0 {
@@ -54,12 +57,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.Targets) == 0 {
 		o.Targets = []string{TargetUndolog, TargetRedolog}
-	}
-	if o.Batch == 0 {
-		o.Batch = 16
-	}
-	if o.MaxShrinks == 0 {
-		o.MaxShrinks = 4
 	}
 	return o
 }
@@ -148,8 +145,8 @@ func Run(o Options) (*Result, error) {
 		// Draw the whole batch before dispatch: mutation consumes the
 		// master generator in schedule order, so concurrency cannot
 		// reorder draws.
-		batch := make([]Genome, 0, o.Batch)
-		for len(batch) < o.Batch && res.Executed+len(batch) < o.Schedules {
+		batch := make([]Genome, 0, batchSize)
+		for len(batch) < batchSize && res.Executed+len(batch) < o.Schedules {
 			if len(queue) > 0 {
 				batch = append(batch, queue[0])
 				queue = queue[1:]
@@ -217,7 +214,7 @@ func Run(o Options) (*Result, error) {
 				continue
 			}
 			v := &Violation{Genome: g, Failure: out.Violation, Fingerprint: out.Fingerprint, Schedule: sched}
-			if len(res.Violations) < o.MaxShrinks {
+			if len(res.Violations) < maxShrinks {
 				if sr, ok := Shrink(g, o.Exec); ok {
 					v.Shrunk = &sr
 					res.ShrinkExecutions += sr.Executions

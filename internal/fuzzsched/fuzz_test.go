@@ -177,7 +177,6 @@ func TestRunDeadlineStopsEarly(t *testing.T) {
 		Seed:      1,
 		Schedules: 1000,
 		Targets:   []string{TargetUndolog},
-		Batch:     2,
 		Deadline: func() bool {
 			calls++
 			return calls > 3
@@ -243,5 +242,29 @@ func TestRunDeterministicMultiController(t *testing.T) {
 		if len(serial.Violations) != 0 {
 			t.Errorf("controllers=%d: healthy model violated: %d violations", n, len(serial.Violations))
 		}
+	}
+}
+
+// A power cut truncates the machine-wide stream of unaccepted writes at
+// one point at every controller count, so the healthy model survives a
+// 2-controller search, while the seeded mutant is still convicted.
+// Cutting each controller's share of the stream at its own point lands
+// a later write while dropping an earlier one, which this search finds
+// in the healthy undo log.
+func TestMultiControllerSearchOneCut(t *testing.T) {
+	healthy, err := Run(Options{Seed: 1, Schedules: 256, Parallel: 2, Exec: ExecOptions{Controllers: 2}})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for _, v := range healthy.Violations {
+		t.Errorf("healthy model violation at 2 controllers: %q genome=%s", v.Failure, v.Genome.Key())
+	}
+	mutant, err := Run(Options{Seed: 1, Schedules: 64, Targets: []string{TargetUndolog},
+		Mutant: MutantNoDataFlush, Parallel: 2, Exec: ExecOptions{Controllers: 2}})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(mutant.Violations) == 0 {
+		t.Error("mutant not convicted in 64 schedules at 2 controllers")
 	}
 }

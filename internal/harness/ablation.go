@@ -85,6 +85,9 @@ func runLoggingTx(o ExpOptions, storesPerTx int, redo bool, met *sweep.CellMetri
 	if cfg.Cores < o.Threads {
 		cfg.Cores = o.Threads
 	}
+	if o.Controllers != 0 {
+		cfg.PMControllers = o.Controllers
+	}
 	sys, err := machine.New(cfg, hwdesign.StrandWeaver)
 	if err != nil {
 		return 0, err
@@ -143,6 +146,7 @@ func runLoggingTx(o ExpOptions, storesPerTx int, redo bool, met *sweep.CellMetri
 	}
 	if met != nil {
 		met.AddRun(uint64(end), sys.PM.Stats())
+		met.AddPerController(sys.PM.PerController())
 		met.AddEngine(sys.Eng.Stats())
 	}
 	return uint64(end), nil
@@ -178,7 +182,7 @@ func PersistQueueDepthAblation(o ExpOptions, depths []int) ([]QueueDepthPoint, e
 		cfg.PersistQueueEntries = d
 		cells = append(cells, measuredCell(fmt.Sprintf("pqdepth/%d", d),
 			Spec{Benchmark: "nstore-wr", Model: langmodel.SFR, Design: hwdesign.StrandWeaver,
-				Threads: o.Threads, OpsPerThread: o.OpsPerThread, Seed: o.Seed, Cfg: &cfg}))
+				Threads: o.Threads, OpsPerThread: o.OpsPerThread, Seed: o.Seed, Cfg: &cfg, Controllers: o.Controllers}))
 	}
 	results, err := sweep.Run(o.sweepOptions(), cells)
 	if err != nil {
@@ -222,12 +226,12 @@ func FlushInstructionAblation(o ExpOptions) ([]FlushInstrPoint, error) {
 	for _, d := range designs {
 		cells = append(cells, measuredCell(fmt.Sprintf("flush/clwb/%s", d),
 			Spec{Benchmark: "nstore-wr", Model: langmodel.SFR, Design: d,
-				Threads: o.Threads, OpsPerThread: o.OpsPerThread, Seed: o.Seed}))
+				Threads: o.Threads, OpsPerThread: o.OpsPerThread, Seed: o.Seed, Controllers: o.Controllers}))
 		cfg := config.Default()
 		cfg.FlushInvalidates = true
 		cells = append(cells, measuredCell(fmt.Sprintf("flush/clflushopt/%s", d),
 			Spec{Benchmark: "nstore-wr", Model: langmodel.SFR, Design: d,
-				Threads: o.Threads, OpsPerThread: o.OpsPerThread, Seed: o.Seed, Cfg: &cfg}))
+				Threads: o.Threads, OpsPerThread: o.OpsPerThread, Seed: o.Seed, Cfg: &cfg, Controllers: o.Controllers}))
 	}
 	results, err := sweep.Run(o.sweepOptions(), cells)
 	if err != nil {
@@ -272,7 +276,7 @@ func HOPSBufferAblation(o ExpOptions, sizes []int) ([]HOPSBufferPoint, error) {
 		cfg.HOPSPersistBufferEntries = n
 		cells = append(cells, measuredCell(fmt.Sprintf("hopsbuf/%d", n),
 			Spec{Benchmark: "nstore-wr", Model: langmodel.SFR, Design: hwdesign.HOPS,
-				Threads: o.Threads, OpsPerThread: o.OpsPerThread, Seed: o.Seed, Cfg: &cfg}))
+				Threads: o.Threads, OpsPerThread: o.OpsPerThread, Seed: o.Seed, Cfg: &cfg, Controllers: o.Controllers}))
 	}
 	results, err := sweep.Run(o.sweepOptions(), cells)
 	if err != nil {

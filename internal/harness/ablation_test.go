@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"strandweaver/internal/sweep"
 )
 
 func TestLoggingAblationShape(t *testing.T) {
@@ -99,6 +101,34 @@ func TestFlushInstructionAblationShape(t *testing.T) {
 	for _, p := range pts {
 		if p.Penalty < 0.95 {
 			t.Errorf("%s: invalidating flush FASTER (%.2f); invalidation not modelled?", p.Design, p.Penalty)
+		}
+	}
+}
+
+// TestAblationsHonourControllers: every ablation builds its machines at
+// ExpOptions.Controllers, so at two controllers each cell's metrics
+// carry two per-controller stat entries.
+func TestAblationsHonourControllers(t *testing.T) {
+	for _, a := range []struct {
+		name string
+		run  func(ExpOptions) error
+	}{
+		{"logging", func(o ExpOptions) error { _, err := LoggingAblation(o, []int{2}); return err }},
+		{"queue-depth", func(o ExpOptions) error { _, err := PersistQueueDepthAblation(o, []int{4}); return err }},
+		{"flush", func(o ExpOptions) error { _, err := FlushInstructionAblation(o); return err }},
+		{"hops-buffer", func(o ExpOptions) error { _, err := HOPSBufferAblation(o, []int{8}); return err }},
+	} {
+		rep := sweep.NewReport(a.name)
+		if err := a.run(ExpOptions{Threads: 2, OpsPerThread: 10, Controllers: 2, Parallel: 1, Metrics: rep}); err != nil {
+			t.Fatalf("%s ablation: %v", a.name, err)
+		}
+		if len(rep.Cells) == 0 {
+			t.Fatalf("%s ablation recorded no cell metrics", a.name)
+		}
+		for _, c := range rep.Cells {
+			if len(c.Controllers) != 2 {
+				t.Errorf("%s cell %s: %d per-controller stat entries, want 2", a.name, c.Key, len(c.Controllers))
+			}
 		}
 	}
 }

@@ -15,15 +15,13 @@ import (
 )
 
 // cutState is what a post-crash query can read of a machine at a cut:
-// the persistent image, each controller's unaccepted and in-flight
-// writes and statistics, the armed injector's counters and a crash
-// image drawn under the per-cut seed rule.
+// the persistent image, the unaccepted write stream, each controller's
+// in-flight writes and statistics, the armed injector's counters and a
+// crash image drawn under the per-cut seed rule.
 type cutState struct {
 	Now        sim.Cycle
 	Persistent uint64
-	Unaccepted []pmem.LineWrite
-	Accepted   []pmem.LineWrite
-	Ctrl       []pmem.Stats
+	PM         *pmem.TopologyState
 	Armed      faultinject.Stats
 	Image      uint64
 }
@@ -33,9 +31,7 @@ func observeCut(sys *machine.System, armed *faultinject.Injector, plan faultinje
 	return cutState{
 		Now:        now,
 		Persistent: sys.Mem.Persistent.Fingerprint(),
-		Unaccepted: sys.PM.UnacceptedWrites(),
-		Accepted:   sys.PM.AcceptedInFlight(),
-		Ctrl:       sys.PM.PerController(),
+		PM:         sys.PM.Snapshot(),
 		Armed:      armed.Stats(),
 		Image:      crashcut.CutInjector(plan, now).CrashImage(sys).Fingerprint(),
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"strandweaver/internal/faultinject"
 	"strandweaver/internal/hwdesign"
 	"strandweaver/internal/langmodel"
 	"strandweaver/internal/sweep"
@@ -141,22 +142,49 @@ func TestTortureDeterminismMultiController(t *testing.T) {
 	}
 }
 
-// TestTortureControllerCountChangesDigest: controller count reaches the
-// fault model (per-controller cut points and draw streams), so sweeps
-// at different counts must not collide — and must not share crash-cut
-// cache entries (planRunKey includes the count).
+// TestTortureControllerCountChangesDigest: the controller count shapes
+// the machine, so it is part of the crash-cut run key (planRunKey) and
+// sweeps at different counts never share crash-cut cache entries —
+// even where their crash images coincide, as small 1- and 2-controller
+// queue sweeps' do.
 func TestTortureControllerCountChangesDigest(t *testing.T) {
-	run := func(n int) uint64 {
-		t.Helper()
-		r, err := Torture(TortureOptions{Seed: 5, Benchmarks: []string{"queue"}, Crashes: 5,
-			SkipLitmus: true, ConvergeEvery: 2, Controllers: n})
-		if err != nil {
-			t.Fatal(err)
+	for _, plan := range faultinject.Presets(5) {
+		seen := map[string]int{}
+		for _, n := range []int{1, 2, 4} {
+			k := planRunKey(TortureOptions{Controllers: n}, plan)
+			if m, ok := seen[k]; ok {
+				t.Errorf("%d and %d controllers share run key %q", m, n, k)
+			}
+			seen[k] = n
 		}
-		return r.ImageDigest
 	}
-	d1, d2 := run(1), run(2)
-	if d1 == d2 {
-		t.Error("1- and 2-controller sweeps produced identical image digests")
+}
+
+// TestTortureMultiControllerOneCut: at every controller count a power
+// cut truncates the machine-wide stream of unaccepted writes at one
+// point, so recovery repairs every crash image and each image tears at
+// most one line. The scale and seeds are ones at which a rule cutting
+// each controller's share of the stream at its own point breaks
+// invariants at every seed.
+func TestTortureMultiControllerOneCut(t *testing.T) {
+	for _, c := range []struct {
+		ctrls int
+		seeds uint64
+	}{{2, 5}, {4, 3}} {
+		for seed := uint64(1); seed <= c.seeds; seed++ {
+			rep, err := Torture(TortureOptions{Seed: seed, Threads: 4, OpsPerThread: 50, Crashes: 32,
+				SkipLitmus: true, Controllers: c.ctrls, Parallel: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Violations) != 0 {
+				t.Errorf("%d controllers, seed %d: %d violations, first: %s",
+					c.ctrls, seed, len(rep.Violations), rep.Violations[0])
+			}
+			if rep.TornLines > uint64(rep.TornImages) {
+				t.Errorf("%d controllers, seed %d: %d torn lines over %d torn images, want at most one each",
+					c.ctrls, seed, rep.TornLines, rep.TornImages)
+			}
+		}
 	}
 }

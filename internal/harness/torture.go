@@ -439,8 +439,8 @@ func cutCell(o TortureOptions, cache *crashcut.Cache, s subject, pi int, plan fa
 // planRunKey names the parts of the sweep options and a fault plan
 // that can influence the simulated run itself (the rest of the options
 // are fixed for the sweep, whose cache this key indexes): the PM
-// controller count, which shapes the machine (and the checkpoints'
-// []ControllerState), and the plan's run-visible part. Every media-free
+// controller count, which shapes the machine (and the checkpoints' PM
+// side), and the plan's run-visible part. Every media-free
 // plan of a subject therefore shares one run regardless of seed, and
 // its injector snapshots (all-zero counters) are plan-independent.
 func planRunKey(o TortureOptions, plan faultinject.Plan) string {

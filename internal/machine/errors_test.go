@@ -2,7 +2,9 @@ package machine
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"strandweaver/internal/backend"
 	"strandweaver/internal/cpu"
@@ -11,9 +13,25 @@ import (
 	"strandweaver/internal/sim"
 )
 
+// goroutinesBackTo fails the test unless the goroutine count falls back
+// to base: a failed run must not leave its unfinished workers'
+// goroutines parked, each keeping the whole system reachable. An
+// aborted worker's goroutine exits just after its abort is
+// acknowledged, so the count is given a moment to settle.
+func goroutinesBackTo(t *testing.T, base int) {
+	t.Helper()
+	for i := 0; i < 1000 && runtime.NumGoroutine() > base; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the failed run, %d before it", n, base)
+	}
+}
+
 // TestRunCycleLimitTyped pins the failure taxonomy: a worker that never
 // finishes turns the cycle limit into an error matching ErrCycleLimit.
 func TestRunCycleLimitTyped(t *testing.T) {
+	base := runtime.NumGoroutine()
 	s := MustNew(smallConfig(), hwdesign.StrandWeaver)
 	blocked := func(c *cpu.Core) {
 		for c.Load64(mem.DRAMBase+0x9000) == 0 {
@@ -27,12 +45,14 @@ func TestRunCycleLimitTyped(t *testing.T) {
 	if errors.Is(err, ErrDeadlock) || errors.Is(err, sim.ErrBudgetExceeded) {
 		t.Errorf("cycle-limit error matched the wrong sentinel: %v", err)
 	}
+	goroutinesBackTo(t, base)
 	s.Abandon()
 }
 
 // TestRunDeadlockTyped parks a worker on a condition nobody will ever
 // satisfy: the event queue drains and Run reports ErrDeadlock.
 func TestRunDeadlockTyped(t *testing.T) {
+	base := runtime.NumGoroutine()
 	s := MustNew(smallConfig(), hwdesign.StrandWeaver)
 	parked := func(c *cpu.Core) {
 		c.StallUntil(func() bool { return false }, backend.StallFence)
@@ -41,6 +61,7 @@ func TestRunDeadlockTyped(t *testing.T) {
 	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
+	goroutinesBackTo(t, base)
 	s.Abandon()
 }
 
@@ -49,6 +70,7 @@ func TestRunDeadlockTyped(t *testing.T) {
 // and without a cycle limit, Run would never return; with it, Run must
 // return an error matching sim.ErrBudgetExceeded.
 func TestWatchdogCatchesRunawayWorker(t *testing.T) {
+	base := runtime.NumGoroutine()
 	s := MustNew(smallConfig(), hwdesign.StrandWeaver)
 	s.SetWatchdog(200_000)
 	runaway := func(c *cpu.Core) {
@@ -64,6 +86,7 @@ func TestWatchdogCatchesRunawayWorker(t *testing.T) {
 	if fired := s.Eng.Stats().EventsFired; fired != 200_000 {
 		t.Errorf("EventsFired = %d, want exactly the budget 200000", fired)
 	}
+	goroutinesBackTo(t, base)
 	s.Abandon()
 }
 

@@ -95,7 +95,9 @@ func (s *System) Spawn(i int, worker Worker) {
 
 // Run spawns one worker per entry of workers and runs the simulation
 // until all workers finish and all persist machinery drains, or limit
-// cycles elapse (0 = no limit). It returns the final cycle count.
+// cycles elapse (0 = no limit). It returns the final cycle count. A
+// failed run abandons the system (see Abandon) before it returns, so
+// no unfinished worker's goroutine outlives it.
 func (s *System) Run(workers []Worker, limit sim.Cycle) (sim.Cycle, error) {
 	if len(workers) > len(s.Cores) {
 		return 0, fmt.Errorf("machine: %d workers but only %d cores", len(workers), len(s.Cores))
@@ -104,21 +106,30 @@ func (s *System) Run(workers []Worker, limit sim.Cycle) (sim.Cycle, error) {
 		s.Spawn(i, w)
 	}
 	end := s.Eng.Run(limit)
+	err := s.runErr(end, limit)
+	if err != nil {
+		s.Abandon()
+	}
+	return end, err
+}
+
+// runErr classifies a run that returned at cycle end.
+func (s *System) runErr(end, limit sim.Cycle) error {
 	if s.Eng.BudgetExceeded() {
 		// Watchdog fired: the event budget bounds even same-cycle
 		// livelocks that a cycle limit cannot catch.
-		return end, fmt.Errorf("machine: %w after %d events at cycle %d",
+		return fmt.Errorf("machine: %w after %d events at cycle %d",
 			sim.ErrBudgetExceeded, s.Eng.Stats().EventsFired, end)
 	}
 	for _, co := range s.coros {
 		if !co.Done() {
 			if limit != 0 && end >= limit {
-				return end, fmt.Errorf("%w (limit %d)", ErrCycleLimit, limit)
+				return fmt.Errorf("%w (limit %d)", ErrCycleLimit, limit)
 			}
-			return end, ErrDeadlock
+			return ErrDeadlock
 		}
 	}
-	return end, nil
+	return nil
 }
 
 // SetWatchdog arms the engine's event-budget watchdog (see

@@ -9,11 +9,12 @@ import (
 )
 
 // Checkpoint is a crash-cut checkpoint: exactly what a power cut
-// preserves and a post-crash query reads. That is the engine state
-// (clock and counters), the frozen persistent image, and per PM
-// controller the unaccepted writes, the accepted-in-flight writes and
-// the statistics — the inputs of the crash image, recovery, invariant
-// checks and PM.Stats. Every post-crash query reads it directly
+// preserves and a post-crash query reads. That is the cut cycle, the
+// frozen persistent image, and the PM side (pmem.TopologyState): the
+// machine-wide stream of unaccepted writes in submission order and
+// each controller's accepted-in-flight writes and statistics — the
+// inputs of the crash image, recovery, invariant checks and PM.Stats.
+// Every post-crash query reads it directly
 // (faultinject.CheckpointImage, Mem.Persistent, PMStats). The image is
 // a frozen copy-on-write view sharing page storage with the live
 // system, but that storage is immutable from the moment of capture
@@ -21,16 +22,15 @@ import (
 // checkpoint shares no MUTABLE storage with its source and may be read
 // by any number of goroutines at once.
 //
-// Everything else — the volatile image, pending simulation events,
-// worker coroutines, cores, persist backends and strand structures —
-// is the state a power cut destroys, and is not captured. See
-// docs/SNAPSHOT.md for the full state-capture contract.
+// Everything else — the volatile image, pending simulation events, the
+// engine's counters, worker coroutines, cores, persist backends and
+// strand structures — is the state a power cut destroys or no
+// post-crash query reads, and is not captured. See docs/SNAPSHOT.md for
+// the full state-capture contract.
 type Checkpoint struct {
-	Eng sim.EngineState
+	At  sim.Cycle
 	Mem *mem.MachineState
-	// Ctrls captures every PM controller's crash-visible state in
-	// controller index order (one entry per config.PMControllers).
-	Ctrls []*pmem.ControllerState
+	PM  *pmem.TopologyState
 }
 
 // Snapshot captures the system's crash-visible state. O(state), not
@@ -40,9 +40,9 @@ type Checkpoint struct {
 // copy their tracked writes, the rest is counters.
 func (s *System) Snapshot() *Checkpoint {
 	return &Checkpoint{
-		Eng:   s.Eng.Snapshot(),
-		Mem:   s.Mem.Snapshot(),
-		Ctrls: s.PM.Snapshot(),
+		At:  s.Eng.Now(),
+		Mem: s.Mem.Snapshot(),
+		PM:  s.PM.Snapshot(),
 	}
 }
 
@@ -51,7 +51,7 @@ func (s *System) Snapshot() *Checkpoint {
 // order. The result shares no storage with the checkpoint.
 func (cp *Checkpoint) PMStats() pmem.Stats {
 	var st pmem.Stats
-	for i, c := range cp.Ctrls {
+	for i, c := range cp.PM.Ctrls {
 		cs := c.Stats
 		// Deep-copied as Controller.Stats does: checkpoints are shared
 		// across goroutines, and Add adopts the slice it keeps.
@@ -67,19 +67,19 @@ func (cp *Checkpoint) PMStats() pmem.Stats {
 
 // Restore rewinds the system's crash-visible state to a previously
 // captured checkpoint. A restored system answers the post-crash
-// queries — faultinject.CrashImage, UnacceptedWrites,
-// AcceptedInFlight, PM.Stats, the persistent image — byte-identically
-// to the original at the capture cycle, and is never run: its cores,
-// backends, caches and volatile image are not restored. Production
-// code reads checkpoints directly; Restore is the reference the tests
-// and the benchmark hold those reads to. The target must have the
-// checkpoint's PM controller count; Restore panics otherwise.
+// queries — faultinject.CrashImage, PM.Snapshot, PM.Stats, the
+// persistent image — byte-identically to the original at the capture
+// cycle, and is never run: its engine holds no pending event, and its
+// cores, backends, caches and volatile image are not restored.
+// Production code reads checkpoints directly; Restore is the reference
+// the tests and the benchmark hold those reads to. The target must
+// have the checkpoint's PM controller count; Restore panics otherwise.
 func (s *System) Restore(cp *Checkpoint) {
-	if len(cp.Ctrls) != s.PM.NumControllers() {
+	if len(cp.PM.Ctrls) != s.PM.NumControllers() {
 		panic(fmt.Sprintf("machine: Restore checkpoint (%d PM controllers) into mismatched system (%d)",
-			len(cp.Ctrls), s.PM.NumControllers()))
+			len(cp.PM.Ctrls), s.PM.NumControllers()))
 	}
-	s.Eng.Restore(cp.Eng)
+	s.Eng.Restore(cp.At)
 	s.Mem.Restore(cp.Mem)
-	s.PM.Restore(cp.Ctrls)
+	s.PM.Restore(cp.PM)
 }

@@ -49,8 +49,8 @@ func snapWorkload(d hwdesign.Design, iters int) []Worker {
 }
 
 // observe extracts everything a post-crash query can read from a
-// system: the persistent image, the controllers' unaccepted and
-// accepted-in-flight writes, and the PM statistics. Engine event
+// system: the persistent image, the unaccepted write stream and each
+// controller's accepted-in-flight writes and PM statistics. Engine event
 // counters are excluded deliberately — the capture run schedules one
 // more harness event than the cold run (the snapshot itself), which is
 // visible in scheduling statistics but in no machine state
@@ -58,18 +58,14 @@ func snapWorkload(d hwdesign.Design, iters int) []Worker {
 type observed struct {
 	Now        sim.Cycle
 	Persistent *mem.Image
-	Unaccepted []pmem.LineWrite
-	Accepted   []pmem.LineWrite
-	Ctrl       []pmem.Stats
+	PM         *pmem.TopologyState
 }
 
 func observe(s *System) observed {
 	return observed{
 		Now:        s.Eng.Now(),
 		Persistent: s.Mem.Persistent.Freeze(),
-		Unaccepted: s.PM.UnacceptedWrites(),
-		Accepted:   s.PM.AcceptedInFlight(),
-		Ctrl:       s.PM.PerController(),
+		PM:         s.PM.Snapshot(),
 	}
 }
 

@@ -46,7 +46,7 @@ func TestTopologyWiring(t *testing.T) {
 		if got := s.PM.NumControllers(); got != n {
 			t.Errorf("PMControllers=%d: NumControllers() = %d", n, got)
 		}
-		if got := len(s.Snapshot().Ctrls); got != n {
+		if got := len(s.Snapshot().PM.Ctrls); got != n {
 			t.Errorf("PMControllers=%d: checkpoint has %d controller states", n, got)
 		}
 	}

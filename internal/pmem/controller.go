@@ -50,7 +50,8 @@ type pendingWrite struct {
 	line mem.Addr
 	data [mem.LineSize]byte
 	ack  WriteAck
-	// seq is the submission order stamp (see UnacceptedWrites).
+	// seq is the submission stamp, which orders the unaccepted writes
+	// of every controller in one stream (see Topology.Snapshot).
 	seq uint64
 	// arrivedAt is the cycle the write reached the controller while the
 	// write queue was full (overflow-queue stall accounting).
@@ -98,14 +99,10 @@ type Controller struct {
 	cfg     config.Config
 	machine *mem.Machine
 
-	// submitSeq stamps submissions for deterministic ordering. seqSrc
-	// points at the counter submissions actually draw from: the
-	// controller's own submitSeq when standalone, or the Topology's
-	// shared counter when the controller is one of several — stamps are
-	// then globally ordered, so merged crash-image views keep the
-	// machine-wide submission order.
-	submitSeq uint64
-	seqSrc    *uint64
+	// seqSrc is the counter submissions are stamped from: the
+	// Topology's, shared by all its controllers, so stamps order the
+	// whole machine's submissions.
+	seqSrc *uint64
 	// transit holds PM writes submitted but not yet arrived at the
 	// controller front-end (on-chip flight), in submission order. The
 	// on-chip latency is one constant, so arrivals are FIFO and arriveFn
@@ -239,7 +236,7 @@ const overflowSampleCap = 64
 // functional machine images.
 func New(eng *sim.Engine, cfg config.Config, machine *mem.Machine) *Controller {
 	c := &Controller{eng: eng, cfg: cfg, machine: machine}
-	c.seqSrc = &c.submitSeq
+	c.seqSrc = new(uint64)
 	c.arriveFn = func() {
 		if c.log != nil {
 			c.log.add(logArrive, c.eng.Now(), c.index, 0, 0)
@@ -439,56 +436,6 @@ func (c *Controller) removeInflight(e *drainEntry) {
 			return
 		}
 	}
-}
-
-// UnacceptedWrites snapshots the PM line writes that have been submitted
-// toward the controller but not accepted: on-chip transit plus the
-// overflow queue, in submission order. At a power failure these writes
-// are outside the ADR domain — each of their 8-byte sub-words
-// independently may or may not have reached the media (torn persists);
-// under the baseline line-atomic model they are dropped wholly.
-func (c *Controller) UnacceptedWrites() []LineWrite {
-	ws := c.unaccepted()
-	out := make([]LineWrite, len(ws))
-	for i, w := range ws {
-		out[i] = LineWrite{Line: w.line, Data: w.data}
-	}
-	return out
-}
-
-// unaccepted returns the transit and overflow-queue writes in
-// submission order.
-func (c *Controller) unaccepted() []*pendingWrite {
-	transit, pending := c.transit.Live(), c.pending.Live()
-	ws := make([]*pendingWrite, 0, len(transit)+len(pending))
-	ws = append(ws, transit...)
-	ws = append(ws, pending...)
-	sortBySeq(ws)
-	return ws
-}
-
-// sortBySeq insertion-sorts writes by submission stamp. Its inputs are
-// runs that are each ordered already but interleave (a later
-// submission can be in transit while an earlier one waits in the
-// overflow queue, or sit on another controller).
-func sortBySeq(ws []*pendingWrite) {
-	for i := 1; i < len(ws); i++ {
-		for j := i; j > 0 && ws[j-1].seq > ws[j].seq; j-- {
-			ws[j-1], ws[j] = ws[j], ws[j-1]
-		}
-	}
-}
-
-// AcceptedInFlight snapshots the accepted-but-undrained writes in
-// acceptance order, with the persistent image's pre-write contents.
-// Under ADR these are durable at a power failure; the TearAccepted
-// torture mode deliberately violates that guarantee.
-func (c *Controller) AcceptedInFlight() []LineWrite {
-	out := make([]LineWrite, len(c.inflight))
-	for i, e := range c.inflight {
-		out[i] = LineWrite{Line: e.line, Old: e.old, Data: e.data}
-	}
-	return out
 }
 
 // SubmitRead requests a line fill from memory. For PM addresses the

@@ -181,7 +181,7 @@ func (r *Replayer) To(at sim.Cycle) {
 			break
 		}
 		if e.at != eng.Now() {
-			eng.Restore(sim.EngineState{Now: e.at})
+			eng.Restore(e.at)
 		}
 		c := t.ctrls[e.ctrl]
 		switch e.kind {
@@ -205,5 +205,5 @@ func (r *Replayer) To(at sim.Cycle) {
 			r.word++
 		}
 	}
-	eng.Restore(sim.EngineState{Now: at})
+	eng.Restore(at)
 }

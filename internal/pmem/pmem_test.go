@@ -254,7 +254,7 @@ func TestControllerStreamZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1, stream); n != 0 {
 		t.Errorf("never-empty write stream allocated %.0f times over %d writes, want 0", n, writes)
 	}
-	if len(c.UnacceptedWrites()) == 0 {
+	if c.transit.Len() == 0 {
 		t.Error("transit emptied; the stream should keep writes in flight")
 	}
 	if n := c.Stats().WriteQueueFullEvents; n != 0 {

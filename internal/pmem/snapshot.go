@@ -1,55 +1,108 @@
 package pmem
 
-import "strandweaver/internal/mem"
-
-// TrackedWrite is the passive form of one write the controller has not
-// yet accepted (still in transit on the interconnect, or parked in the
-// overflow queue waiting for a write-queue slot). Seq is its
-// submission stamp, which orders the unaccepted writes across
-// controllers. The acceptance ack callback is deliberately dropped: it
-// is a closure into the core that sent the write, part of the
-// micro-architectural future a crash cut destroys (docs/SNAPSHOT.md).
-type TrackedWrite struct {
-	Line mem.Addr
-	Data [mem.LineSize]byte
-	Seq  uint64
+// TopologyState is a crash-cut checkpoint of the PM side: exactly what
+// a power cut reads of the controllers. Unaccepted is the machine-wide
+// stream of writes submitted but not accepted (on-chip transit plus
+// every controller's overflow queue) in submission order, the one
+// stream a power cut truncates (package faultinject). Ctrls holds each
+// controller's share of the rest, in controller index order. The
+// acceptance ack callbacks are deliberately dropped: they are closures
+// into the cores that sent the writes, part of the micro-architectural
+// future a crash cut destroys (docs/SNAPSHOT.md).
+type TopologyState struct {
+	Unaccepted []LineWrite
+	Ctrls      []ControllerState
 }
 
-// ControllerState is a crash-cut checkpoint of one controller: exactly
-// the inputs UnacceptedWrites, AcceptedInFlight and Stats read. The
-// unaccepted writes are in submission order; Accepted holds the
+// ControllerState is one controller's share of a checkpoint: its
 // accepted-but-undrained writes in acceptance order, with the
-// persistent image's pre-write contents. Everything that only resuming
-// the controller would need — queue occupancy, bank state, media
-// retries, the submission counter, ack queues — is not captured.
+// persistent image's pre-write contents, and its statistics.
+// Everything that only resuming the controller would need — queue
+// occupancy, bank state, media retries, the submission counter, ack
+// queues — is not captured.
 type ControllerState struct {
-	Unaccepted []TrackedWrite
-	Accepted   []LineWrite
-	Stats      Stats
+	Accepted []LineWrite
+	Stats    Stats
 }
 
-// Snapshot captures the controller's tracked writes and counters as
-// pure data. The returned state shares nothing with the controller.
-func (c *Controller) Snapshot() *ControllerState {
-	s := &ControllerState{
-		Accepted: c.AcceptedInFlight(),
-		Stats:    c.Stats(), // deep-copies OverflowHighWater
+// Snapshot captures the topology's crash-visible state as pure data
+// sharing nothing with the topology. The unaccepted writes are merged
+// once, by submission stamp. Within one controller they are already in
+// submission order, overflow queue first: a write joins the overflow
+// queue only once it has arrived, and arrivals are FIFO at one transit
+// latency.
+func (t *Topology) Snapshot() *TopologyState {
+	s := &TopologyState{Ctrls: make([]ControllerState, len(t.ctrls))}
+	n := 0
+	for i, c := range t.ctrls {
+		acc := make([]LineWrite, len(c.inflight))
+		for j, e := range c.inflight {
+			acc[j] = LineWrite{Line: e.line, Old: e.old, Data: e.data}
+		}
+		s.Ctrls[i] = ControllerState{Accepted: acc, Stats: c.Stats()}
+		n += c.pending.Len() + c.transit.Len()
 	}
-	for _, w := range c.unaccepted() {
-		s.Unaccepted = append(s.Unaccepted, TrackedWrite{Line: w.line, Data: w.data, Seq: w.seq})
+	if n == 0 {
+		return s
+	}
+	s.Unaccepted = make([]LineWrite, 0, n)
+	next := make([]int, len(t.ctrls))
+	for len(s.Unaccepted) < n {
+		var first *pendingWrite
+		from := 0
+		for i, c := range t.ctrls {
+			if w := c.unaccepted(next[i]); w != nil && (first == nil || w.seq < first.seq) {
+				first, from = w, i
+			}
+		}
+		next[from]++
+		s.Unaccepted = append(s.Unaccepted, LineWrite{Line: first.line, Data: first.data})
 	}
 	return s
 }
 
-// Restore rewinds the controller's crash-visible state to a captured
-// one. Entries are rebuilt through the controller's own alloc paths
-// (recycling the live ones) so their cached completion thunks bind
-// this controller, never the one the checkpoint came from (the
-// cached-thunk rule, docs/SNAPSHOT.md). A restored controller answers
-// UnacceptedWrites / AcceptedInFlight / Stats identically to the
-// original at the capture point, which is all a crash-cut checkpoint
-// is for; it is never run.
-func (c *Controller) Restore(s *ControllerState) {
+// unaccepted returns the controller's i-th unaccepted write in
+// submission order, or nil past the last.
+func (c *Controller) unaccepted(i int) *pendingWrite {
+	pending, transit := c.pending.Live(), c.transit.Live()
+	if i < len(pending) {
+		return pending[i]
+	}
+	if i -= len(pending); i < len(transit) {
+		return transit[i]
+	}
+	return nil
+}
+
+// Restore rewinds the topology's crash-visible state to s, captured
+// from an identically configured topology; it panics on a controller
+// count mismatch. Each unaccepted write goes back into its
+// controller's transit (IndexOf routes it), stamped in stream order, so
+// a restored topology answers Snapshot identically to the original at
+// the capture point, which is all a crash-cut checkpoint is for; it is
+// never run.
+func (t *Topology) Restore(s *TopologyState) {
+	if len(s.Ctrls) != len(t.ctrls) {
+		panic("pmem: Topology.Restore with mismatched controller count")
+	}
+	for i, c := range t.ctrls {
+		c.restore(&s.Ctrls[i])
+	}
+	for _, u := range s.Unaccepted {
+		c := t.ctrls[t.IndexOf(u.Line)]
+		w := c.allocPW()
+		t.submitSeq++
+		w.line, w.data, w.seq = u.Line, u.Data, t.submitSeq
+		c.transit.Push(w)
+	}
+}
+
+// restore empties the controller's tracked writes and rebuilds the
+// accepted ones from s. Entries are rebuilt through the controller's
+// own alloc paths (recycling the live ones) so their cached completion
+// thunks bind this controller, never the one the checkpoint came from
+// (the cached-thunk rule, docs/SNAPSHOT.md).
+func (c *Controller) restore(s *ControllerState) {
 	// Recycle the tracked entries. drainq holds a subset of inflight,
 	// so entries are returned to the freelist via inflight only.
 	for _, w := range c.transit.Live() {
@@ -70,14 +123,6 @@ func (c *Controller) Restore(s *ControllerState) {
 	clear(c.inflight)
 	c.inflight = c.inflight[:0]
 
-	// The unaccepted writes all restore into transit, already in
-	// submission order.
-	for i := range s.Unaccepted {
-		t := &s.Unaccepted[i]
-		w := c.allocPW()
-		w.line, w.data, w.seq = t.Line, t.Data, t.Seq
-		c.transit.Push(w)
-	}
 	for i := range s.Accepted {
 		a := &s.Accepted[i]
 		e := c.allocDE()

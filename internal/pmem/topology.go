@@ -23,10 +23,10 @@ import (
 //
 // Submission stamps come from one topology-wide counter shared by every
 // controller (Controller.seqSrc), giving in-flight writes a global
-// submission order even though they queue on different controllers.
-// Every fan-out — stats, snapshots, crash-image construction — iterates
-// controllers in index order, the fixed iteration order required by
-// docs/DETERMINISM.md.
+// submission order even though they queue on different controllers:
+// Snapshot merges them into the one stream a power cut truncates.
+// Every fan-out — stats, snapshots — iterates controllers in index
+// order, the fixed iteration order required by docs/DETERMINISM.md.
 //
 // With a single controller (the default and the paper's configuration)
 // the topology is a transparent pass-through: every routed call lands
@@ -73,9 +73,6 @@ func (t *Topology) IndexOf(line mem.Addr) int {
 	return int((uint64(line) >> mem.LineShift) & t.mask)
 }
 
-// Controller returns controller i.
-func (t *Topology) Controller(i int) *Controller { return t.ctrls[i] }
-
 // Controllers returns the controllers in index order — the canonical
 // iteration order for any per-controller fan-out. Callers must not
 // mutate the slice.
@@ -96,15 +93,6 @@ func (t *Topology) SubmitDRAMWrite(line mem.Addr) {
 	t.ctrls[t.IndexOf(line)].SubmitDRAMWrite(line)
 }
 
-// SetFaultHook installs h on every controller (nil removes). Fault
-// injection that needs disjoint per-controller draw streams installs
-// per-controller hooks via Controllers instead.
-func (t *Topology) SetFaultHook(h FaultHook) {
-	for _, c := range t.ctrls {
-		c.SetFaultHook(h)
-	}
-}
-
 // Stats aggregates all controllers' statistics in index order: counters
 // sum, high-water marks take the maximum across controllers (the
 // Stats.Add merge rule).
@@ -123,62 +111,4 @@ func (t *Topology) PerController() []Stats {
 		out[i] = c.Stats()
 	}
 	return out
-}
-
-// UnacceptedWrites merges every controller's submitted-but-unaccepted
-// writes into one machine-wide view in global submission order (the
-// shared stamp makes the merge well defined). Note the global FIFO
-// landing property holds per controller only: independent controllers
-// accept concurrently, so a power cut truncates each controller's
-// stream at its own point (see faultinject).
-func (t *Topology) UnacceptedWrites() []LineWrite {
-	if len(t.ctrls) == 1 {
-		return t.ctrls[0].UnacceptedWrites()
-	}
-	var all []*pendingWrite
-	for _, c := range t.ctrls {
-		all = append(all, c.unaccepted()...)
-	}
-	sortBySeq(all)
-	out := make([]LineWrite, len(all))
-	for i, w := range all {
-		out[i] = LineWrite{Line: w.line, Data: w.data}
-	}
-	return out
-}
-
-// AcceptedInFlight concatenates each controller's accepted-but-
-// undrained writes in controller index order (acceptance order within
-// each controller; acceptances on independent controllers have no
-// cross-controller order).
-func (t *Topology) AcceptedInFlight() []LineWrite {
-	if len(t.ctrls) == 1 {
-		return t.ctrls[0].AcceptedInFlight()
-	}
-	var out []LineWrite
-	for _, c := range t.ctrls {
-		out = append(out, c.AcceptedInFlight()...)
-	}
-	return out
-}
-
-// Snapshot captures every controller's state in index order (pure data,
-// sharing nothing with the topology; docs/SNAPSHOT.md capture table).
-func (t *Topology) Snapshot() []*ControllerState {
-	out := make([]*ControllerState, len(t.ctrls))
-	for i, c := range t.ctrls {
-		out[i] = c.Snapshot()
-	}
-	return out
-}
-
-// Restore rewinds every controller from states (captured from an
-// identically configured topology).
-func (t *Topology) Restore(states []*ControllerState) {
-	if len(states) != len(t.ctrls) {
-		panic("pmem: Topology.Restore with mismatched controller count")
-	}
-	for i, c := range t.ctrls {
-		c.Restore(states[i])
-	}
 }

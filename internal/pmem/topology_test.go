@@ -78,7 +78,7 @@ func TestTopologyUnacceptedWritesGlobalSubmissionOrder(t *testing.T) {
 	for _, i := range order {
 		tp.SubmitPMWrite(pmLine(i), lineData(byte(i+1)), nil)
 	}
-	ws := tp.UnacceptedWrites()
+	ws := tp.Snapshot().Unaccepted
 	if len(ws) != len(order) {
 		t.Fatalf("%d unaccepted writes, want %d", len(ws), len(order))
 	}
@@ -96,10 +96,10 @@ func TestTopologySingleControllerPassThrough(t *testing.T) {
 	_, tp, _ := newTopo(1)
 	tp.SubmitPMWrite(pmLine(0), lineData(1), nil)
 	tp.SubmitPMWrite(pmLine(1), lineData(2), nil)
-	direct := tp.Controller(0).UnacceptedWrites()
-	routed := tp.UnacceptedWrites()
-	if !reflect.DeepEqual(direct, routed) {
-		t.Error("single-controller UnacceptedWrites differs from controller 0's own view")
+	snap := tp.Snapshot()
+	want := []LineWrite{{Line: pmLine(0), Data: lineData(1)}, {Line: pmLine(1), Data: lineData(2)}}
+	if len(snap.Ctrls) != 1 || !reflect.DeepEqual(snap.Unaccepted, want) {
+		t.Error("single-controller snapshot is not controller 0's stream in submission order")
 	}
 	if tp.IndexOf(pmLine(12345)) != 0 {
 		t.Error("single-controller IndexOf must always be 0")
@@ -139,8 +139,8 @@ func TestTopologySnapshotRestoreRoundTrip(t *testing.T) {
 		tp.SubmitPMWrite(pmLine(i), lineData(byte(i)), nil)
 	}
 	snap := tp.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("snapshot has %d controller states, want 4", len(snap))
+	if len(snap.Ctrls) != 4 {
+		t.Fatalf("snapshot has %d controller states, want 4", len(snap.Ctrls))
 	}
 
 	_, tp2, _ := newTopo(4)
@@ -150,14 +150,12 @@ func TestTopologySnapshotRestoreRoundTrip(t *testing.T) {
 	}
 	// The restored topology answers every post-crash query as the
 	// original does at the capture point.
-	if len(tp.UnacceptedWrites()) == 0 || len(tp.AcceptedInFlight()) == 0 {
+	accepted := 0
+	for _, c := range snap.Ctrls {
+		accepted += len(c.Accepted)
+	}
+	if len(snap.Unaccepted) == 0 || accepted == 0 {
 		t.Fatal("expected both unaccepted and accepted-in-flight writes at the capture point")
-	}
-	if !reflect.DeepEqual(tp2.UnacceptedWrites(), tp.UnacceptedWrites()) {
-		t.Error("restored UnacceptedWrites differ from the original")
-	}
-	if !reflect.DeepEqual(tp2.AcceptedInFlight(), tp.AcceptedInFlight()) {
-		t.Error("restored AcceptedInFlight differs from the original")
 	}
 	if !reflect.DeepEqual(tp2.PerController(), tp.PerController()) {
 		t.Error("restored per-controller Stats differ from the original")

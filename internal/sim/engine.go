@@ -283,6 +283,23 @@ func (e *Engine) ScheduleAt(at Cycle, fn Event) {
 	e.Schedule(at-e.now, fn)
 }
 
+// Restore drops every pending event and moves the clock to now, earlier
+// or later. A crash-cut log replay moves forward to each entry's cycle
+// (the log already holds the firings of what the entry schedules), and
+// a restored system moves to its checkpoint's cut, where the power
+// failure has destroyed the in-flight micro-architectural future
+// (docs/SNAPSHOT.md). Events are dropped by
+// popping them in O(pending), which keeps the storage and releases the
+// closures, before the clock moves, since the wheel locates its events
+// relative to the current cycle. The seq counter, the stop flag, the
+// watchdog and the counters are left as they are.
+func (e *Engine) Restore(now Cycle) {
+	for e.Pending() != 0 {
+		e.popNext(0)
+	}
+	e.now = now
+}
+
 // Stop makes Run return after the event currently executing (if any)
 // completes.
 func (e *Engine) Stop() { e.stopped = true }

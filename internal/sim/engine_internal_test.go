@@ -92,8 +92,8 @@ func (c *orderChecker) run(limit Cycle) {
 
 // restore rewinds the engine; the reference drops its pending events,
 // as the engine does.
-func (c *orderChecker) restore(s EngineState) {
-	c.e.Restore(s)
+func (c *orderChecker) restore(now Cycle) {
+	c.e.Restore(now)
 	c.pending = c.pending[:0]
 	if c.e.Pending() != 0 {
 		c.t.Fatalf("%d events pending after Restore", c.e.Pending())
@@ -190,14 +190,13 @@ func TestWheelLimitClampThenZeroDelay(t *testing.T) {
 	c.run(0)
 }
 
-// Restore empties the wheel and the far heap and resumes at the
-// captured (cycle, seq): new events are stamped after the captured
-// seq and fire from the captured cycle.
+// Restore empties the wheel and the far heap and moves the clock back:
+// new events fire from the restored cycle.
 func TestWheelRestore(t *testing.T) {
 	c := newOrderChecker(t)
 	c.schedule(3, nil)
 	c.run(0)
-	st := c.e.Snapshot()
+	at := c.e.Now()
 	for _, d := range []Cycle{0, 1, 1, 40, wheelSpan - 1, wheelSpan, 3 * wheelSpan} {
 		c.schedule(d, nil)
 	}
@@ -206,7 +205,7 @@ func TestWheelRestore(t *testing.T) {
 		t.Fatal("nothing left queued to restore over")
 	}
 	fired := c.fired
-	c.restore(st)
+	c.restore(at)
 	if c.e.Now() != 3 || c.e.wheelLen != 0 || c.e.occSum != 0 || len(c.e.heap) != 0 {
 		t.Fatalf("after Restore: clock %d, wheel %d, occupancy %b, heap %d",
 			c.e.Now(), c.e.wheelLen, c.e.occSum, len(c.e.heap))
@@ -217,9 +216,6 @@ func TestWheelRestore(t *testing.T) {
 		}
 	}
 	c.schedule(0, nil)
-	if got := c.e.Snapshot().Seq; got != st.Seq+1 {
-		t.Errorf("first seq after Restore %d, want %d", got, st.Seq+1)
-	}
 	c.schedule(2, nil)
 	c.schedule(wheelSpan+1, nil)
 	c.run(0)
@@ -277,21 +273,21 @@ func TestEngineOrderMatchesReferenceSort(t *testing.T) {
 	}
 }
 
-// FuzzEngineOrder decodes bytes into Schedule, ScheduleAt, Run(limit),
-// Snapshot and Restore calls and checks every firing against the
-// reference model. Each op is two bytes: a kind and an argument.
+// FuzzEngineOrder decodes bytes into Schedule, ScheduleAt, Run(limit)
+// and Restore calls (back to a recorded cycle) and checks every firing
+// against the reference model. Each op is two bytes: a kind and an argument.
 func FuzzEngineOrder(f *testing.F) {
 	for _, seed := range [][]byte{
 		{0, 0, 0, 1, 1, 200, 6, 0},                   // same-cycle burst, then drain
 		{3, 255, 2, 128, 6, 10, 0, 0, 6, 0},          // far and near events, clamp, zero delay
-		{7, 0, 1, 5, 3, 100, 6, 1, 7, 1, 0, 3, 6, 0}, // snapshot, run, restore, resume
+		{7, 0, 1, 5, 3, 100, 6, 1, 7, 1, 0, 3, 6, 0}, // record, run, restore, resume
 		{5, 9, 4, 3, 2, 255, 6, 130, 5, 0, 6, 0},     // nested schedules across the span
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := newOrderChecker(t)
-		var snap *EngineState
+		var snap *Cycle
 		for i := 0; i+1 < len(data) && i < 256; i += 2 {
 			arg := Cycle(data[i+1])
 			switch data[i] % 8 {
@@ -317,8 +313,8 @@ func FuzzEngineOrder(f *testing.F) {
 				c.run(c.e.Now() + arg*16)
 			case 7:
 				if arg%2 == 0 || snap == nil {
-					s := c.e.Snapshot()
-					snap = &s
+					now := c.e.Now()
+					snap = &now
 				} else {
 					c.restore(*snap)
 				}
