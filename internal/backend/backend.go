@@ -137,8 +137,6 @@ type Stat struct {
 // core. All methods run on the simulation engine; CLWB and Barrier run
 // on the workload coroutine and may suspend it.
 type Backend interface {
-	// Design returns the design this backend implements.
-	Design() hwdesign.Design
 	// Gate returns the cache-side persist gate the hierarchy must
 	// consult for dirty write-backs and snoop transfers, or nil when
 	// the design does not gate them.
@@ -159,8 +157,6 @@ type Backend interface {
 	Pump()
 	// Drained reports whether all backend persist machinery is idle.
 	Drained() bool
-	// Plan returns the design's logging-order mapping (Figure 5).
-	Plan() OrderingPlan
 	// Stats returns the backend's counters in a stable order.
 	Stats() []Stat
 }
@@ -173,8 +169,6 @@ type Deps struct {
 	// L1 is the owning core's L1, the flush datapath for strand/persist
 	// buffers and direct CLWBs.
 	L1 *cache.L1
-	// Mem is the functional memory pair (volatile + persistent images).
-	Mem *mem.Machine
 	// PM is the persistence boundary; a design that persists at
 	// visibility writes through it (Topology.PersistVisible).
 	PM *pmem.Topology
@@ -206,12 +200,6 @@ func register(d hwdesign.Design, plan OrderingPlan, mk ctor) {
 	registry[d] = registration{mk: mk, plan: plan}
 }
 
-// Registered reports whether design d has a backend implementation.
-func Registered(d hwdesign.Design) bool {
-	_, ok := registry[d]
-	return ok
-}
-
 // ErrUnknownDesign reports a design with no registered backend
 // implementation. New and PlanFor wrap it with the design name; match
 // with errors.Is.
@@ -227,9 +215,9 @@ func New(d hwdesign.Design, deps Deps) (Backend, error) {
 }
 
 // PlanFor returns design d's logging-order plan without constructing a
-// backend (and therefore without an engine, caches or memory). It is
-// the recipe-capture seam for static analysis: Backend.Plan on a live
-// backend returns the same value.
+// backend (and therefore without an engine, caches or memory): the one
+// source of the plan, for static analysis and for the live cores
+// alike.
 func PlanFor(d hwdesign.Design) (OrderingPlan, error) {
 	r, ok := registry[d]
 	if !ok {

@@ -56,8 +56,8 @@ func TestAvailabilityMatrixCoversAllDesigns(t *testing.T) {
 		if _, ok := available[d]; !ok {
 			t.Errorf("matrix missing design %s", d)
 		}
-		if !backend.Registered(d) {
-			t.Errorf("no backend registered for design %s", d)
+		if _, err := backend.PlanFor(d); err != nil {
+			t.Errorf("no backend registered for design %s: %v", d, err)
 		}
 	}
 }

@@ -42,17 +42,13 @@ type eadrBackend struct {
 	wordsPersisted uint64
 }
 
+// newEADR builds the backend. Line write-backs carry no durability
+// action on this design: the PM topology, built for it by
+// machine.New, persists at visibility and ignores their acceptance.
 func newEADR(d Deps) Backend {
-	// Line write-backs snapshot their data when the cache submits them,
-	// which can be older than words persisted at visibility afterwards;
-	// with caches inside the persistence domain they carry no
-	// durability action at all, so tell the functional memory to ignore
-	// them.
-	d.Mem.SetPersistAtVisibility(true)
 	return &eadrBackend{pm: d.PM}
 }
 
-func (b *eadrBackend) Design() hwdesign.Design { return hwdesign.EADR }
 func (b *eadrBackend) Gate() cache.PersistGate { return nil }
 func (b *eadrBackend) StoreGate() StoreGate    { return StoreGate{} }
 
@@ -94,8 +90,6 @@ var eadrPlan = OrderingPlan{
 	RegionEnd:   isa.OpNone,
 	Durable:     isa.OpNone,
 }
-
-func (b *eadrBackend) Plan() OrderingPlan { return eadrPlan }
 
 func (b *eadrBackend) Stats() []Stat {
 	return []Stat{

@@ -65,7 +65,6 @@ func (c *hopsCLWB) done() {
 	c.b.kick()
 }
 
-func (b *hopsBackend) Design() hwdesign.Design { return hwdesign.HOPS }
 func (b *hopsBackend) Gate() cache.PersistGate { return b.sbu }
 func (b *hopsBackend) StoreGate() StoreGate    { return StoreGate{} }
 
@@ -121,8 +120,6 @@ var hopsPlan = OrderingPlan{
 	RegionEnd:   isa.OpDFence,
 	Durable:     isa.OpDFence,
 }
-
-func (b *hopsBackend) Plan() OrderingPlan { return hopsPlan }
 
 func (b *hopsBackend) Stats() []Stat {
 	s := b.sbu.Stats()

@@ -21,7 +21,7 @@ var intelPlan = OrderingPlan{
 
 func init() {
 	register(hwdesign.IntelX86, intelPlan, func(d Deps) Backend {
-		return newFlushBackend(hwdesign.IntelX86, d, intelPlan)
+		return newFlushBackend(hwdesign.IntelX86, d)
 	})
 }
 
@@ -38,7 +38,6 @@ type flushBackend struct {
 	eng    *sim.Engine
 	l1     *cache.L1
 	kick   func()
-	plan   OrderingPlan
 
 	// flushes counts direct CLWBs in flight; SFENCE waits for zero.
 	flushes int
@@ -63,8 +62,8 @@ type flushBackend struct {
 	sfences    uint64
 }
 
-func newFlushBackend(d hwdesign.Design, deps Deps, plan OrderingPlan) *flushBackend {
-	b := &flushBackend{design: d, eng: deps.Eng, l1: deps.L1, kick: deps.Kick, plan: plan}
+func newFlushBackend(d hwdesign.Design, deps Deps) *flushBackend {
+	b := &flushBackend{design: d, eng: deps.Eng, l1: deps.L1, kick: deps.Kick}
 	b.flushDoneFn = func() {
 		b.flushes--
 		b.kick()
@@ -78,9 +77,7 @@ func newFlushBackend(d hwdesign.Design, deps Deps, plan OrderingPlan) *flushBack
 	return b
 }
 
-func (b *flushBackend) Design() hwdesign.Design { return b.design }
 func (b *flushBackend) Gate() cache.PersistGate { return nil }
-func (b *flushBackend) Plan() OrderingPlan      { return b.plan }
 func (b *flushBackend) StoreGate() StoreGate    { return StoreGate{} }
 
 func (b *flushBackend) OnStoreVisible(mem.Addr, uint64, uint8) {}

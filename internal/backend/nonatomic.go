@@ -22,6 +22,6 @@ func init() {
 	// designs and is not crash-consistent. SFENCE remains available so
 	// workloads that issue it explicitly still run.
 	register(hwdesign.NonAtomic, nonAtomicPlan, func(d Deps) Backend {
-		return newFlushBackend(hwdesign.NonAtomic, d, nonAtomicPlan)
+		return newFlushBackend(hwdesign.NonAtomic, d)
 	})
 }

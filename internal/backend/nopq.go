@@ -54,7 +54,6 @@ func (b *nopqBackend) queueNotFull(h Host) func() bool {
 	return b.notFull
 }
 
-func (b *nopqBackend) Design() hwdesign.Design { return hwdesign.NoPersistQueue }
 func (b *nopqBackend) Gate() cache.PersistGate { return b.sbu }
 func (b *nopqBackend) StoreGate() StoreGate    { return StoreGate{} }
 
@@ -105,8 +104,6 @@ var nopqPlan = OrderingPlan{
 	RegionEnd:   isa.OpNone,
 	Durable:     isa.OpJoinStrand,
 }
-
-func (b *nopqBackend) Plan() OrderingPlan { return nopqPlan }
 
 func (b *nopqBackend) Stats() []Stat {
 	s := b.sbu.Stats()

@@ -48,7 +48,6 @@ func newStrandWeaver(d Deps) Backend {
 	return b
 }
 
-func (b *swBackend) Design() hwdesign.Design { return hwdesign.StrandWeaver }
 func (b *swBackend) Gate() cache.PersistGate { return b.sbu }
 
 func (b *swBackend) OnStoreVisible(mem.Addr, uint64, uint8) {}
@@ -121,8 +120,6 @@ var swPlan = OrderingPlan{
 	RegionEnd:   isa.OpNone,
 	Durable:     isa.OpJoinStrand,
 }
-
-func (b *swBackend) Plan() OrderingPlan { return swPlan }
 
 func (b *swBackend) Stats() []Stat {
 	qs := b.pq.Stats()

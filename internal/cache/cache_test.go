@@ -12,7 +12,7 @@ import (
 func newHier(cfg config.Config) (*sim.Engine, *Hierarchy, *mem.Machine) {
 	eng := sim.NewEngine()
 	m := mem.NewMachine()
-	ctrl := pmem.NewTopology(eng, cfg, m)
+	ctrl := pmem.NewTopology(eng, cfg, m, false)
 	return eng, NewHierarchy(eng, cfg, m, ctrl), m
 }
 

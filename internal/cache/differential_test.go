@@ -115,7 +115,7 @@ func replay(cfg config.Config, gated bool, lines []mem.Addr, ops []cacheOp,
 	build func(*sim.Engine, *mem.Machine, memPort) hierarchy) observed {
 	eng := sim.NewEngine()
 	m := mem.NewMachine()
-	port := &recPort{Topology: pmem.NewTopology(eng, cfg, m), eng: eng}
+	port := &recPort{Topology: pmem.NewTopology(eng, cfg, m, false), eng: eng}
 	h := build(eng, m, port)
 	var gates []*heldGate
 	if gated {

@@ -19,12 +19,6 @@ type Config struct {
 	// StoreQueueEntries is the per-core store queue capacity (Table I:
 	// 64).
 	StoreQueueEntries int
-	// LoadQueueEntries is the per-core load queue capacity (Table I: 72).
-	LoadQueueEntries int
-	// ROBEntries bounds in-flight ops per core (Table I: 224). The core
-	// model is not a full OoO pipeline; ROB pressure is approximated by
-	// capping outstanding memory ops.
-	ROBEntries int
 
 	// PersistQueueEntries is the per-core persist queue capacity
 	// (StrandWeaver: 16).
@@ -94,10 +88,6 @@ type Config struct {
 	// volatile region.
 	DRAMReadCycles uint64
 
-	// IssueWidth is the front-end issue rate in ops/cycle. The paper's
-	// core is 6-wide dispatch; memory-ops-per-cycle is what matters here.
-	IssueWidth int
-
 	// FlushInvalidates models CLFLUSHOPT (older x86) instead of CLWB:
 	// the flush evicts the line rather than retaining a clean copy, so
 	// the next access to it misses. Default false (CLWB, as the paper
@@ -111,8 +101,6 @@ func Default() Config {
 	return Config{
 		Cores:                     8,
 		StoreQueueEntries:         64,
-		LoadQueueEntries:          72,
-		ROBEntries:                224,
 		PersistQueueEntries:       16,
 		StrandBuffers:             4,
 		StrandBufferEntries:       4,
@@ -135,7 +123,6 @@ func Default() Config {
 		PMMediaMaxRetries:         8,
 		PMMediaRetryBackoffCycles: 250,
 		DRAMReadCycles:            100,
-		IssueWidth:                2,
 	}
 }
 
@@ -165,8 +152,6 @@ func (c Config) Validate() error {
 		return errf("L1 geometry must be positive, got %dx%d", c.L1Sets, c.L1Ways)
 	case c.L2Sets <= 0 || c.L2Ways <= 0:
 		return errf("L2 geometry must be positive, got %dx%d", c.L2Sets, c.L2Ways)
-	case c.IssueWidth <= 0:
-		return errf("IssueWidth must be positive, got %d", c.IssueWidth)
 	case c.PMMediaMaxRetries < 0:
 		return errf("PMMediaMaxRetries must be non-negative, got %d", c.PMMediaMaxRetries)
 	case c.PMMediaMaxRetries > 0 && c.PMMediaRetryBackoffCycles == 0:

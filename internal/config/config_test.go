@@ -21,8 +21,6 @@ func TestDefaultMatchesTableI(t *testing.T) {
 	}{
 		{"cores", uint64(c.Cores), 8},
 		{"store queue", uint64(c.StoreQueueEntries), 64},
-		{"load queue", uint64(c.LoadQueueEntries), 72},
-		{"ROB", uint64(c.ROBEntries), 224},
 		{"persist queue", uint64(c.PersistQueueEntries), 16},
 		{"strand buffers", uint64(c.StrandBuffers), 4},
 		{"strand buffer entries", uint64(c.StrandBufferEntries), 4},
@@ -82,7 +80,6 @@ func TestValidateCatchesNonsense(t *testing.T) {
 		func(c *Config) { c.PMWriteQueueEntries = 0 },
 		func(c *Config) { c.L1Sets = 0 },
 		func(c *Config) { c.L2Ways = 0 },
-		func(c *Config) { c.IssueWidth = 0 },
 		func(c *Config) { c.PMControllers = -1 },
 		func(c *Config) { c.PMControllers = 3 },
 		func(c *Config) { c.PMControllers = 6 },

@@ -86,6 +86,10 @@ type Core struct {
 
 	sq *storeQueue
 	be backend.Backend
+	// design is the core's hardware design and plan its logging-order
+	// plan, the design's registration's.
+	design hwdesign.Design
+	plan   backend.OrderingPlan
 
 	// seq is the core-wide program-order sequence counter; 0 is reserved
 	// as "none".
@@ -137,6 +141,10 @@ type Core struct {
 // returned core's persist gate on the cache hierarchy when the design
 // has one. It fails only when no backend implements the design.
 func NewCore(id int, eng *sim.Engine, cfg config.Config, design hwdesign.Design, machine *mem.Machine, l1 *cache.L1, pm *pmem.Topology) (*Core, error) {
+	plan, err := backend.PlanFor(design)
+	if err != nil {
+		return nil, err
+	}
 	c := &Core{
 		id:      id,
 		eng:     eng,
@@ -145,6 +153,8 @@ func NewCore(id int, eng *sim.Engine, cfg config.Config, design hwdesign.Design,
 		l1:      l1,
 		pm:      pm,
 		wake:    sim.NewWaiter(eng),
+		design:  design,
+		plan:    plan,
 	}
 	c.sq = newStoreQueue(c)
 	c.kickFn = func() {
@@ -179,7 +189,6 @@ func NewCore(id int, eng *sim.Engine, cfg config.Config, design hwdesign.Design,
 		Eng:     eng,
 		Cfg:     cfg,
 		L1:      l1,
-		Mem:     machine,
 		PM:      pm,
 		Tracker: c.sq,
 		Kick:    c.kick,
@@ -203,14 +212,14 @@ func (c *Core) backoffJitter() uint64 {
 func (c *Core) ID() int { return c.id }
 
 // Design returns the core's hardware design.
-func (c *Core) Design() hwdesign.Design { return c.be.Design() }
+func (c *Core) Design() hwdesign.Design { return c.design }
 
 // Stats returns a copy of the core's counters.
 func (c *Core) Stats() Stats { return c.stats }
 
-// OrderingPlan returns the backend's logging-order plan (which
+// OrderingPlan returns the design's logging-order plan (which
 // primitive discharges each Figure 5 requirement on this design).
-func (c *Core) OrderingPlan() backend.OrderingPlan { return c.be.Plan() }
+func (c *Core) OrderingPlan() backend.OrderingPlan { return c.plan }
 
 // PersistGate returns the backend's cache persist gate (the strand
 // buffer unit on designs that have one), or nil.
@@ -256,7 +265,7 @@ func (c *Core) Drained() bool {
 }
 
 func (c *Core) String() string {
-	return fmt.Sprintf("core%d[%s]", c.id, c.be.Design())
+	return fmt.Sprintf("core%d[%s]", c.id, c.design)
 }
 
 // stallUntil parks the front-end until cond holds, charging the elapsed

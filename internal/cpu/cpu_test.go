@@ -27,7 +27,7 @@ func newRig(t *testing.T, cfg config.Config, d hwdesign.Design, n int) *rig {
 	cfg.Cores = n
 	eng := sim.NewEngine()
 	m := mem.NewMachine()
-	ctrl := pmem.NewTopology(eng, cfg, m)
+	ctrl := pmem.NewTopology(eng, cfg, m, false)
 	hier := cache.NewHierarchy(eng, cfg, m, ctrl)
 	r := &rig{eng: eng, m: m}
 	for i := 0; i < n; i++ {

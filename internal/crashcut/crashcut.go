@@ -4,15 +4,17 @@
 //
 // A crash cut needs the crash-free run's length (cuts are placed
 // relative to it) and the machine state at the cut. Cache memoises
-// both. Per run key it simulates the crash-free (discovery) run once,
-// recording the PM controllers' log (pmem.Log) as it goes, and it
-// serves each (key, cut) from a stored checkpoint, producing every
-// missing cut of a request by one replay: the log entries before each
-// cut applied to a freshly built, never-run system of the key with a
-// fresh armed injector, then a snapshot. Under ADR the controller's
-// acceptance is the persistence point, so everything a cut reads — the
-// persistent image, the controllers' unaccepted and in-flight writes
-// and statistics, the injector's stream — is the controllers' own
+// both. Per run key — the target's key and the fault plan's run key,
+// which together name everything that reaches the simulated run — it
+// simulates the crash-free (discovery) run once, recording the PM
+// controllers' log (pmem.Log) as it goes, and it serves each (key,
+// cut) from a stored checkpoint, producing every missing cut of a
+// request by one replay: the log entries before each cut applied to a
+// freshly built, never-run system of the key with a fresh armed
+// injector, then a snapshot. Under ADR the controller's acceptance is
+// the persistence point, so everything a cut reads — the persistent
+// image, the controllers' unaccepted and in-flight writes and
+// statistics, the injector's stream — is the controllers' own
 // history, and the replayed system stands exactly where a cold run
 // abandoned by a pre-spawn event at the cut stands. A checkpoint so
 // answers every post-crash query byte-identically to that cold run.
@@ -61,24 +63,28 @@ const Budget = 256 << 20
 const LogBudget = 1 << 20
 
 // Request is one crash-cut request: a run and the cuts wanted on it.
+// Requests whose targets have equal keys and whose plans have equal run
+// keys (faultinject.Plan.RunKey) describe identical runs; they share
+// the crash-free run, its log and checkpoints.
 type Request struct {
-	// Key names everything that reaches the simulated run: the target
-	// and its shape, the machine's PM controller count and the fault
-	// plan's run-visible part. Requests with equal keys must describe
-	// identical runs; they share the crash-free run, its log and
-	// checkpoints.
-	Key string
-	// Build returns a freshly constructed, un-run system and its workers.
-	Build func() (*machine.System, []machine.Worker, error)
+	// Target builds, names and bounds the run.
+	Target Target
 	// Plan is the fault plan armed on every run of the request.
 	Plan faultinject.Plan
-	// Limit bounds each run in simulated cycles; Watchdog, when
-	// nonzero, arms the engine's event-budget watchdog on each run.
-	Limit    sim.Cycle
+	// Watchdog, when nonzero, arms the engine's event-budget watchdog on
+	// each run. It only fails a run, and a failed run is not memoised,
+	// so it is no part of the run's key.
 	Watchdog uint64
 	// Cuts places the request's crash cycles, in nondecreasing order,
 	// over a crash-free run of end cycles.
 	Cuts func(end sim.Cycle) []sim.Cycle
+}
+
+// key names the request's run: the target's key, then the plan's run
+// key.
+func (r Request) key() string {
+	var buf [128]byte
+	return string(r.Plan.AppendRunKey(append(append(buf[:0], r.Target.Key...), '|')))
 }
 
 // Cut is one crash cut: the machine checkpoint at cycle At (CP.At ==
@@ -177,11 +183,12 @@ func newCache(budget, logBudget uint64) *Cache {
 // the key's log for the missing ones. A failed crash-free run is
 // returned as the error and not memoised.
 func (c *Cache) Get(r Request) (*Prefix, error) {
+	key := r.key()
 	c.mu.Lock()
-	ru := c.runs[r.Key]
+	ru := c.runs[key]
 	if ru == nil {
 		ru = &run{}
-		c.runs[r.Key] = ru
+		c.runs[key] = ru
 	}
 	c.mu.Unlock()
 	// Held across the key's simulations, as sync.Once holds its lock:
@@ -193,7 +200,7 @@ func (c *Cache) Get(r Request) (*Prefix, error) {
 	var log *pmem.Log
 	if !ru.done {
 		var err error
-		if log, err = c.discover(r, ru); err != nil {
+		if log, err = c.discover(r, key, ru); err != nil {
 			return nil, err
 		}
 	}
@@ -203,7 +210,7 @@ func (c *Cache) Get(r Request) (*Prefix, error) {
 	var missing []int
 	c.mu.Lock()
 	for i, at := range ats {
-		el := c.cps[cutKey{r.Key, at}]
+		el := c.cps[cutKey{key, at}]
 		if el == nil {
 			c.misses++
 			missing = append(missing, i)
@@ -214,7 +221,7 @@ func (c *Cache) Get(r Request) (*Prefix, error) {
 		p.Cuts[i] = el.Value.(*lruEntry).cut
 	}
 	if log == nil && len(missing) > 0 {
-		if el := c.logs[r.Key]; el != nil {
+		if el := c.logs[key]; el != nil {
 			c.logLRU.MoveToFront(el)
 			log = el.Value.(*logSlot).log
 		}
@@ -226,11 +233,11 @@ func (c *Cache) Get(r Request) (*Prefix, error) {
 	if log == nil {
 		// The log was evicted: record it again.
 		var err error
-		if log, err = c.discover(r, ru); err != nil {
+		if log, err = c.discover(r, key, ru); err != nil {
 			return nil, err
 		}
 	}
-	if err := c.replay(r, log, p, ats, missing); err != nil {
+	if err := c.replay(r, key, log, p, ats, missing); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -239,7 +246,7 @@ func (c *Cache) Get(r Request) (*Prefix, error) {
 // start builds the request's system with a fresh injector for the
 // plan armed on it and the watchdog set.
 func (r Request) start() (*machine.System, []machine.Worker, *faultinject.Injector, error) {
-	sys, ws, err := r.Build()
+	sys, ws, err := r.Target.Build()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -253,16 +260,16 @@ func (r Request) start() (*machine.System, []machine.Worker, *faultinject.Inject
 
 // discover simulates the request's crash-free run, recording its log,
 // stores the run's results in ru and, when it fits the log budget, the
-// log in the cache (evicting least recently used logs past the
-// budget), and returns the log.
-func (c *Cache) discover(r Request, ru *run) (*pmem.Log, error) {
+// log in the cache under key (evicting least recently used logs past
+// the budget), and returns the log.
+func (c *Cache) discover(r Request, key string, ru *run) (*pmem.Log, error) {
 	sys, ws, _, err := r.start()
 	if err != nil {
 		return nil, err
 	}
 	log := &pmem.Log{}
 	sys.PM.Record(log)
-	end, err := sys.Run(ws, r.Limit)
+	end, err := sys.Run(ws, r.Target.Limit)
 	if err != nil {
 		return nil, fmt.Errorf("crash-free run: %w", err)
 	}
@@ -276,7 +283,7 @@ func (c *Cache) discover(r Request, ru *run) (*pmem.Log, error) {
 	log.Compact()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.logs[r.Key] = c.logLRU.PushFront(&logSlot{key: r.Key, log: log})
+	c.logs[key] = c.logLRU.PushFront(&logSlot{key: key, log: log})
 	c.logBytes += log.Bytes()
 	for c.logBytes > c.logBudget {
 		back := c.logLRU.Back()
@@ -293,11 +300,11 @@ func (c *Cache) discover(r Request, ru *run) (*pmem.Log, error) {
 // up to each missing cut in cycle order and the system and injector
 // snapshotted there. It stores the new checkpoints, evicting least
 // recently used ones past the budget (the most recent is always kept).
-func (c *Cache) replay(r Request, log *pmem.Log, p *Prefix, ats []sim.Cycle, missing []int) error {
+func (c *Cache) replay(r Request, key string, log *pmem.Log, p *Prefix, ats []sim.Cycle, missing []int) error {
 	order := slices.Clone(missing)
 	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(ats[i], ats[j]) })
-	if last := order[len(order)-1]; r.Limit != 0 && ats[last] > r.Limit {
-		return fmt.Errorf("cut %d (cycle %d) is past the run's limit of %d cycles", last+1, ats[last], r.Limit)
+	if last, limit := order[len(order)-1], r.Target.Limit; limit != 0 && ats[last] > limit {
+		return fmt.Errorf("cut %d (cycle %d) is past the run's limit of %d cycles", last+1, ats[last], limit)
 	}
 	sys, _, fi, err := r.start()
 	if err != nil {
@@ -322,7 +329,7 @@ func (c *Cache) replay(r Request, log *pmem.Log, p *Prefix, ats []sim.Cycle, mis
 	defer c.mu.Unlock()
 	before := c.refs.UniqueBytes()
 	for _, i := range missing {
-		k := cutKey{r.Key, ats[i]}
+		k := cutKey{key, ats[i]}
 		if c.cps[k] != nil {
 			continue // a repeated cut of this request
 		}

@@ -133,8 +133,8 @@ func read(plan faultinject.Plan, cut Cut) queries {
 	})
 }
 
-func request(name string, tg Target, cuts func(sim.Cycle) []sim.Cycle) Request {
-	return Request{Key: name, Build: tg.Build, Plan: testPlan, Limit: testLimit, Cuts: cuts}
+func request(tg Target, cuts func(sim.Cycle) []sim.Cycle) Request {
+	return Request{Target: tg, Plan: testPlan, Cuts: cuts}
 }
 
 // matchesCold holds every cut of p to a cold run abandoned at the same
@@ -168,7 +168,7 @@ func TestForkedMatchesCold(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/ctrl%d", name, controllers), func(t *testing.T) {
 				c := NewCache()
 				for pass := 0; pass < 2; pass++ {
-					p, err := c.Get(request(name, tg, quarterCuts))
+					p, err := c.Get(request(tg, quarterCuts))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -247,7 +247,7 @@ func TestEvictionKeepsOutcomes(t *testing.T) {
 				plan := testPlan
 				plan.Seed = seed
 				for ci, c := range caches {
-					p, err := c.c.Get(Request{Key: fmt.Sprint(seed), Build: counting(tg, &started[ci]).Build, Plan: plan, Limit: testLimit,
+					p, err := c.c.Get(Request{Target: counting(tg, &started[ci]), Plan: plan,
 						Cuts: func(end sim.Cycle) []sim.Cycle { return []sim.Cycle{end * sim.Cycle(frac) / 4} }})
 					if err != nil {
 						t.Fatal(err)
@@ -304,13 +304,13 @@ func TestReplayStartsNoWorker(t *testing.T) {
 		if !kept {
 			c = newCache(Budget, 1)
 		}
-		if _, err := c.Get(request("queue", tg, quarterCuts)); err != nil {
+		if _, err := c.Get(request(tg, quarterCuts)); err != nil {
 			t.Fatal(err)
 		}
 		if started != 2 {
 			t.Fatalf("first request started %d workers, want 2", started)
 		}
-		p, err := c.Get(request("queue", tg, eighths))
+		p, err := c.Get(request(tg, eighths))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +345,7 @@ func FuzzReplayMatchesCold(f *testing.F) {
 		if media {
 			plan.MediaFaultProb, plan.MediaDelayProb, plan.MediaDelayCycles = 0.05, 0.1, 300
 		}
-		p, err := NewCache().Get(Request{Key: name, Build: tg.Build, Plan: plan, Limit: testLimit,
+		p, err := NewCache().Get(Request{Target: tg, Plan: plan,
 			Cuts: func(end sim.Cycle) []sim.Cycle {
 				at := func(f uint16) sim.Cycle { return end * sim.Cycle(f) / 32768 }
 				return []sim.Cycle{min(at(f1), at(f2)), max(at(f1), at(f2))}
@@ -363,11 +363,12 @@ func TestConcurrentRequestsSimulateOnce(t *testing.T) {
 	tg := DirectRedolog(4, 0)
 	var mu sync.Mutex
 	builds := 0
-	build := func() (*machine.System, []machine.Worker, error) {
+	build := tg.Build
+	tg.Build = func() (*machine.System, []machine.Worker, error) {
 		mu.Lock()
 		builds++
 		mu.Unlock()
-		return tg.Build()
+		return build()
 	}
 	c := NewCache()
 	var wg sync.WaitGroup
@@ -376,7 +377,7 @@ func TestConcurrentRequestsSimulateOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, err := c.Get(Request{Key: "redo", Build: build, Plan: testPlan, Limit: testLimit, Cuts: quarterCuts})
+			p, err := c.Get(request(tg, quarterCuts))
 			if err != nil {
 				t.Error(err)
 				return
@@ -412,7 +413,7 @@ func TestConcurrentKeysEvict(t *testing.T) {
 	serve := func(c *Cache, seed, frac uint64) uint64 {
 		plan := testPlan
 		plan.Seed = seed
-		p, err := c.Get(Request{Key: fmt.Sprint(seed), Build: tg.Build, Plan: plan, Limit: testLimit,
+		p, err := c.Get(Request{Target: tg, Plan: plan,
 			Cuts: func(end sim.Cycle) []sim.Cycle { return []sim.Cycle{end * sim.Cycle(frac) / 8} }})
 		if err != nil {
 			t.Error(err)
@@ -449,7 +450,7 @@ func TestConcurrentKeysEvict(t *testing.T) {
 func TestCrashFreeFailureNotMemoised(t *testing.T) {
 	tg := DirectUndolog(1, 4, false, 0)
 	c := NewCache()
-	r := request("wedged", tg, quarterCuts)
+	r := request(tg, quarterCuts)
 	r.Watchdog = 50
 	if _, err := c.Get(r); err == nil {
 		t.Fatal("watchdog of 50 events did not fail the crash-free run")

@@ -2,6 +2,7 @@ package crashcut
 
 import (
 	"fmt"
+	"strconv"
 
 	"strandweaver/internal/config"
 	"strandweaver/internal/cpu"
@@ -10,12 +11,22 @@ import (
 	"strandweaver/internal/machine"
 	"strandweaver/internal/mem"
 	"strandweaver/internal/redolog"
+	"strandweaver/internal/sim"
 	"strandweaver/internal/undolog"
 	"strandweaver/internal/workloads"
 )
 
-// Target is one crash-cut subject on a StrandWeaver machine.
+// Target is one crash-cut subject: a run the cache can build, name and
+// bound, and the recovery and checks a caller applies to its crash
+// images.
 type Target struct {
+	// Key names every argument the run is built from: targets with
+	// equal keys build identical runs, so requests through one cache
+	// share them. Each constructor below keys exactly the arguments it
+	// takes.
+	Key string
+	// Limit bounds each run in simulated cycles.
+	Limit sim.Cycle
 	// Build returns a freshly constructed, un-run system and its workers.
 	Build func() (*machine.System, []machine.Worker, error)
 	// Recover runs the target's recovery engine over a crash image in
@@ -27,6 +38,23 @@ type Target struct {
 	// signature (always 0 for the data-structure workloads).
 	StateSig func(img *mem.Image) uint8
 }
+
+// runKey names a constructor's run: its name, then each argument in
+// decimal, '|'-separated. A constructor takes a fixed argument list, so
+// distinct arguments give distinct keys.
+func runKey(name string, args ...int64) string {
+	b := append(make([]byte, 0, 64), name...)
+	for _, a := range args {
+		b = strconv.AppendInt(append(b, '|'), a, 10)
+	}
+	return string(b)
+}
+
+// The constructors' cycle limits.
+const (
+	runLimit    = 2_000_000_000
+	recordLimit = 500_000_000
+)
 
 // Recovery is the recovery-pass counter slice both log engines report.
 type Recovery struct {
@@ -176,7 +204,13 @@ func directVal(t, g, i int) uint64 { return uint64(g)*1000 + uint64(t)*100 + uin
 // Figure 5 mutant a search must convict).
 func DirectUndolog(threads, ops int, mutant bool, controllers int) Target {
 	cells := genCells{threads: threads, gens: ops, val: directVal}
+	m := int64(0)
+	if mutant {
+		m = 1
+	}
 	return Target{
+		Key:   runKey("direct-undolog", int64(threads), int64(ops), m, int64(controllers)),
+		Limit: runLimit,
 		Build: func() (*machine.System, []machine.Worker, error) {
 			sys, err := newMachine(max(threads, config.Default().Cores), controllers)
 			if err != nil {
@@ -219,16 +253,20 @@ func DirectUndolog(threads, ops int, mutant bool, controllers int) Target {
 // (single-threaded by construction): one transaction per generation
 // over one cell group, with a group commit halfway.
 func DirectRedolog(ops, controllers int) Target {
-	return redoTarget(genCells{threads: 1, gens: ops, val: directVal}, controllers)
+	t := redoTarget(genCells{threads: 1, gens: ops, val: directVal}, controllers)
+	t.Key, t.Limit = runKey("direct-redolog", int64(ops), int64(controllers)), runLimit
+	return t
 }
 
 // RedoRecord is the torture sweep's redo-log subject: one thread
 // advances a 4-cell record through 4 generations, each one redo
 // transaction, with a group commit halfway.
 func RedoRecord(controllers int) Target {
-	return redoTarget(genCells{threads: 1, gens: 4, val: func(_, g, i int) uint64 {
+	t := redoTarget(genCells{threads: 1, gens: 4, val: func(_, g, i int) uint64 {
 		return uint64(g)*100 + uint64(i) + 1
 	}}, controllers)
+	t.Key, t.Limit = runKey("redo-record", int64(controllers)), recordLimit
+	return t
 }
 
 func redoTarget(cells genCells, controllers int) Target {
@@ -279,16 +317,12 @@ func Workload(bench string, threads, ops int, seed int64, controllers int) (Targ
 		if err != nil {
 			return nil, nil, err
 		}
-		rt := langmodel.New(sys, langmodel.TXN, threads, langmodel.DefaultOptions())
 		inst = f.New(workloads.Params{Threads: threads, OpsPerThread: ops, Seed: seed})
-		inst.Setup(sys, rt)
-		ws := make([]machine.Worker, threads)
-		for i := range ws {
-			ws[i] = inst.Worker(i)
-		}
-		return sys, ws, nil
+		return sys, workloads.Prepare(sys, inst, langmodel.TXN, langmodel.DefaultOptions(), threads), nil
 	}
 	return Target{
+		Key:     runKey("workload/"+bench, int64(threads), int64(ops), seed, int64(controllers)),
+		Limit:   runLimit,
 		Build:   build,
 		Recover: undoRecover(threads),
 		Verify: func(img *mem.Image) error {

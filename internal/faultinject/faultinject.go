@@ -89,8 +89,8 @@ func (p Plan) RunVisible() Plan {
 
 // RunKey names RunVisible as a string: two plans' keys are equal
 // exactly when their run-visible parts are (for plans without NaN
-// probabilities, which equal nothing). It is the plan's part of the
-// crash-cut run keys the torture sweep and the fuzz search build.
+// probabilities, which equal nothing). It is the plan's part of every
+// crash-cut run key, which crashcut.Cache builds.
 func (p Plan) RunKey() string { return string(p.AppendRunKey(nil)) }
 
 // AppendRunKey appends RunKey's text to b. Floats are written in their

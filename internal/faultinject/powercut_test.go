@@ -22,7 +22,7 @@ func oneCutCheckpoint(r *rand.Rand) *machine.Checkpoint {
 	cfg.PMWriteQueueEntries = 1 + r.Intn(2)
 	eng := sim.NewEngine()
 	m := mem.NewMachine()
-	tp := pmem.NewTopology(eng, cfg, m)
+	tp := pmem.NewTopology(eng, cfg, m, false)
 	n := 1 + r.Intn(40)
 	at := sim.Cycle(0)
 	for i, line := range r.Perm(n) {

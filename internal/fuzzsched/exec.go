@@ -2,7 +2,6 @@ package fuzzsched
 
 import (
 	"fmt"
-	"strconv"
 
 	"strandweaver/internal/crashcut"
 	"strandweaver/internal/faultinject"
@@ -30,9 +29,6 @@ type ExecOptions struct {
 // DefaultEventBudget is the per-run watchdog arming used when
 // ExecOptions does not override it.
 const DefaultEventBudget = 50_000_000
-
-// cycleLimit bounds each run in simulated time.
-const cycleLimit = 2_000_000_000
 
 func (o ExecOptions) withDefaults() ExecOptions {
 	if o.EventBudget == 0 {
@@ -69,59 +65,24 @@ type ExecCache = crashcut.Cache
 // NewExecCache returns an empty execution cache.
 func NewExecCache() *ExecCache { return crashcut.NewCache() }
 
-// buildTarget lowers a genome's target to its crash-cut target and the
-// target's run key; controllers is the harness-level PM controller
-// count (0 = configuration default).
-//
-// The run key names exactly what reaches the simulated run: the
-// arguments the target is built from, normalised as they are passed
-// (TargetRedolog takes neither Threads nor Mutant; a workload target
-// takes FaultSeed as its operation-mix seed), the controller count, and
-// the fault plan's run-visible part (faultinject.Plan.RunKey), so
-// media-free plans share a run whatever their seed. It is built by
-// appends: a cache-hit schedule builds one per Execute. Everything else —
-// CrashFrac, Torn, DropProbMilli, TearAccepted, RecoveryCut(2) — acts at
-// crash-image time or later, off the simulated machine. Mutation walks
-// those cheap knobs far more often than the expensive ones, so a search
-// re-simulates identical runs constantly; the execution cache serves
-// them instead. Cached results are byte-identical to cold execution
-// (docs/SNAPSHOT.md), so corpus coverage keys, fingerprints and
-// violations are unchanged at any hit rate — hits and misses are
-// observability, never coverage.
-func buildTarget(g Genome, controllers int) (crashcut.Target, string, error) {
+// buildTarget lowers a genome's target to its crash-cut target;
+// controllers is the harness-level PM controller count (0 =
+// configuration default). A workload target takes FaultSeed as its
+// operation-mix seed.
+func buildTarget(g Genome, controllers int) (crashcut.Target, error) {
 	threads := max(g.Threads, 1)
 	ops := max(g.Ops, 1)
-	key := append(make([]byte, 0, 96), g.Target...)
-	var t crashcut.Target
 	switch g.Target {
 	case TargetUndolog:
-		mutant := g.Mutant == MutantNoDataFlush
-		t = crashcut.DirectUndolog(threads, ops, mutant, controllers)
-		key = appendField(key, "|t", uint64(threads))
-		key = appendField(key, "|o", uint64(ops))
-		key = strconv.AppendBool(append(key, "|m"...), mutant)
+		return crashcut.DirectUndolog(threads, ops, g.Mutant == MutantNoDataFlush, controllers), nil
 	case TargetRedolog:
-		t = crashcut.DirectRedolog(ops, controllers)
-		key = appendField(key, "|o", uint64(ops))
-	default:
-		// A Table II data structure through the TXN runtime, with the
-		// genome's FaultSeed doubling as the operation-mix seed.
-		var err error
-		if t, err = crashcut.Workload(g.Target, threads, ops, int64(g.FaultSeed), controllers); err != nil {
-			return t, "", fmt.Errorf("fuzzsched: unknown target %q: %w", g.Target, err)
-		}
-		key = appendField(key, "|t", uint64(threads))
-		key = appendField(key, "|o", uint64(ops))
-		key = appendField(key, "|s", g.FaultSeed)
+		return crashcut.DirectRedolog(ops, controllers), nil
 	}
-	key = appendField(key, "|c", uint64(controllers))
-	key = g.Plan().AppendRunKey(append(key, '|'))
-	return t, string(key), nil
-}
-
-// appendField appends tag and v in decimal to b.
-func appendField(b []byte, tag string, v uint64) []byte {
-	return strconv.AppendUint(append(b, tag...), v, 10)
+	t, err := crashcut.Workload(g.Target, threads, ops, int64(g.FaultSeed), controllers)
+	if err != nil {
+		return t, fmt.Errorf("fuzzsched: unknown target %q: %w", g.Target, err)
+	}
+	return t, nil
 }
 
 // Execute runs one schedule: a crash-free run to measure the
@@ -133,7 +94,7 @@ func appendField(b []byte, tag string, v uint64) []byte {
 // Outcome.Violation / Outcome.BeyondADR instead.
 func Execute(g Genome, o ExecOptions) (*Outcome, error) {
 	o = o.withDefaults()
-	target, key, err := buildTarget(g, o.Controllers)
+	target, err := buildTarget(g, o.Controllers)
 	if err != nil {
 		return nil, err
 	}
@@ -145,13 +106,14 @@ func Execute(g Genome, o ExecOptions) (*Outcome, error) {
 	// One crash cut at the genome's crash fraction of the crash-free
 	// run, which also validates the workload completes under the
 	// watchdog. The crash image draws from the armed run injector at its
-	// stream position at the cut.
+	// stream position at the cut. Genomes that differ only in what acts
+	// at crash-image time or later (CrashFrac, Torn, DropProbMilli,
+	// TearAccepted, the recovery cuts, a media-free plan's seed) share
+	// one cached run, which mutation walks far more often than the rest.
 	plan := g.Plan()
 	p, err := cache.Get(crashcut.Request{
-		Key:      key,
-		Build:    target.Build,
+		Target:   target,
 		Plan:     plan,
-		Limit:    cycleLimit,
 		Watchdog: o.EventBudget,
 		Cuts: func(end sim.Cycle) []sim.Cycle {
 			return []sim.Cycle{sim.Cycle(1 + uint64(end-1)*uint64(g.CrashFrac&0xffff)/65536)}

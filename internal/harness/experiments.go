@@ -521,13 +521,8 @@ func runBatched(o ExpOptions, d hwdesign.Design, opsPerRegion int, met *sweep.Ce
 	if err != nil {
 		return 0, err
 	}
-	rt := langmodel.New(sys, langmodel.SFR, o.Threads, langmodel.DefaultOptions())
 	inst := workloads.NewBatchedSwap(workloads.Params{Threads: o.Threads, OpsPerThread: o.OpsPerThread, Seed: o.Seed}, opsPerRegion)
-	inst.Setup(sys, rt)
-	ws := make([]machine.Worker, o.Threads)
-	for i := range ws {
-		ws[i] = inst.Worker(i)
-	}
+	ws := workloads.Prepare(sys, inst, langmodel.SFR, langmodel.DefaultOptions(), o.Threads)
 	end, err := sys.Run(ws, 2_000_000_000)
 	if err != nil {
 		return 0, err

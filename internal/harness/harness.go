@@ -110,18 +110,12 @@ func build(spec Spec) (*machine.System, workloads.Instance, []machine.Worker, er
 	if spec.RuntimeOpts != nil {
 		opts = *spec.RuntimeOpts
 	}
-	rt := langmodel.New(sys, spec.Model, spec.Threads, opts)
 	f, err := workloads.Find(spec.Benchmark)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	inst := f.New(workloads.Params{Threads: spec.Threads, OpsPerThread: spec.OpsPerThread, Seed: spec.Seed})
-	inst.Setup(sys, rt)
-	ws := make([]machine.Worker, spec.Threads)
-	for i := range ws {
-		ws[i] = inst.Worker(i)
-	}
-	return sys, inst, ws, nil
+	return sys, inst, workloads.Prepare(sys, inst, spec.Model, opts, spec.Threads), nil
 }
 
 // Run executes one spec and returns its measurements.
@@ -169,23 +163,26 @@ func newResult(spec Spec, sys *machine.System, cycles uint64) *Result {
 // failure.
 func RunWithCrash(spec Spec, cuts func(end sim.Cycle) []sim.Cycle) ([]*undolog.Report, error) {
 	spec = spec.withDefaults()
-	// The instance Verify checks against; every build lays the workload
-	// out identically.
-	_, inst, _, err := build(spec)
-	if err != nil {
-		return nil, err
-	}
+	name := fmt.Sprintf("%s/%s/%s", spec.Benchmark, spec.Model, spec.Design)
+	// The instance Verify checks against: the latest build's, as every
+	// build lays the workload out identically. The fresh cache's
+	// discovery run always builds. The cache is this call's alone, so
+	// its one target's key need only name the spec.
+	var inst workloads.Instance
 	pre, err := crashcut.NewCache().Get(crashcut.Request{
-		Key: "run",
-		Build: func() (*machine.System, []machine.Worker, error) {
-			s, _, ws, err := build(spec)
-			return s, ws, err
+		Target: crashcut.Target{
+			Key:   "run/" + name,
+			Limit: spec.CycleLimit,
+			Build: func() (*machine.System, []machine.Worker, error) {
+				s, in, ws, err := build(spec)
+				inst = in
+				return s, ws, err
+			},
 		},
-		Limit: spec.CycleLimit,
-		Cuts:  cuts,
+		Cuts: cuts,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("harness: %s/%s/%s: %w", spec.Benchmark, spec.Model, spec.Design, err)
+		return nil, fmt.Errorf("harness: %s: %w", name, err)
 	}
 	reps := make([]*undolog.Report, 0, len(pre.Cuts))
 	for _, cut := range pre.Cuts {

@@ -56,7 +56,7 @@ func TestReplayMatchesColdAllDesigns(t *testing.T) {
 					return s, ws, err
 				}
 				p, err := crashcut.NewCache().Get(crashcut.Request{
-					Key: "run", Build: buildSys, Plan: plan, Limit: spec.CycleLimit,
+					Target: crashcut.Target{Key: "run", Build: buildSys, Limit: spec.CycleLimit}, Plan: plan,
 					Cuts: func(end sim.Cycle) []sim.Cycle {
 						return []sim.Cycle{end / 5, end * 2 / 5, end * 3 / 5, end * 4 / 5, end + 1}
 					},

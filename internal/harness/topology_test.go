@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"strandweaver/internal/faultinject"
 	"strandweaver/internal/hwdesign"
 	"strandweaver/internal/langmodel"
 	"strandweaver/internal/sweep"
@@ -143,19 +142,25 @@ func TestTortureDeterminismMultiController(t *testing.T) {
 }
 
 // TestTortureControllerCountChangesDigest: the controller count shapes
-// the machine, so it is part of the crash-cut run key (planRunKey) and
-// sweeps at different counts never share crash-cut cache entries —
-// even where their crash images coincide, as small 1- and 2-controller
-// queue sweeps' do.
+// the machine, so it is part of every torture subject's crash-cut
+// target key, and sweeps at different counts never share crash-cut
+// cache entries — even where their crash images coincide, as small 1-
+// and 2-controller queue sweeps' do.
 func TestTortureControllerCountChangesDigest(t *testing.T) {
-	for _, plan := range faultinject.Presets(5) {
+	for _, subj := range []func(TortureOptions) subject{
+		func(o TortureOptions) subject { return workloadSubject(o, "queue") },
+		redologSubject,
+	} {
 		seen := map[string]int{}
 		for _, n := range []int{1, 2, 4} {
-			k := planRunKey(TortureOptions{Controllers: n}, plan)
-			if m, ok := seen[k]; ok {
-				t.Errorf("%d and %d controllers share run key %q", m, n, k)
+			tg, err := subj(TortureOptions{Seed: 1, Threads: 2, OpsPerThread: 10, Controllers: n}).target()
+			if err != nil {
+				t.Fatal(err)
 			}
-			seen[k] = n
+			if m, ok := seen[tg.Key]; ok {
+				t.Errorf("%d and %d controllers share target key %q", m, n, tg.Key)
+			}
+			seen[tg.Key] = n
 		}
 	}
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"strconv"
 
 	"strandweaver/internal/crashcut"
 	"strandweaver/internal/faultinject"
@@ -364,13 +363,11 @@ func crashCycles(o TortureOptions, end sim.Cycle) []sim.Cycle {
 // subject is one crash-cut target of the sweep: a pds workload or the
 // redo-log record.
 type subject struct {
-	// name prefixes violations; cell prefixes cell keys and the
-	// subject's run keys in the sweep's crash-cut cache.
+	// name prefixes violations; cell prefixes cell keys.
 	name, cell string
 	// target constructs the subject's crash-cut target; every cell gets
 	// its own (a workload target verifies against its latest build).
 	target func() (crashcut.Target, error)
-	limit  sim.Cycle
 	redo   bool
 }
 
@@ -380,7 +377,6 @@ func workloadSubject(o TortureOptions, bench string) subject {
 		target: func() (crashcut.Target, error) {
 			return crashcut.Workload(bench, o.Threads, o.OpsPerThread, int64(o.Seed), o.Controllers)
 		},
-		limit: 2_000_000_000,
 	}
 }
 
@@ -388,7 +384,6 @@ func redologSubject(o TortureOptions) subject {
 	return subject{
 		name: "redolog", cell: "redolog",
 		target: func() (crashcut.Target, error) { return crashcut.RedoRecord(o.Controllers), nil },
-		limit:  500_000_000,
 		redo:   true,
 	}
 }
@@ -409,11 +404,9 @@ func cutCell(o TortureOptions, cache *crashcut.Cache, s subject, pi int, plan fa
 					return nil, err
 				}
 				p, err := cache.Get(crashcut.Request{
-					Key:   s.cell + "|" + planRunKey(o, plan),
-					Build: target.Build,
-					Plan:  plan,
-					Limit: s.limit,
-					Cuts:  func(end sim.Cycle) []sim.Cycle { return crashCycles(o, end) },
+					Target: target,
+					Plan:   plan,
+					Cuts:   func(end sim.Cycle) []sim.Cycle { return crashCycles(o, end) },
 				})
 				if err != nil {
 					return nil, fmt.Errorf("harness: torture %s plan %d: %w", s.name, pi, err)
@@ -434,17 +427,6 @@ func cutCell(o TortureOptions, cache *crashcut.Cache, s subject, pi int, plan fa
 		},
 		fold: foldCombos,
 	}
-}
-
-// planRunKey names the parts of the sweep options and a fault plan
-// that can influence the simulated run itself (the rest of the options
-// are fixed for the sweep, whose cache this key indexes): the PM
-// controller count, which shapes the machine (and the checkpoints' PM
-// side), and the plan's run-visible part. Every media-free
-// plan of a subject therefore shares one run regardless of seed, and
-// its injector snapshots (all-zero counters) are plan-independent.
-func planRunKey(o TortureOptions, plan faultinject.Plan) string {
-	return "ctrl" + strconv.Itoa(o.Controllers) + "|" + plan.RunKey()
 }
 
 // comboAt turns a crash cut's checkpoint into the combo's outcome:

@@ -197,16 +197,18 @@ func CheckWithFaults(p pmo.Program, stride uint64, plan faultinject.Plan) (*Resu
 	}
 	rec := &primErr{}
 	pre, err := crashcut.NewCache().Get(crashcut.Request{
-		Key: "litmus",
-		Build: func() (*machine.System, []machine.Worker, error) {
-			s, err := newSystem(p)
-			if err != nil {
-				return nil, nil, err
-			}
-			return s, workers(p, rec), nil
+		Target: crashcut.Target{
+			Key:   fmt.Sprint("litmus/", p),
+			Limit: runLimit,
+			Build: func() (*machine.System, []machine.Worker, error) {
+				s, err := newSystem(p)
+				if err != nil {
+					return nil, nil, err
+				}
+				return s, workers(p, rec), nil
+			},
 		},
-		Plan:  plan,
-		Limit: runLimit,
+		Plan: plan,
 		Cuts: func(end sim.Cycle) []sim.Cycle {
 			var cuts []sim.Cycle
 			for at := sim.Cycle(1); at <= end+1; at += sim.Cycle(stride) {

@@ -54,7 +54,7 @@ func New(cfg config.Config, design hwdesign.Design) (*System, error) {
 	}
 	eng := sim.NewEngine()
 	m := mem.NewMachine()
-	pm := pmem.NewTopology(eng, cfg, m)
+	pm := pmem.NewTopology(eng, cfg, m, design.PersistAtVisibility())
 	hier := cache.NewHierarchy(eng, cfg, m, pm)
 	s := &System{Eng: eng, Cfg: cfg, Design: design, Mem: m, PM: pm, Hier: hier}
 	for i := 0; i < cfg.Cores; i++ {

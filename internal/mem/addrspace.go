@@ -34,46 +34,12 @@ type Machine struct {
 	// Persistent reflects only PM lines that have been accepted by the
 	// ADR persistence domain. It is what a post-crash recovery observes.
 	Persistent *Image
-	// persistAtVisibility marks the caches as part of the persistence
-	// domain (the eADR design): stores persist at visibility, and line
-	// write-backs carry no durability action — their snapshots may be
-	// older than words persisted since, so PersistLine/PersistLineData
-	// become no-ops.
-	persistAtVisibility bool
 }
 
 // NewMachine returns a machine with empty images.
 func NewMachine() *Machine {
 	return &Machine{Volatile: NewImage(), Persistent: NewImage()}
 }
-
-// PersistLine copies the current volatile contents of the PM line at the
-// line-aligned address into the persistent image, modelling acceptance of
-// a flush or write-back by the ADR controller. Lines outside PM are
-// ignored.
-func (m *Machine) PersistLine(line Addr) {
-	if !IsPM(line) || m.persistAtVisibility {
-		return
-	}
-	var buf [LineSize]byte
-	m.Volatile.CopyLine(line, &buf)
-	m.Persistent.StoreLine(line, &buf)
-}
-
-// PersistLineData installs the given snapshot of a PM line into the
-// persistent image. Used when the flush captured the line's contents at
-// an earlier cycle than acceptance.
-func (m *Machine) PersistLineData(line Addr, data *[LineSize]byte) {
-	if !IsPM(line) || m.persistAtVisibility {
-		return
-	}
-	m.Persistent.StoreLine(line, data)
-}
-
-// SetPersistAtVisibility switches the machine between the ADR model
-// (persistence at controller acceptance, the default) and the eADR
-// model (persistence at store visibility; line persists are no-ops).
-func (m *Machine) SetPersistAtVisibility(on bool) { m.persistAtVisibility = on }
 
 // CrashImage returns a copy-on-write clone of the persistent image,
 // i.e. the PM contents a recovery process would observe if the machine

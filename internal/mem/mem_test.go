@@ -100,47 +100,12 @@ func TestAddressSpacePredicates(t *testing.T) {
 	}
 }
 
-func TestMachinePersistLine(t *testing.T) {
-	m := NewMachine()
-	addr := PMBase + 0x100
-	m.Volatile.Write64(addr, 77)
-	if m.Persistent.Read64(addr) != 0 {
-		t.Error("persist happened without PersistLine")
-	}
-	m.PersistLine(LineAddr(addr))
-	if m.Persistent.Read64(addr) != 77 {
-		t.Error("PersistLine did not copy the line")
-	}
-	// DRAM lines never persist.
-	d := DRAMBase + 0x100
-	m.Volatile.Write64(d, 5)
-	m.PersistLine(LineAddr(d))
-	if m.Persistent.Read64(d) != 0 {
-		t.Error("DRAM line persisted")
-	}
-}
-
-func TestMachinePersistLineData(t *testing.T) {
-	m := NewMachine()
-	addr := PMBase + 0x40
-	var snap [LineSize]byte
-	snap[0] = 9
-	// The snapshot, not the current volatile value, must land.
-	m.Volatile.SetByte(addr, 1)
-	m.PersistLineData(addr, &snap)
-	if m.Persistent.ByteAt(addr) != 9 {
-		t.Error("PersistLineData ignored the snapshot")
-	}
-}
-
 func TestCrashImageIsolation(t *testing.T) {
 	m := NewMachine()
 	addr := PMBase
-	m.Volatile.Write64(addr, 1)
-	m.PersistLine(addr)
+	m.Persistent.Write64(addr, 1)
 	img := m.CrashImage()
-	m.Volatile.Write64(addr, 2)
-	m.PersistLine(addr)
+	m.Persistent.Write64(addr, 2)
 	if img.Read64(addr) != 1 {
 		t.Error("crash image mutated by later persists")
 	}

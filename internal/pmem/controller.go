@@ -103,6 +103,9 @@ type Controller struct {
 	// Topology's, shared by all its controllers, so stamps order the
 	// whole machine's submissions.
 	seqSrc *uint64
+	// atVisibility is the topology's persistence point (see
+	// NewTopology): when set, acceptance stores nothing.
+	atVisibility bool
 	// transit holds PM writes submitted but not yet arrived at the
 	// controller front-end (on-chip flight), in submission order. The
 	// on-chip latency is one constant, so arrivals are FIFO and arriveFn
@@ -348,7 +351,8 @@ func (c *Controller) arrive(w *pendingWrite) {
 	c.accept(w)
 }
 
-// accept is the persistence point.
+// accept is the persistence point, unless the topology persists at
+// visibility.
 func (c *Controller) accept(w *pendingWrite) {
 	c.writeQOccupied++
 	if c.writeQOccupied > c.stats.MaxWriteQueueDepth {
@@ -358,7 +362,9 @@ func (c *Controller) accept(w *pendingWrite) {
 	e := c.allocDE()
 	e.line, e.data = w.line, w.data
 	c.machine.Persistent.CopyLine(w.line, &e.old)
-	c.machine.PersistLineData(w.line, &w.data)
+	if !c.atVisibility {
+		c.machine.Persistent.StoreLine(w.line, &w.data)
+	}
 	c.drainq.Push(e)
 	c.inflight = append(c.inflight, e)
 	if w.ack != nil {

@@ -47,8 +47,13 @@ type Topology struct {
 
 // NewTopology builds cfg.PMControllers controllers (0 means 1) bound to
 // the engine and functional machine images, wired to a shared
-// submission counter.
-func NewTopology(eng *sim.Engine, cfg config.Config, machine *mem.Machine) *Topology {
+// submission counter. atVisibility sets the persistence point for the
+// machine's lifetime: controller acceptance (ADR) when false, store
+// visibility through PersistVisible (eADR, whose caches are inside the
+// persistence domain) when true. Then acceptance stores nothing: a
+// line write's data was read when the cache submitted it and can be
+// older than words persisted at visibility since.
+func NewTopology(eng *sim.Engine, cfg config.Config, machine *mem.Machine, atVisibility bool) *Topology {
 	n := cfg.PMControllers
 	if n == 0 {
 		n = 1
@@ -57,6 +62,7 @@ func NewTopology(eng *sim.Engine, cfg config.Config, machine *mem.Machine) *Topo
 	for i := range t.ctrls {
 		c := New(eng, cfg, machine)
 		c.seqSrc = &t.submitSeq
+		c.atVisibility = atVisibility
 		c.index = i
 		t.ctrls[i] = c
 	}

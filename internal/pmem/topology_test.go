@@ -14,7 +14,7 @@ func newTopo(n int) (*sim.Engine, *Topology, *mem.Machine) {
 	cfg := config.Default()
 	cfg.PMControllers = n
 	m := mem.NewMachine()
-	return eng, NewTopology(eng, cfg, m), m
+	return eng, NewTopology(eng, cfg, m, false), m
 }
 
 func pmLine(i int) mem.Addr {
@@ -25,6 +25,35 @@ func TestTopologyZeroControllersMeansOne(t *testing.T) {
 	_, tp, _ := newTopo(0)
 	if tp.NumControllers() != 1 {
 		t.Fatalf("NumControllers = %d, want 1 for zero-value config", tp.NumControllers())
+	}
+}
+
+// TestTopologyPersistencePoint: at acceptance (ADR) an accepted line
+// write stores its line over a word persisted at visibility; at
+// visibility (eADR) PersistVisible stores the word and acceptance leaves
+// the image unchanged.
+func TestTopologyPersistencePoint(t *testing.T) {
+	for _, atVisibility := range []bool{false, true} {
+		eng := sim.NewEngine()
+		m := mem.NewMachine()
+		tp := NewTopology(eng, config.Default(), m, atVisibility)
+		line := pmLine(1)
+		tp.PersistVisible(line, 42, 8)
+		if got := m.Persistent.Read64(line); got != 42 {
+			t.Fatalf("atVisibility %t: PersistVisible stored %#x, want 42", atVisibility, got)
+		}
+		tp.SubmitPMWrite(line, lineData(7), nil)
+		eng.Run(0)
+		if st := tp.Stats(); st.PMWritesAccepted != 1 {
+			t.Fatalf("atVisibility %t: %d writes accepted, want 1", atVisibility, st.PMWritesAccepted)
+		}
+		want := uint64(0x0707070707070707)
+		if atVisibility {
+			want = 42
+		}
+		if got := m.Persistent.Read64(line); got != want {
+			t.Errorf("atVisibility %t: image holds %#x after acceptance, want %#x", atVisibility, got, want)
+		}
 	}
 }
 

@@ -11,8 +11,9 @@
 // The event core is allocation-free in steady state. Events are value
 // entries in a hashed timing wheel: one FIFO per cycle slot, drawn from a
 // freelisted pool, so scheduling and popping are O(1) whatever the delay
-// up to the wheel's span. The rare event due further ahead (a crash cut
-// placed with ScheduleAt) waits in an inline 4-ary min-heap instead. The
+// up to the wheel's span. The rare event due further ahead (one placed
+// with ScheduleAt, or delayed by the span or more) waits in an inline
+// 4-ary min-heap instead. The
 // ordering contract is exactly (cycle, seq) regardless of which structure
 // holds an event; docs/DETERMINISM.md states the contract, and the golden
 // digests in internal/harness enforce it.
@@ -59,8 +60,8 @@ type eventEntry struct {
 // about one in 2000 lies between 1024 and 2047 cycles, and none reaches
 // 2048 (FastPathHits equals EventsScheduled there). 2048 is thus the
 // smallest power of two that keeps every grid event in the wheel: only
-// crash cuts placed far ahead with ScheduleAt (torture, fuzz, litmus)
-// take the heap. The slot array is 16 KiB.
+// events placed far ahead with ScheduleAt (System.RunAt) and delays of
+// 2048 cycles or more take the heap. The slot array is 16 KiB.
 const (
 	wheelSpan  = 2048
 	wheelMask  = wheelSpan - 1

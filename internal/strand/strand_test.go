@@ -15,7 +15,7 @@ func newUnit(buffers, entries int) (*sim.Engine, *BufferUnit, *mem.Machine) {
 	cfg := config.Default()
 	cfg.Cores = 1
 	m := mem.NewMachine()
-	ctrl := pmem.NewTopology(eng, cfg, m)
+	ctrl := pmem.NewTopology(eng, cfg, m, false)
 	h := cache.NewHierarchy(eng, cfg, m, ctrl)
 	u := NewBufferUnit(eng, h.L1(0), buffers, entries)
 	return eng, u, m

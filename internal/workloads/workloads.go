@@ -81,6 +81,18 @@ func Names() []string {
 	return out
 }
 
+// Prepare sets inst up on sys under a fresh runtime of model m with
+// opts and the given thread count, and returns one worker per thread.
+// Each caller picks the machine's core count.
+func Prepare(sys *machine.System, inst Instance, m langmodel.Model, opts langmodel.Options, threads int) []machine.Worker {
+	inst.Setup(sys, langmodel.New(sys, m, threads, opts))
+	ws := make([]machine.Worker, threads)
+	for i := range ws {
+		ws[i] = inst.Worker(i)
+	}
+	return ws
+}
+
 // common carries shared instance state.
 type common struct {
 	p     Params

@@ -18,18 +18,13 @@ func buildRun(t *testing.T, name string, d hwdesign.Design, m langmodel.Model, t
 	cfg := config.Default()
 	cfg.Cores = threads
 	sys := machine.MustNew(cfg, d)
-	rt := langmodel.New(sys, m, threads, langmodel.Options{LogEntries: 2048, CommitBatch: 4, RegionReserve: 128})
 	f, err := Find(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inst := f.New(Params{Threads: threads, OpsPerThread: ops, Seed: 7})
-	inst.Setup(sys, rt)
-	ws := make([]machine.Worker, threads)
-	for i := range ws {
-		ws[i] = inst.Worker(i)
-	}
-	return sys, inst, ws
+	opts := langmodel.Options{LogEntries: 2048, CommitBatch: 4, RegionReserve: 128}
+	return sys, inst, Prepare(sys, inst, m, opts, threads)
 }
 
 // TestAllWorkloadsCrashFree: every benchmark runs to completion on the
@@ -111,13 +106,8 @@ func TestBatchedSwapRegionSizes(t *testing.T) {
 			cfg := config.Default()
 			cfg.Cores = 4
 			sys := machine.MustNew(cfg, hwdesign.StrandWeaver)
-			rt := langmodel.New(sys, langmodel.SFR, 4, langmodel.DefaultOptions())
 			inst := NewBatchedSwap(Params{Threads: 4, OpsPerThread: 16, Seed: 3}, n)
-			inst.Setup(sys, rt)
-			ws := make([]machine.Worker, 4)
-			for i := range ws {
-				ws[i] = inst.Worker(i)
-			}
+			ws := Prepare(sys, inst, langmodel.SFR, langmodel.DefaultOptions(), 4)
 			if _, err := sys.Run(ws, 500_000_000); err != nil {
 				t.Fatal(err)
 			}
