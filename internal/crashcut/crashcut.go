@@ -9,17 +9,20 @@
 // simulates the crash-free (discovery) run once, recording the PM
 // controllers' log (pmem.Log) as it goes, and it serves each (key,
 // cut) from a stored checkpoint, producing every missing cut of a
-// request by one replay: the log entries before each cut applied to a
-// freshly built, never-run system of the key with a fresh armed
-// injector, then a snapshot. Under ADR the controller's acceptance is
-// the persistence point, so everything a cut reads — the persistent
-// image, the controllers' unaccepted and in-flight writes and
-// statistics, the injector's stream — is the controllers' own
-// history, and the replayed system stands exactly where a cold run
-// abandoned by a pre-spawn event at the cut stands. A checkpoint so
-// answers every post-crash query byte-identically to that cold run.
-// docs/SNAPSHOT.md states the argument; the package's tests hold the
-// cache to a cold re-simulation for every target.
+// request by one replay. Under ADR the controller's acceptance is the
+// persistence point, so everything a cut reads — the persistent image,
+// the controllers' unaccepted and in-flight writes and statistics, the
+// injector's stream — is the persistence domain's own history, and a
+// replay builds only that domain: an engine, a memory over a clone of
+// the persistent image Build left (frozen by the discovery run before
+// it started), the PM topology and a fresh injector armed on it. The
+// log entries before each cut, applied to that domain, leave it exactly
+// where a cold run abandoned by a pre-spawn event at the cut leaves its
+// PM side, because Build leaves the topology idle and every later PM
+// change is in the log. A checkpoint so answers every post-crash query
+// byte-identically to that cold run. docs/SNAPSHOT.md states the
+// argument; the package's tests hold the cache to a cold re-simulation
+// for every target.
 //
 // Every crash cut in the tree is a request here: the torture sweep,
 // the fuzz search, litmus cross-validation and the harness's
@@ -36,7 +39,9 @@ import (
 	"slices"
 	"sync"
 
+	"strandweaver/internal/config"
 	"strandweaver/internal/faultinject"
+	"strandweaver/internal/hwdesign"
 	"strandweaver/internal/machine"
 	"strandweaver/internal/mem"
 	"strandweaver/internal/pmem"
@@ -58,7 +63,9 @@ const Budget = 256 << 20
 // A torture subject's log is megabytes and serves one request (torture
 // asks for all of a run's cuts at once), so a log larger than the whole
 // budget serves its own request and is dropped. Logs are live heap, so
-// the budget is kept small next to the checkpoints'. Like Budget it
+// the budget is kept small next to the checkpoints'. The setup image
+// kept beside each log is not counted: its pages are shared with the
+// key's checkpoints, and a fuzz key's is a few pages. Like Budget it
 // shapes performance only.
 const LogBudget = 1 << 20
 
@@ -158,7 +165,19 @@ type lruEntry struct {
 
 type logSlot struct {
 	key string
-	log *pmem.Log
+	rec *record
+}
+
+// record is a key's recorded run: the PM controllers' log and what a
+// replay rebuilds the persistence domain from. That is the persistent
+// image Build left, frozen before the run, and the machine's
+// configuration and design, which fix the controller count, their
+// latencies and the persistence point.
+type record struct {
+	log    *pmem.Log
+	setup  *mem.Image
+	cfg    config.Config
+	design hwdesign.Design
 }
 
 // NewCache returns an empty cache retaining up to Budget checkpoint
@@ -197,10 +216,10 @@ func (c *Cache) Get(r Request) (*Prefix, error) {
 	ru.mu.Lock()
 	defer ru.mu.Unlock()
 
-	var log *pmem.Log
+	var rec *record
 	if !ru.done {
 		var err error
-		if log, err = c.discover(r, key, ru); err != nil {
+		if rec, err = c.discover(r, key, ru); err != nil {
 			return nil, err
 		}
 	}
@@ -220,55 +239,52 @@ func (c *Cache) Get(r Request) (*Prefix, error) {
 		c.lru.MoveToFront(el)
 		p.Cuts[i] = el.Value.(*lruEntry).cut
 	}
-	if log == nil && len(missing) > 0 {
+	if rec == nil && len(missing) > 0 {
 		if el := c.logs[key]; el != nil {
 			c.logLRU.MoveToFront(el)
-			log = el.Value.(*logSlot).log
+			rec = el.Value.(*logSlot).rec
 		}
 	}
 	c.mu.Unlock()
 	if len(missing) == 0 {
 		return p, nil
 	}
-	if log == nil {
+	if rec == nil {
 		// The log was evicted: record it again.
 		var err error
-		if log, err = c.discover(r, key, ru); err != nil {
+		if rec, err = c.discover(r, key, ru); err != nil {
 			return nil, err
 		}
 	}
-	if err := c.replay(r, key, log, p, ats, missing); err != nil {
+	if err := c.replay(r, key, rec, p, ats, missing); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// start builds the request's system with a fresh injector for the
-// plan armed on it and the watchdog set.
-func (r Request) start() (*machine.System, []machine.Worker, *faultinject.Injector, error) {
+// discover simulates the request's crash-free run on a system its
+// target builds, with a fresh injector for the plan armed and the
+// watchdog set. It records the run's log, freezing the persistent
+// image Build left just before the run, stores the run's results in ru
+// and, when the log fits the log budget, the record in the cache under
+// key (evicting least recently used logs past the budget), and returns
+// the record.
+func (c *Cache) discover(r Request, key string, ru *run) (*record, error) {
 	sys, ws, err := r.Target.Build()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	fi := faultinject.New(r.Plan)
-	fi.Arm(sys)
-	if r.Watchdog != 0 {
-		sys.SetWatchdog(r.Watchdog)
-	}
-	return sys, ws, fi, nil
-}
-
-// discover simulates the request's crash-free run, recording its log,
-// stores the run's results in ru and, when it fits the log budget, the
-// log in the cache under key (evicting least recently used logs past
-// the budget), and returns the log.
-func (c *Cache) discover(r Request, key string, ru *run) (*pmem.Log, error) {
-	sys, ws, _, err := r.start()
 	if err != nil {
 		return nil, err
 	}
-	log := &pmem.Log{}
-	sys.PM.Record(log)
+	// A replay starts from a fresh topology and the setup image, so PM
+	// traffic before the run would be missing from it.
+	if !sys.PM.Idle() {
+		return nil, fmt.Errorf("crashcut: %s: Build left PM controller traffic, which the run's log would miss", r.Target.Key)
+	}
+	faultinject.New(r.Plan).Arm(sys)
+	if r.Watchdog != 0 {
+		sys.SetWatchdog(r.Watchdog)
+	}
+	rec := &record{log: &pmem.Log{}, setup: sys.Mem.Persistent.Freeze(), cfg: sys.Cfg, design: sys.Design}
+	sys.PM.Record(rec.log)
 	end, err := sys.Run(ws, r.Target.Limit)
 	if err != nil {
 		return nil, fmt.Errorf("crash-free run: %w", err)
@@ -277,54 +293,62 @@ func (c *Cache) discover(r Request, key string, ru *run) (*pmem.Log, error) {
 
 	// A key is recorded only while it has no kept log, and its
 	// discoveries are serialised, so the key has no slot here.
+	log := rec.log
 	if log.Bytes() > c.logBudget {
-		return log, nil
+		return rec, nil
 	}
 	log.Compact()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.logs[key] = c.logLRU.PushFront(&logSlot{key: key, log: log})
+	c.logs[key] = c.logLRU.PushFront(&logSlot{key: key, rec: rec})
 	c.logBytes += log.Bytes()
 	for c.logBytes > c.logBudget {
 		back := c.logLRU.Back()
 		ev := back.Value.(*logSlot)
 		c.logLRU.Remove(back)
 		delete(c.logs, ev.key)
-		c.logBytes -= ev.log.Bytes()
+		c.logBytes -= ev.rec.log.Bytes()
 	}
-	return log, nil
+	return rec, nil
 }
 
-// replay produces the missing cuts from the key's log: one freshly
-// built, never-run system with a fresh armed injector, the log replayed
-// up to each missing cut in cycle order and the system and injector
-// snapshotted there. It stores the new checkpoints, evicting least
-// recently used ones past the budget (the most recent is always kept).
-func (c *Cache) replay(r Request, key string, log *pmem.Log, p *Prefix, ats []sim.Cycle, missing []int) error {
+// replay produces the missing cuts from the key's record. It builds the
+// persistence domain alone — an engine, a memory over a clone of the
+// setup image, the PM topology and a fresh injector armed on it — then
+// replays the log up to each missing cut in cycle order and snapshots
+// the topology, the image and the injector there. No machine, core,
+// cache or workload is built. It stores the new checkpoints, evicting
+// least recently used ones past the budget (the most recent is always
+// kept).
+func (c *Cache) replay(r Request, key string, rec *record, p *Prefix, ats []sim.Cycle, missing []int) error {
 	order := slices.Clone(missing)
 	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(ats[i], ats[j]) })
 	if last, limit := order[len(order)-1], r.Target.Limit; limit != 0 && ats[last] > limit {
 		return fmt.Errorf("cut %d (cycle %d) is past the run's limit of %d cycles", last+1, ats[last], limit)
 	}
-	sys, _, fi, err := r.start()
-	if err != nil {
-		return err
-	}
-	rp := sys.PM.Replay(log)
+	eng := sim.NewEngine()
+	// The volatile image is no part of the persistence domain.
+	m := &mem.Machine{Persistent: rec.setup.Clone()}
+	pm := pmem.NewTopology(eng, rec.cfg, m, rec.design.PersistAtVisibility())
+	fi := faultinject.New(r.Plan)
+	fi.ArmTopology(pm)
+	rp := pm.Replay(rec.log)
 	for k, i := range order {
 		if k > 0 && ats[order[k-1]] == ats[i] {
 			p.Cuts[i] = p.Cuts[order[k-1]] // a repeated cut of this request
 			continue
 		}
 		rp.To(ats[i])
-		p.Cuts[i] = Cut{At: ats[i], CP: sys.Snapshot(), FI: fi.Snapshot()}
+		cp := &machine.Checkpoint{At: eng.Now(), Mem: m.Snapshot(), PM: pm.Snapshot()}
+		p.Cuts[i] = Cut{At: ats[i], CP: cp, FI: fi.Snapshot()}
 	}
 	p.Captured = len(missing)
-	p.COW = sys.Mem.CowStats()
+	p.COW = m.Persistent.CowStats()
 
 	// Store the new checkpoints, then evict. The bytes they add to the
-	// retained set are their own unique pages: a replay's pages are
-	// fresh storage, shared with no other replay's checkpoints.
+	// retained set are the pages they do not share with checkpoints
+	// already kept: the pages this replay wrote, and any setup-image
+	// pages no kept checkpoint of the key holds.
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	before := c.refs.UniqueBytes()

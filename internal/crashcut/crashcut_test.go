@@ -6,8 +6,10 @@ import (
 	"sync"
 	"testing"
 
+	"strandweaver/internal/config"
 	"strandweaver/internal/cpu"
 	"strandweaver/internal/faultinject"
+	"strandweaver/internal/hwdesign"
 	"strandweaver/internal/machine"
 	"strandweaver/internal/mem"
 	"strandweaver/internal/pmem"
@@ -182,11 +184,13 @@ func TestForkedMatchesCold(t *testing.T) {
 	}
 }
 
-// counting wraps a target's build so every worker it hands out counts
-// its start: the number of threads the cache has simulated.
-func counting(tg Target, started *int) Target {
+// counting wraps a target's build so it counts its calls in builds and
+// every worker it hands out counts its start in started: the number of
+// threads the cache has simulated.
+func counting(tg Target, started, builds *int) Target {
 	build := tg.Build
 	tg.Build = func() (*machine.System, []machine.Worker, error) {
+		*builds++
 		sys, ws, err := build()
 		for i, w := range ws {
 			ws[i] = func(c *cpu.Core) {
@@ -247,7 +251,7 @@ func TestEvictionKeepsOutcomes(t *testing.T) {
 				plan := testPlan
 				plan.Seed = seed
 				for ci, c := range caches {
-					p, err := c.c.Get(Request{Target: counting(tg, &started[ci]), Plan: plan,
+					p, err := c.c.Get(Request{Target: counting(tg, &started[ci], new(int)), Plan: plan,
 						Cuts: func(end sim.Cycle) []sim.Cycle { return []sim.Cycle{end * sim.Cycle(frac) / 4} }})
 					if err != nil {
 						t.Fatal(err)
@@ -286,20 +290,21 @@ func TestEvictionKeepsOutcomes(t *testing.T) {
 }
 
 // TestReplayStartsNoWorker: once a key is recorded, serving further
-// cuts of it replays the log and starts no worker while the log is
-// kept; without the log the run is simulated again.
+// cuts of it replays the log, building no machine and starting no
+// worker while the log is kept; without the log the run is built and
+// simulated again.
 func TestReplayStartsNoWorker(t *testing.T) {
 	wl, err := Workload("queue", 2, 10, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	started := 0
-	tg := counting(wl, &started)
+	started, builds := 0, 0
+	tg := counting(wl, &started, &builds)
 	eighths := func(end sim.Cycle) []sim.Cycle {
 		return []sim.Cycle{end / 8, end * 3 / 8, end * 5 / 8, end * 7 / 8, end + 1}
 	}
 	for _, kept := range []bool{true, false} {
-		started = 0
+		started, builds = 0, 0
 		c := NewCache()
 		if !kept {
 			c = newCache(Budget, 1)
@@ -307,8 +312,8 @@ func TestReplayStartsNoWorker(t *testing.T) {
 		if _, err := c.Get(request(tg, quarterCuts)); err != nil {
 			t.Fatal(err)
 		}
-		if started != 2 {
-			t.Fatalf("first request started %d workers, want 2", started)
+		if started != 2 || builds != 1 {
+			t.Fatalf("first request made %d builds and started %d workers, want 1 and 2", builds, started)
 		}
 		p, err := c.Get(request(tg, eighths))
 		if err != nil {
@@ -320,7 +325,34 @@ func TestReplayStartsNoWorker(t *testing.T) {
 		if want := map[bool]int{true: 2, false: 4}[kept]; started != want {
 			t.Errorf("log kept %t: %d workers started over both requests, want %d", kept, started, want)
 		}
+		if want := map[bool]int{true: 1, false: 2}[kept]; builds != want {
+			t.Errorf("log kept %t: %d builds over both requests, want %d", kept, builds, want)
+		}
 		matchesCold(t, wl, testPlan, p, fmt.Sprintf("log kept %t", kept))
+	}
+}
+
+// BenchmarkReplay measures serving one missed cut of a fuzz-sized
+// direct undo-log key whose log is kept: one replay. The cache keeps
+// only the latest checkpoint, so the two alternating cuts miss every
+// time.
+func BenchmarkReplay(b *testing.B) {
+	c := newCache(1, LogBudget)
+	r := Request{Target: DirectUndolog(2, 4, false, 0), Plan: testPlan}
+	for i := 0; i < b.N+1; i++ {
+		if i == 1 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
+		frac := sim.Cycle(1 + i%2)
+		r.Cuts = func(end sim.Cycle) []sim.Cycle { return []sim.Cycle{end * frac / 3} }
+		p, err := c.Get(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i > 0 && p.Captured != 1 {
+			b.Fatalf("request %d replayed %d cuts, want 1", i, p.Captured)
+		}
 	}
 }
 
@@ -358,7 +390,7 @@ func FuzzReplayMatchesCold(f *testing.F) {
 }
 
 // TestConcurrentRequestsSimulateOnce: requests for one key from many
-// goroutines share one crash-free run and one replay.
+// goroutines share one crash-free run, its one build, and one replay.
 func TestConcurrentRequestsSimulateOnce(t *testing.T) {
 	tg := DirectRedolog(4, 0)
 	var mu sync.Mutex
@@ -386,8 +418,8 @@ func TestConcurrentRequestsSimulateOnce(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if builds != 2 {
-		t.Errorf("%d builds for one key, want 2 (crash-free run and replay)", builds)
+	if builds != 1 {
+		t.Errorf("%d builds for one key, want 1 (the crash-free run; a replay builds none)", builds)
 	}
 	total := 0
 	for _, n := range captured {
@@ -458,5 +490,58 @@ func TestCrashFreeFailureNotMemoised(t *testing.T) {
 	r.Watchdog = 0
 	if _, err := c.Get(r); err != nil {
 		t.Fatalf("retry without the watchdog: %v", err)
+	}
+}
+
+// TestReplayKeepsPersistencePoint: a replay rebuilds the topology with
+// the run's persistence point. On an eADR machine with a one-line cache
+// and a one-entry controller write queue, a write-back waits in the
+// overflow queue while a newer store to its line persists at
+// visibility; acceptance must then store nothing, in the replay as in
+// the cold run.
+func TestReplayKeepsPersistencePoint(t *testing.T) {
+	tg := Target{Key: "eadr-overflow", Limit: testLimit,
+		Build: func() (*machine.System, []machine.Worker, error) {
+			cfg := config.Default()
+			cfg.Cores = 1
+			cfg.L1Sets, cfg.L1Ways, cfg.L2Sets, cfg.L2Ways = 1, 1, 1, 1
+			cfg.PMWriteQueueEntries, cfg.PMBanks = 1, 1
+			sys, err := machine.New(cfg, hwdesign.EADR)
+			w := func(c *cpu.Core) {
+				for i := 0; i < 24; i++ {
+					c.Store64(mem.PMBase+mem.Addr(i%2)*mem.LineSize, uint64(i+1))
+				}
+			}
+			return sys, []machine.Worker{w}, err
+		}}
+	p, err := NewCache().Get(request(tg, func(end sim.Cycle) []sim.Cycle {
+		var cuts []sim.Cycle
+		for k := sim.Cycle(1); k <= 16; k++ {
+			cuts = append(cuts, end*k/16)
+		}
+		return append(cuts, end+1)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Ctrl.WriteQueueFullEvents == 0 {
+		t.Fatal("no write-back waited in the overflow queue")
+	}
+	matchesCold(t, tg, testPlan, p, "eadr")
+}
+
+// TestBuildMustLeaveTopologyIdle: a build that sends PM traffic before
+// the run fails the request, since a replay rebuilds the PM side from
+// the setup image and the log alone.
+func TestBuildMustLeaveTopologyIdle(t *testing.T) {
+	tg := DirectRedolog(4, 0)
+	build := tg.Build
+	tg.Build = func() (*machine.System, []machine.Worker, error) {
+		sys, ws, err := build()
+		sys.PM.SubmitPMWrite(mem.PMBase, [mem.LineSize]byte{1}, nil)
+		return sys, ws, err
+	}
+	if _, err := NewCache().Get(request(tg, quarterCuts)); err == nil {
+		t.Fatal("a build that left a PM write in flight was served")
 	}
 }

@@ -27,7 +27,10 @@ type Target struct {
 	Key string
 	// Limit bounds each run in simulated cycles.
 	Limit sim.Cycle
-	// Build returns a freshly constructed, un-run system and its workers.
+	// Build returns a freshly constructed, un-run system and its
+	// workers. The cache calls it for discovery runs only, and it must
+	// leave the PM topology idle (pmem.Topology.Idle): a replay rebuilds
+	// the persistence domain from the persistent image Build leaves.
 	Build func() (*machine.System, []machine.Worker, error)
 	// Recover runs the target's recovery engine over a crash image in
 	// place.
@@ -302,8 +305,9 @@ func redoTarget(cells genCells, controllers int) Target {
 // Workload runs a Table II persistent data structure through the TXN
 // language runtime on a machine with one core per thread, recovered by
 // the undo log. Verify checks against the instance of the most recent
-// Build (every build lays the structure out identically), building once
-// itself when the target has never been built — as when a cache served
+// Build — in a cache, the discovery run's — and reads only the layout
+// Setup fixes, which every build lays out identically. It builds once
+// itself when the target has never been built, as when a cache served
 // every cut from another target's runs. A Target used concurrently from
 // several goroutines must not be shared.
 func Workload(bench string, threads, ops int, seed int64, controllers int) (Target, error) {

@@ -131,14 +131,14 @@ type Stats struct {
 }
 
 // Injector draws fault decisions from a seeded generator. It implements
-// pmem.FaultHook; install it with Arm.
+// pmem.FaultHook; install it with ArmTopology (or Arm).
 //
 // Crash images draw from the injector's primary stream alone. Media
 // faults during a run draw per controller: controller 0 from the
 // primary stream — the only stream a single-controller machine has —
 // and each further controller from its own disjoint splitmix64 stream,
-// derived from the plan seed and the controller index by Arm, so
-// controllers' event interleavings never perturb each other's media
+// derived from the plan seed and the controller index by ArmTopology,
+// so controllers' event interleavings never perturb each other's media
 // fault sequences.
 type Injector struct {
 	plan  Plan
@@ -163,13 +163,17 @@ func (in *Injector) Plan() Plan { return in.plan }
 // Stats returns a copy of the fault counters.
 func (in *Injector) Stats() Stats { return in.stats }
 
-// Arm installs the injector as every PM controller's media fault hook,
-// in controller index order. Controller 0 gets the injector itself;
-// each further controller gets a thin adapter drawing from that
-// controller's disjoint stream, derived here if it is missing
-// (existing stream positions are never reset).
-func (in *Injector) Arm(sys *machine.System) {
-	ctrls := sys.PM.Controllers()
+// Arm arms the injector on the system's PM topology (ArmTopology).
+func (in *Injector) Arm(sys *machine.System) { in.ArmTopology(sys.PM) }
+
+// ArmTopology installs the injector as every PM controller's media
+// fault hook, in controller index order. Controller 0 gets the
+// injector itself; each further controller gets a thin adapter drawing
+// from that controller's disjoint stream, derived here if it is missing
+// (existing stream positions are never reset). A crash-cut replay arms
+// a topology it built without a machine around it.
+func (in *Injector) ArmTopology(t *pmem.Topology) {
+	ctrls := t.Controllers()
 	for len(in.ctrlStates) < len(ctrls) {
 		in.ctrlStates = append(in.ctrlStates, streamSeed(in.plan.Seed, len(in.ctrlStates)))
 	}

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"strandweaver/internal/hwdesign"
 	"strandweaver/internal/machine"
 	"strandweaver/internal/mem"
+	"strandweaver/internal/pmem"
 	"strandweaver/internal/sim"
 	"strandweaver/internal/undolog"
 )
@@ -285,5 +287,51 @@ func TestCheckpointImageSharedCheckpoint(t *testing.T) {
 	}
 	if New(plan).CheckpointImage(cp).Fingerprint() != want {
 		t.Error("drawing crash images mutated the shared checkpoint")
+	}
+}
+
+// TestArmTopologyMatchesArm: arming the system and arming its PM
+// topology install the same media-fault streams, at 1, 2 and 4
+// controllers: identical runs under a media-fault plan end at the same
+// cycle with the same per-controller statistics and injector counters,
+// and the injectors then draw the same crash image.
+func TestArmTopologyMatchesArm(t *testing.T) {
+	plan := Plan{Seed: 5, TornPersists: true, DropProb: 0.5,
+		MediaFaultProb: 0.3, MediaDelayProb: 0.2, MediaDelayCycles: 500}
+	type run struct {
+		End   sim.Cycle
+		Ctrls []pmem.Stats
+		Fault Stats
+		Crash uint64
+	}
+	for _, controllers := range []int{1, 2, 4} {
+		runs := make([]run, 2)
+		for i, arm := range []func(*Injector, *machine.System){
+			(*Injector).Arm,
+			func(fi *Injector, s *machine.System) { fi.ArmTopology(s.PM) },
+		} {
+			cfg := config.Default()
+			cfg.Cores, cfg.PMControllers = 1, controllers
+			s := machine.MustNew(cfg, hwdesign.StrandWeaver)
+			for i, a := range cells {
+				seed(s, a, uint64(i+1))
+			}
+			logs := undolog.Init(s, 1, 64)
+			fi := New(plan)
+			arm(fi, s)
+			end, err := s.Run([]machine.Worker{loggedWorker(logs.PerThread[0], 4)}, 500_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs[i] = run{End: end, Ctrls: s.PM.PerController(), Fault: fi.Stats(),
+				Crash: fi.CrashImage(s).Fingerprint()}
+		}
+		if runs[0].Fault.MediaFaults == 0 {
+			t.Errorf("%d controllers: the plan injected no media faults", controllers)
+		}
+		if !reflect.DeepEqual(runs[0], runs[1]) {
+			t.Errorf("%d controllers: Arm and ArmTopology runs differ\nArm:         %+v\nArmTopology: %+v",
+				controllers, runs[0], runs[1])
+		}
 	}
 }

@@ -164,10 +164,10 @@ func newResult(spec Spec, sys *machine.System, cycles uint64) *Result {
 func RunWithCrash(spec Spec, cuts func(end sim.Cycle) []sim.Cycle) ([]*undolog.Report, error) {
 	spec = spec.withDefaults()
 	name := fmt.Sprintf("%s/%s/%s", spec.Benchmark, spec.Model, spec.Design)
-	// The instance Verify checks against: the latest build's, as every
-	// build lays the workload out identically. The fresh cache's
-	// discovery run always builds. The cache is this call's alone, so
-	// its one target's key need only name the spec.
+	// The instance Verify checks against: the discovery run's, the only
+	// build the fresh cache makes (Verify reads only the layout Setup
+	// fixes). The cache is this call's alone, so its one target's key
+	// need only name the spec.
 	var inst workloads.Instance
 	pre, err := crashcut.NewCache().Get(crashcut.Request{
 		Target: crashcut.Target{

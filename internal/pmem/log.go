@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"reflect"
 	"slices"
 	"unsafe"
 
@@ -113,12 +114,29 @@ func (c *chunked[T]) at(i int) *T {
 func (c *chunked[T]) clip() { c.tail = slices.Clone(c.tail) }
 
 // Record makes every controller and PersistVisible append to l until
-// Record(nil). The machine's other components never see the log.
+// Record(nil). The machine's other components never see the log. A
+// replay applies the log to a freshly built topology, so a recording
+// that is to be replayed starts on an Idle topology.
 func (t *Topology) Record(l *Log) {
 	t.log = l
 	for _, c := range t.ctrls {
 		c.log = l
 	}
+}
+
+// Idle reports whether the topology stands as NewTopology built it: no
+// PM write ever submitted, no PM read outstanding and no traffic
+// counted.
+func (t *Topology) Idle() bool {
+	if t.submitSeq != 0 {
+		return false
+	}
+	for _, c := range t.ctrls {
+		if c.readsInFlight != 0 || c.pendingReads.Len() != 0 || !reflect.DeepEqual(c.stats, Stats{}) {
+			return false
+		}
+	}
+	return true
 }
 
 // PersistVisible lands a store's bytes, at a PM address, in the

@@ -57,6 +57,30 @@ func TestTopologyPersistencePoint(t *testing.T) {
 	}
 }
 
+// TestTopologyIdle: a fresh topology is idle, and so is one whose image
+// was written directly; any submission, PM read or DRAM write makes it
+// busy, at every controller count.
+func TestTopologyIdle(t *testing.T) {
+	for _, n := range []int{1, 2, 4} {
+		for name, touch := range map[string]func(*Topology){
+			"pm write":   func(tp *Topology) { tp.SubmitPMWrite(pmLine(3), lineData(1), nil) },
+			"pm read":    func(tp *Topology) { tp.SubmitRead(pmLine(3), func() {}) },
+			"dram read":  func(tp *Topology) { tp.SubmitRead(mem.DRAMBase, func() {}) },
+			"dram write": func(tp *Topology) { tp.SubmitDRAMWrite(mem.DRAMBase) },
+		} {
+			_, tp, m := newTopo(n)
+			m.Persistent.Write64(pmLine(3), 9)
+			if !tp.Idle() {
+				t.Fatalf("%d controllers: a fresh topology is not idle", n)
+			}
+			touch(tp)
+			if tp.Idle() {
+				t.Errorf("%d controllers: idle after a %s", n, name)
+			}
+		}
+	}
+}
+
 func TestTopologyIndexOfStripesLines(t *testing.T) {
 	_, tp, _ := newTopo(4)
 	for i := 0; i < 16; i++ {

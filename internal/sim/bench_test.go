@@ -65,10 +65,10 @@ func BenchmarkEngineScheduleZeroDelay(b *testing.B) {
 
 // BenchmarkCoroutineYield measures one full host<->coroutine round trip
 // (WaitCycles(1) per iteration, driven by a one-cycle Run). Must report
-// 0 allocs/op: Run hands the baton over on the coroutine's own channel
-// and gets it back on the engine's host channel when the cycle limit
-// ends the run, and the wakeup is a resume event, with no closure.
-// Run(0) would never return: the coroutine always has a wait pending.
+// 0 allocs/op: Run switches to the coroutine through its next function
+// and the coroutine yields back when the cycle limit ends the run, and
+// the wakeup is a resume event, with no closure. Run(0) would never
+// return: the coroutine always has a wait pending.
 func BenchmarkCoroutineYield(b *testing.B) {
 	e := NewEngine()
 	co := NewCoroutine(e, func(co *Coroutine) {

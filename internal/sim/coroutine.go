@@ -1,127 +1,98 @@
+//go:build go1.23
+
 package sim
 
-// Coroutine bridges a goroutine into the discrete-event engine so that a
-// simulated hardware thread can be written as straight-line Go code.
+import "iter"
+
+// Coroutine runs a simulated hardware thread as straight-line Go code
+// on a runtime coroutine (iter.Pull), so that it can suspend itself in
+// the middle of its body and be resumed by the engine's events.
 //
-// The contract: exactly one goroutine — the host (the Run caller) or one
-// coroutine — runs at any instant. Control is a baton passed by direct
-// channel handoff, and the baton holder runs the engine's event loop
-// itself (Engine.loop): firing a plain event is a function call on the
-// holder's stack, and firing a resume event hands the baton to the
-// target coroutine with a single channel send before the holder parks.
-// A coroutine whose own resume event is the next to fire simply returns
-// from Yield — zero channel operations. This inversion halves the
-// per-switch cost of the classic design (a dedicated engine goroutine
-// doing a send-then-receive round trip per resume) without touching the
-// schedule: the baton's path is a pure function of the (cycle, seq)
-// event order, so simulations remain bit-reproducible.
+// The contract: exactly one stack — the host's (the Run caller) or one
+// coroutine's — runs at any instant, and that stack runs the engine's
+// event loop itself (Engine.loop). Firing a plain event is a function
+// call on the running stack. When the running coroutine's own resume
+// event is the next to fire, Yield simply returns: no switch at all.
+// When another coroutine's resume fires, the running coroutine yields
+// that target to the host, which resumes it through its next function:
+// a direct runtime switch that never enters the scheduler. The path of
+// control is a pure function of the (cycle, seq) event order, so
+// simulations remain bit-reproducible.
 //
-// The host regains the baton when the run terminates (Stop, cond,
-// drained queue, or cycle limit). A coroutine runs only during a Run,
-// started and woken by resume events (Engine.ScheduleResume).
+// A coroutine runs only during a Run, started and woken by resume
+// events (Engine.ScheduleResume). When a run ends on a coroutine's
+// stack, the coroutine yields to the host and stays suspended until a
+// later run fires its next resume.
 type Coroutine struct {
 	eng *Engine
-	// ch is this coroutine's baton slot: it parks by receiving on ch
-	// and runs while it holds the baton. Unbuffered, so every send is
-	// a direct handoff to the one parked receiver.
-	ch      chan struct{}
-	done    bool
+	// next resumes the coroutine until it yields the coroutine to run
+	// next (nil when the run has ended); ok is false once its body has
+	// returned or unwound. stop unwinds a suspended coroutine.
+	next  func() (to *Coroutine, ok bool)
+	stop  func()
+	yield func(to *Coroutine) bool
+	done  bool
+	// aborted marks a coroutine aborted by an event on its own stack;
+	// it unwinds at the event loop's next check.
 	aborted bool
-	// hasBaton records whether this coroutine's goroutine holds the
-	// baton; the death handler uses it to decide whether it must keep
-	// the event loop alive on the way out.
-	hasBaton bool
-	// abortSync is set by Abort just before it wakes the parked
-	// coroutine: the unwinding goroutine then acknowledges on
-	// eng.abortAck instead of passing the baton on.
-	abortSync bool
 }
 
-// abortSentinel is the panic value used to unwind an aborted coroutine's
-// goroutine so it does not leak (e.g. when a simulated crash abandons
-// the machine mid-run).
+// abortSentinel is the panic value that unwinds an aborted coroutine's
+// body, so deferred calls run and its goroutine exits (e.g. when a
+// simulated crash abandons the machine mid-run).
 type abortSentinel struct{}
 
-// NewCoroutine starts body on its own goroutine, paused: it does not run
-// until its first scheduled resume. Inside body, use co.WaitCycles /
-// co.Yield to give up control.
+// NewCoroutine creates a coroutine running body, paused: it does not
+// run until its first scheduled resume. Inside body, use co.WaitCycles
+// / co.Yield to give up control.
 func NewCoroutine(eng *Engine, body func(co *Coroutine)) *Coroutine {
-	co := &Coroutine{
-		eng: eng,
-		ch:  make(chan struct{}),
-	}
-	go func() {
-		e := eng
+	co := &Coroutine{eng: eng}
+	co.next, co.stop = iter.Pull(func(yield func(*Coroutine) bool) {
+		co.yield = yield
 		defer func() {
-			r := recover()
-			if r != nil {
+			co.done = true
+			if r := recover(); r != nil {
 				if _, ok := r.(abortSentinel); !ok {
-					// A real panic on this stack (a bug, or an armed
-					// write budget tripping inside an event). Transfer
-					// it to the host so it surfaces from Run, exactly
-					// as when the host fires every event itself.
-					if !co.hasBaton {
-						panic(r)
-					}
-					co.done = true
-					e.pendingPanic = r
-					e.handToHost(co)
-					return
+					// A real panic on this stack: next re-raises it on
+					// the host, so it surfaces from Run.
+					panic(r)
 				}
 			}
-			co.done = true
-			switch {
-			case co.abortSync:
-				// Abort is blocked waiting for this unwind.
-				e.abortAck <- struct{}{}
-			case co.hasBaton:
-				// Died holding the baton: keep the event loop alive on
-				// this dying stack until the baton moves on.
-				defer func() {
-					if r := recover(); r != nil {
-						e.pendingPanic = r
-						e.handToHost(co)
-					}
-				}()
-				e.loop(co, true)
-			}
 		}()
-		e.park(co)
 		body(co)
-	}()
+	})
 	return co
 }
 
-// Abort unwinds a parked coroutine so its goroutine exits; used when a
-// simulated crash abandons the machine. If the coroutine being aborted
-// is the current baton holder (a crash event abandoning its own
-// machine), it is only marked: it unwinds at its next baton checkpoint.
-// No-op if already done.
+// Abort unwinds the coroutine so its goroutine exits; used when a
+// simulated crash abandons the machine. A suspended coroutine unwinds
+// before Abort returns. The coroutine whose stack is running the event
+// (a crash event abandoning its own machine) is only marked: it unwinds
+// at the event loop's next check, before any other event fires. No-op
+// if already done.
 func (co *Coroutine) Abort() {
 	if co.done {
 		return
 	}
 	co.aborted = true
-	e := co.eng
-	e.stats.CoroutineSwitches++
-	if e.current == co {
+	co.eng.stats.CoroutineSwitches++
+	if co.eng.current == co {
 		return
 	}
-	co.abortSync = true
-	co.ch <- struct{}{}
-	<-e.abortAck
+	co.stop()
+	co.done = true
 }
 
 // Done reports whether the coroutine's body has returned.
 func (co *Coroutine) Done() bool { return co.done }
 
-// Yield gives up the baton until the coroutine's next resume event.
-// During a run the yielding goroutine keeps driving the event loop
-// itself; it only parks when the baton must move to another coroutine.
+// Yield gives up control until the coroutine's next resume event. The
+// yielding coroutine keeps running the event loop on its own stack; it
+// suspends only when another coroutine's resume fires or the run ends.
 // Must be called from within the coroutine body.
 func (co *Coroutine) Yield() {
-	co.eng.loop(co, false)
-	if co.aborted {
+	to := co.eng.loop(co)
+	if to != co && !co.yield(to) {
 		panic(abortSentinel{})
 	}
 }

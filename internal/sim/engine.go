@@ -3,10 +3,11 @@
 // The engine advances an integer cycle clock (2 GHz by convention: one
 // cycle = 0.5 ns) and fires scheduled events in (cycle, sequence) order,
 // so simulations are bit-reproducible across runs. Simulated hardware
-// threads are ordinary goroutines driven one at a time through a
-// cooperative handshake (see Coroutine), which preserves determinism:
-// exactly one goroutine — the engine's or a coroutine's — runs at any
-// instant.
+// threads are runtime coroutines (iter.Pull) that the event loop
+// resumes one at a time (see Coroutine), which preserves determinism:
+// exactly one stack — the Run caller's or a coroutine's — runs at any
+// instant, and control passes between them by direct runtime switches,
+// never through the scheduler.
 //
 // The event core is allocation-free in steady state. Events are value
 // entries in a hashed timing wheel: one FIFO per cycle slot, drawn from a
@@ -43,8 +44,8 @@ type Event func()
 // eventEntry is one scheduled event, stored by value: scheduling does
 // not allocate once the wheel's pool and the far heap have grown to the
 // simulation's working depth. Exactly one of fn and co is set: fn for a
-// plain callback, co for a coroutine resumption (the baton handoff the
-// event loop performs itself; see Coroutine).
+// plain callback, co for a coroutine resumption (the switch the event
+// loop performs itself; see Coroutine).
 type eventEntry struct {
 	at  Cycle
 	seq uint64
@@ -108,7 +109,7 @@ type Stats struct {
 	// CoroutineSwitches counts coroutine resumptions delivered: resume
 	// events fired on a live coroutine, and Abort unwinds. A pure
 	// function of the event order, like every counter here, regardless
-	// of which goroutine physically runs the loop.
+	// of which stack runs the loop.
 	CoroutineSwitches uint64 `json:"coroutine_switches"`
 }
 
@@ -157,28 +158,16 @@ type Engine struct {
 	eventBudget uint64
 	budgetHit   bool
 	stats       Stats
-	// Baton-passing run state (see Coroutine). The goroutine holding
-	// the baton runs loop; current is the coroutine holding it (nil
-	// while the host does); hostCh returns the baton to the blocked
-	// Run caller when the run terminates; abortAck acknowledges a
-	// synchronous Abort unwind; pendingPanic carries a panic raised on a
-	// coroutine's stack back to the host so it surfaces from Run, as it
-	// would if the host fired every event.
-	runCond      func() bool
-	runLimit     Cycle
-	current      *Coroutine
-	hostCh       chan struct{}
-	abortAck     chan struct{}
-	pendingPanic any
+	// Run state (see Coroutine): the running run's termination
+	// condition and limit, and the coroutine the host has resumed (nil
+	// while the host's own stack runs the loop).
+	runCond  func() bool
+	runLimit Cycle
+	current  *Coroutine
 }
 
 // NewEngine returns an engine with the clock at cycle 0.
-func NewEngine() *Engine {
-	return &Engine{
-		hostCh:   make(chan struct{}),
-		abortAck: make(chan struct{}),
-	}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
@@ -197,10 +186,9 @@ func (e *Engine) Schedule(delay Cycle, fn Event) {
 
 // ScheduleResume schedules co's resumption after delay cycles, through
 // the same (cycle, seq) queue as Schedule — resume events fire in
-// exactly the order a Schedule'd callback would. Delivering the
-// resumption is a baton handoff performed by the event loop itself
-// (one channel send, or none when the holder resumes itself) instead
-// of a callback doing a Resume round trip.
+// exactly the order a Schedule'd callback would. The event loop
+// delivers the resumption itself: nothing when co is running the loop,
+// else a switch to co through the host.
 func (e *Engine) ScheduleResume(delay Cycle, co *Coroutine) {
 	if co == nil {
 		panic("sim: ScheduleResume called with nil coroutine")
@@ -366,7 +354,7 @@ func (e *Engine) popNext(limit Cycle) (ev eventEntry, ok bool) {
 }
 
 // fired advances the clock to ev's cycle and applies the watchdog. The
-// caller then runs the event (callback or resume handoff).
+// caller then runs the event (callback or resumption).
 func (e *Engine) fired(ev *eventEntry) {
 	e.now = ev.at
 	e.stats.EventsFired++
@@ -385,10 +373,10 @@ func (e *Engine) fired(ev *eventEntry) {
 // stays put if it is already beyond it). It returns the cycle at which
 // it stopped.
 //
-// Run's caller is the "host" of the baton protocol (see Coroutine): it
-// starts the event loop on its own goroutine, hands the baton off when
-// a resume event fires, and blocks until the run terminates and the
-// baton comes home.
+// Run's caller is the host of the coroutines (see Coroutine): it runs
+// the event loop on its own stack and resumes each coroutine whose
+// resume event fires, until the run ends. A panic on a coroutine's
+// stack surfaces from Run.
 func (e *Engine) Run(limit Cycle) Cycle { return e.run(nil, limit) }
 
 // RunUntil fires events while cond returns false, subject to the same
@@ -400,35 +388,44 @@ func (e *Engine) RunUntil(cond func() bool, limit Cycle) Cycle {
 func (e *Engine) run(cond func() bool, limit Cycle) Cycle {
 	e.runCond = cond
 	e.runLimit = limit
-	e.loop(nil, false)
+	co := e.loop(nil)
+	for co != nil {
+		co = e.resume(co)
+	}
 	e.runCond = nil
 	e.runLimit = 0
 	return e.now
 }
 
-// loop drains events while the calling goroutine holds the baton. g is
-// the coroutine running the loop (nil when the host runs it); dying is
-// true when g's body has already returned and the loop runs on its
-// unwinding stack. The loop returns when:
-//   - g's own resume event fires (g's Yield returns to its body), or
-//   - the baton has been handed to another coroutine (dying: the dead
-//     goroutine exits; host: the run has since terminated and the baton
-//     came back through hostCh), or
-//   - the run terminates with this goroutine holding the baton (host:
-//     Run returns; live g: the baton goes to the host and g parks until
-//     a later run resumes it; dying g: the goroutine exits).
-func (e *Engine) loop(g *Coroutine, dying bool) {
+// resume switches to co, whose resume event has fired, and runs it
+// until it switches back. It returns the coroutine to resume next, or
+// nil once the run has ended. A coroutine whose body returned or
+// unwound leaves the loop to the host.
+func (e *Engine) resume(co *Coroutine) *Coroutine {
+	e.current = co
+	to, ok := co.next()
+	e.current = nil
+	if !ok {
+		return e.loop(nil)
+	}
+	return to
+}
+
+// loop fires events on the running stack: the host's when g is nil,
+// else coroutine g's. Plain events are calls on that stack. It returns
+// the first live coroutine whose resume event fires — g itself for a
+// self-resume, which switches nothing — or nil once the run has ended
+// (Stop, cond, drained queue, or cycle limit).
+func (e *Engine) loop(g *Coroutine) *Coroutine {
 	for {
-		if g != nil && !dying && g.aborted {
-			// A crash event fired on this very stack abandoned this
-			// machine (self-abort). Unwind before touching the queue or
-			// the baton: the death handler re-enters the loop on the
-			// dying stack and passes the baton on, so done is published
-			// before any handoff — later observers are synchronized.
+		if g != nil && g.aborted {
+			// An event fired on this stack aborted g (a crash event
+			// abandoning its own machine): unwind g before any other
+			// event fires.
 			panic(abortSentinel{})
 		}
 		if e.stopped || (e.runCond != nil && e.runCond()) {
-			break
+			return nil
 		}
 		ev, ok := e.popNext(e.runLimit)
 		if !ok {
@@ -438,85 +435,18 @@ func (e *Engine) loop(g *Coroutine, dying bool) {
 				// wheel event within a span of now.
 				e.now = e.runLimit
 			}
-			break
+			return nil
 		}
 		e.fired(&ev)
 		if ev.co == nil {
 			ev.fn()
 			continue
 		}
-		co := ev.co
-		if co.done {
+		if ev.co.done {
 			continue
 		}
 		e.stats.CoroutineSwitches++
-		if co == g {
-			// Self-resume: the holder's own event is next. Yield simply
-			// returns — no channel operation at all.
-			return
-		}
-		e.handTo(g, co)
-		if dying {
-			return
-		}
-		if g == nil {
-			// Host: the baton returns only at termination.
-			e.hostWait()
-			return
-		}
-		// Aborts arriving while g is parked are caught by park's
-		// post-wake check; reading g.aborted here, after the handoff,
-		// would race with the new baton holder.
-		e.park(g)
-		return
-	}
-	// The run terminated on this goroutine.
-	if g == nil {
-		return
-	}
-	e.handToHost(g)
-	if dying {
-		return
-	}
-	e.park(g)
-}
-
-// handTo passes the baton from from (nil for the host) to to.
-func (e *Engine) handTo(from, to *Coroutine) {
-	if from != nil {
-		from.hasBaton = false
-	}
-	e.current = to
-	to.ch <- struct{}{}
-}
-
-// handToHost returns the baton to the goroutine blocked in hostWait
-// (the Run caller).
-func (e *Engine) handToHost(from *Coroutine) {
-	if from != nil {
-		from.hasBaton = false
-	}
-	e.current = nil
-	e.hostCh <- struct{}{}
-}
-
-// park blocks co until the baton is handed to it, then unwinds if it
-// was aborted in the meantime.
-func (e *Engine) park(co *Coroutine) {
-	<-co.ch
-	co.hasBaton = true
-	if co.aborted {
-		panic(abortSentinel{})
-	}
-}
-
-// hostWait blocks the host until the baton comes home, re-raising any
-// panic that unwound a coroutine's stack in the meantime.
-func (e *Engine) hostWait() {
-	<-e.hostCh
-	if p := e.pendingPanic; p != nil {
-		e.pendingPanic = nil
-		panic(p)
+		return ev.co
 	}
 }
 
