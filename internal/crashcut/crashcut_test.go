@@ -221,35 +221,34 @@ func logBytes(t *testing.T, tg Target, plan faultinject.Plan) uint64 {
 }
 
 // TestEvictionKeepsOutcomes: budgets too small to hold more than the
-// latest checkpoint, or more than one run's log, or any log at all,
-// force replays and new discovery runs; every served cut must still
-// equal the one a roomy cache serves, while hits drop and more threads
-// are simulated.
+// latest checkpoint and the latest log, or than the latest log alone,
+// force new walks and new recordings; every served cut must still equal
+// the one a roomy cache serves, while hits drop and more threads are
+// simulated. Each run is a media-fault key of its own target, served
+// from that target's media-free log.
 func TestEvictionKeepsOutcomes(t *testing.T) {
-	tg := DirectUndolog(1, 4, false, 0)
+	targets := []Target{DirectUndolog(1, 4, false, 0), DirectUndolog(1, 5, false, 0), DirectUndolog(1, 6, false, 0)}
 	oneLog := uint64(0)
-	for seed := uint64(1); seed <= 3; seed++ {
-		plan := testPlan
-		plan.Seed = seed
-		oneLog = max(oneLog, logBytes(t, tg, plan))
+	for _, tg := range targets {
+		oneLog = max(oneLog, logBytes(t, tg, faultinject.Plan{}))
 	}
 	caches := []struct {
 		name string
 		c    *Cache
 	}{
 		{"roomy", NewCache()},
-		{"tiny", newCache(1, 1)},              // the latest checkpoint, no log
+		{"tiny", newCache(1, 1)},              // the latest checkpoint and log
 		{"one-log", newCache(Budget, oneLog)}, // every checkpoint, the latest log
 	}
 	started := make([]int, len(caches))
 	// Two passes over several runs and cuts: the second pass hits in the
-	// roomy cache and replays in the tiny one.
+	// roomy cache and walks again in the tiny one.
 	fps := make([][]uint64, len(caches))
 	for pass := 0; pass < 2; pass++ {
-		for seed := uint64(1); seed <= 3; seed++ {
+		for k, tg := range targets {
 			for frac := uint64(1); frac <= 3; frac++ {
 				plan := testPlan
-				plan.Seed = seed
+				plan.Seed = uint64(k + 1)
 				for ci, c := range caches {
 					p, err := c.c.Get(Request{Target: counting(tg, &started[ci], new(int)), Plan: plan,
 						Cuts: func(end sim.Cycle) []sim.Cycle { return []sim.Cycle{end * sim.Cycle(frac) / 4} }})
@@ -266,10 +265,11 @@ func TestEvictionKeepsOutcomes(t *testing.T) {
 			t.Errorf("eviction changed crash images:\nroomy %x\n%s %x", fps[0], caches[ci+1].name, fps[ci+1])
 		}
 	}
-	// The roomy cache simulates each of the three runs once; the tiny
-	// one keeps no log, so every replay needs its run simulated again;
-	// the one-log cache keeps a run's log while its three cuts are
-	// replayed, so it too simulates each run once.
+	// The roomy cache simulates each target's media-free run once; the
+	// tiny one keeps only the latest log, so the second pass's walks
+	// need each run simulated again; the one-log cache keeps a run's log
+	// while its three cuts are walked and hits every cut of the second
+	// pass, so it too simulates each run once.
 	if started[0] != 3 || started[2] != 3 || started[1] <= started[0] {
 		t.Errorf("threads simulated: roomy %d, tiny %d, one-log %d; want 3, more than 3, 3", started[0], started[1], started[2])
 	}
@@ -284,15 +284,17 @@ func TestEvictionKeepsOutcomes(t *testing.T) {
 	if caches[1].c.RetainedBytes() >= caches[0].c.RetainedBytes() {
 		t.Errorf("tiny cache retains %d bytes, roomy %d", caches[1].c.RetainedBytes(), caches[0].c.RetainedBytes())
 	}
-	if caches[2].c.logBytes > oneLog || caches[2].c.logLRU.Len() != 1 {
-		t.Errorf("one-log cache keeps %d logs in %d bytes, want 1 in at most %d", caches[2].c.logLRU.Len(), caches[2].c.logBytes, oneLog)
+	for _, ci := range []int{1, 2} {
+		if c := caches[ci].c; c.logLRU.Len() != 1 {
+			t.Errorf("%s cache keeps %d logs in %d bytes, want the latest alone", caches[ci].name, c.logLRU.Len(), c.logBytes)
+		}
 	}
 }
 
-// TestReplayStartsNoWorker: once a key is recorded, serving further
-// cuts of it replays the log, building no machine and starting no
-// worker while the log is kept; without the log the run is built and
-// simulated again.
+// TestReplayStartsNoWorker: once a key is served, serving further cuts
+// of it walks its target's media-free log, building no machine and
+// starting no worker while the log is kept; once another target's log
+// has replaced it, the run is built and simulated again.
 func TestReplayStartsNoWorker(t *testing.T) {
 	wl, err := Workload("queue", 2, 10, 1, 0)
 	if err != nil {
@@ -305,22 +307,24 @@ func TestReplayStartsNoWorker(t *testing.T) {
 	}
 	for _, kept := range []bool{true, false} {
 		started, builds = 0, 0
-		c := NewCache()
-		if !kept {
-			c = newCache(Budget, 1)
-		}
+		c := newCache(Budget, 1) // the latest log alone
 		if _, err := c.Get(request(tg, quarterCuts)); err != nil {
 			t.Fatal(err)
 		}
 		if started != 2 || builds != 1 {
 			t.Fatalf("first request made %d builds and started %d workers, want 1 and 2", builds, started)
 		}
+		if !kept {
+			if _, err := c.Get(request(DirectRedolog(4, 0), quarterCuts)); err != nil {
+				t.Fatal(err)
+			}
+		}
 		p, err := c.Get(request(tg, eighths))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if p.Captured != 5 {
-			t.Errorf("second request replayed %d cuts, want 5", p.Captured)
+			t.Errorf("second request walked to %d cuts, want 5", p.Captured)
 		}
 		if want := map[bool]int{true: 2, false: 4}[kept]; started != want {
 			t.Errorf("log kept %t: %d workers started over both requests, want %d", kept, started, want)
@@ -356,27 +360,30 @@ func BenchmarkReplay(b *testing.B) {
 	}
 }
 
-// FuzzReplayMatchesCold holds replayed cuts to cold runs over the
-// targets, one or two controllers, plan seeds, media faults on or off
-// and two cut fractions (in 1/65536ths of the crash-free run, past its
-// end allowed).
+// FuzzReplayMatchesCold holds served requests to cold runs over the
+// targets, one or two controllers, plan seeds, the media plans of
+// mediaPlans (none among them) and two cut fractions (in 1/65536ths of
+// the crash-free run, past its end allowed): the crash-free run's end,
+// controller statistics and event counters, and every cut.
 func FuzzReplayMatchesCold(f *testing.F) {
-	f.Add(uint8(0), false, uint64(11), true, uint16(16384), uint16(49152))
-	f.Add(uint8(1), true, uint64(3), true, uint16(100), uint16(65535))
-	f.Add(uint8(2), false, uint64(7), false, uint16(30000), uint16(30000))
-	f.Add(uint8(3), true, uint64(1), true, uint16(0), uint16(40000))
+	f.Add(uint8(0), false, uint64(11), uint8(1), uint16(16384), uint16(49152))
+	f.Add(uint8(1), true, uint64(3), uint8(1), uint16(100), uint16(65535))
+	f.Add(uint8(2), false, uint64(7), uint8(0), uint16(30000), uint16(30000))
+	f.Add(uint8(3), true, uint64(1), uint8(1), uint16(0), uint16(40000))
+	f.Add(uint8(0), false, uint64(5), uint8(2), uint16(20000), uint16(65000)) // far heap
+	f.Add(uint8(2), true, uint64(9), uint8(3), uint16(8000), uint16(60000))   // retry-heavy
+	f.Add(uint8(1), true, uint64(2), uint8(2), uint16(50000), uint16(65535))  // far heap, two controllers
+	f.Add(uint8(3), false, uint64(4), uint8(3), uint16(1), uint16(32768))     // retry-heavy record
 	names := []string{"direct-undolog", "direct-redolog", "workload-queue", "redo-record"}
-	f.Fuzz(func(t *testing.T, target uint8, two bool, seed uint64, media bool, f1, f2 uint16) {
+	f.Fuzz(func(t *testing.T, target uint8, two bool, seed uint64, media uint8, f1, f2 uint16) {
 		controllers := 1
 		if two {
 			controllers = 2
 		}
 		name := names[int(target)%len(names)]
 		tg := testTargets(t, controllers)[name]
-		plan := faultinject.Plan{Seed: seed, TornPersists: true, DropProb: 0.4}
-		if media {
-			plan.MediaFaultProb, plan.MediaDelayProb, plan.MediaDelayCycles = 0.05, 0.1, 300
-		}
+		plan := mediaPlans[int(media)%len(mediaPlans)].plan
+		plan.Seed = seed
 		p, err := NewCache().Get(Request{Target: tg, Plan: plan,
 			Cuts: func(end sim.Cycle) []sim.Cycle {
 				at := func(f uint16) sim.Cycle { return end * sim.Cycle(f) / 32768 }
@@ -385,6 +392,7 @@ func FuzzReplayMatchesCold(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		runMatchesCold(t, tg, plan, p, name)
 		matchesCold(t, tg, plan, p, name)
 	})
 }

@@ -29,7 +29,7 @@ type Target struct {
 	Limit sim.Cycle
 	// Build returns a freshly constructed, un-run system and its
 	// workers. The cache calls it for discovery runs only, and it must
-	// leave the PM topology idle (pmem.Topology.Idle): a replay rebuilds
+	// leave the PM topology idle (pmem.Topology.Idle): a walk rebuilds
 	// the persistence domain from the persistent image Build leaves.
 	Build func() (*machine.System, []machine.Worker, error)
 	// Recover runs the target's recovery engine over a crash image in
@@ -74,12 +74,16 @@ type Recovery struct {
 }
 
 // newMachine builds a StrandWeaver machine with the given core and PM
-// controller counts (0 controllers = the configuration default).
-func newMachine(cores, controllers int) (*machine.System, error) {
+// controller counts (0 controllers = the configuration default), its
+// configuration adjusted by tune when non-nil.
+func newMachine(cores, controllers int, tune func(*config.Config)) (*machine.System, error) {
 	cfg := config.Default()
 	cfg.Cores = cores
 	if controllers != 0 {
 		cfg.PMControllers = controllers
+	}
+	if tune != nil {
+		tune(&cfg)
 	}
 	return machine.New(cfg, hwdesign.StrandWeaver)
 }
@@ -206,6 +210,12 @@ func directVal(t, g, i int) uint64 { return uint64(g)*1000 + uint64(t)*100 + uin
 // generation; with mutant set the data CLWB is deleted (the seeded
 // Figure 5 mutant a search must convict).
 func DirectUndolog(threads, ops int, mutant bool, controllers int) Target {
+	return directUndolog(threads, ops, mutant, controllers, nil)
+}
+
+// directUndolog is DirectUndolog on a machine whose configuration tune
+// adjusts (nil: the default); the key does not name tune.
+func directUndolog(threads, ops int, mutant bool, controllers int, tune func(*config.Config)) Target {
 	cells := genCells{threads: threads, gens: ops, val: directVal}
 	m := int64(0)
 	if mutant {
@@ -215,7 +225,7 @@ func DirectUndolog(threads, ops int, mutant bool, controllers int) Target {
 		Key:   runKey("direct-undolog", int64(threads), int64(ops), m, int64(controllers)),
 		Limit: runLimit,
 		Build: func() (*machine.System, []machine.Worker, error) {
-			sys, err := newMachine(max(threads, config.Default().Cores), controllers)
+			sys, err := newMachine(max(threads, config.Default().Cores), controllers, tune)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -275,7 +285,7 @@ func RedoRecord(controllers int) Target {
 func redoTarget(cells genCells, controllers int) Target {
 	return Target{
 		Build: func() (*machine.System, []machine.Worker, error) {
-			sys, err := newMachine(1, controllers)
+			sys, err := newMachine(1, controllers, nil)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -317,7 +327,7 @@ func Workload(bench string, threads, ops int, seed int64, controllers int) (Targ
 	}
 	var inst workloads.Instance
 	build := func() (*machine.System, []machine.Worker, error) {
-		sys, err := newMachine(threads, controllers)
+		sys, err := newMachine(threads, controllers, nil)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -170,7 +170,7 @@ func (in *Injector) Arm(sys *machine.System) { in.ArmTopology(sys.PM) }
 // fault hook, in controller index order. Controller 0 gets the
 // injector itself; each further controller gets a thin adapter drawing
 // from that controller's disjoint stream, derived here if it is missing
-// (existing stream positions are never reset). A crash-cut replay arms
+// (existing stream positions are never reset). A crash-cut walk arms
 // a topology it built without a machine around it.
 func (in *Injector) ArmTopology(t *pmem.Topology) {
 	ctrls := t.Controllers()

@@ -284,3 +284,26 @@ func BenchmarkExecuteHit(b *testing.B) {
 		})
 	}
 }
+
+// TestSearchSimulatesEachTargetOnce: a seed-7, 512-schedule search runs
+// one machine simulation per target it reaches, plus one per media-fault
+// key the resimulation cannot serve; every other key is walked from its
+// target's media-free log. Cut hits and misses are those of a search
+// that simulated every key (334 and 178).
+func TestSearchSimulatesEachTargetOnce(t *testing.T) {
+	cache := NewExecCache()
+	res, err := Run(Options{Seed: 7, Schedules: 512, Parallel: 1, Exec: ExecOptions{Cache: cache}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SnapshotHits != 334 || res.SnapshotMisses != 178 {
+		t.Errorf("cut hits %d, misses %d; want 334 and 178", res.SnapshotHits, res.SnapshotMisses)
+	}
+	st := cache.Runs()
+	if st.Simulated > st.Targets+st.Fallbacks {
+		t.Errorf("runs %+v: more simulations than targets plus fallbacks", st)
+	}
+	if st.Resimulated == 0 || st.Fallbacks > st.Resimulated/10 {
+		t.Errorf("runs %+v: want media-fault keys served by the walk", st)
+	}
+}

@@ -270,8 +270,9 @@ func Torture(o TortureOptions) (*TortureReport, error) {
 	// order; the every-Nth-combo convergence schedule keys off that
 	// number, so each cell can decide its own convergence sweeps
 	// without a shared counter. The crash-cut cache shares crash-prefix
-	// checkpoints across cells whose plans replay the same run (all
-	// media-free plans of a subject); it is the one sanctioned piece of
+	// checkpoints across cells whose plans make the same run (all
+	// media-free plans of a subject), and serves a subject's media plan
+	// from its media-free run's log; it is the one sanctioned piece of
 	// cross-cell state — a pure memoisation whose entries are identical
 	// no matter which cell builds them, so results stay byte-identical
 	// at any worker count (docs/SNAPSHOT.md).
@@ -390,9 +391,10 @@ func redologSubject(o TortureOptions) subject {
 
 // cutCell sweeps crash cuts over one (subject, fault plan) pair. One
 // request to the sweep's crash-cut cache places o.Crashes cuts evenly
-// over the crash-free run — the first cell to ask simulates the run
-// and replays its PM log to every cut, every other cell whose plan
-// replays the same run (all media-free plans) reuses the checkpoints —
+// over the crash-free run — the first cell to ask produces the run (a
+// media plan's by walking the subject's media-free PM log under the
+// plan) and walks the log to every cut, every other cell whose plan
+// makes the same run (all media-free plans) reuses the checkpoints —
 // and each cut's checkpoint is turned into a combo outcome.
 func cutCell(o TortureOptions, cache *crashcut.Cache, s subject, pi int, plan faultinject.Plan, comboBase int) tortureCell {
 	return tortureCell{

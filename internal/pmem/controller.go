@@ -143,6 +143,10 @@ type Controller struct {
 	// topology, which names it there.
 	log   *Log
 	index int
+	// fired counts the controller's own events by log kind (arrivals,
+	// read completions, media writes and retries): a Walker matches the
+	// events a log holds against them.
+	fired [numLogKinds]uint64
 
 	// readsInFlight counts outstanding PM reads (bounded by the read
 	// queue). PM read latency is one constant, so in-flight reads
@@ -241,9 +245,7 @@ func New(eng *sim.Engine, cfg config.Config, machine *mem.Machine) *Controller {
 	c := &Controller{eng: eng, cfg: cfg, machine: machine}
 	c.seqSrc = new(uint64)
 	c.arriveFn = func() {
-		if c.log != nil {
-			c.log.add(logArrive, c.eng.Now(), c.index, 0, 0)
-		}
+		c.fire(logArrive)
 		c.arrive(c.transit.Pop())
 	}
 	c.volAckFn = func() {
@@ -252,9 +254,7 @@ func New(eng *sim.Engine, cfg config.Config, machine *mem.Machine) *Controller {
 		}
 	}
 	c.readDoneFn = func() {
-		if c.log != nil {
-			c.log.add(logReadDone, c.eng.Now(), c.index, 0, 0)
-		}
+		c.fire(logReadDone)
 		done := c.readAcks.Pop()
 		c.readsInFlight--
 		c.stats.PMReads++
@@ -282,15 +282,11 @@ func (c *Controller) allocDE() *drainEntry {
 	}
 	e := &drainEntry{}
 	e.doneFn = func() {
-		if c.log != nil {
-			c.log.add(logMediaDone, c.eng.Now(), c.index, 0, c.inflightIndex(e))
-		}
+		c.fire(logMediaDone)
 		c.mediaWriteDone(e, e.pendingFail)
 	}
 	e.retryFn = func() {
-		if c.log != nil {
-			c.log.add(logMediaRetry, c.eng.Now(), c.index, 0, c.inflightIndex(e))
-		}
+		c.fire(logMediaRetry)
 		c.startMediaWrite(e)
 	}
 	return e

@@ -273,11 +273,10 @@ func (e *Engine) ScheduleAt(at Cycle, fn Event) {
 }
 
 // Restore drops every pending event and moves the clock to now, earlier
-// or later. A crash-cut log replay moves forward to each entry's cycle
-// (the log already holds the firings of what the entry schedules), and
-// a restored system moves to its checkpoint's cut, where the power
-// failure has destroyed the in-flight micro-architectural future
-// (docs/SNAPSHOT.md). Events are dropped by
+// or later. A restored system moves to its checkpoint's cut, where the
+// power failure has destroyed the in-flight micro-architectural future
+// (docs/SNAPSHOT.md), and Reset drops what a crash-cut walk left
+// pending. Events are dropped by
 // popping them in O(pending), which keeps the storage and releases the
 // closures, before the clock moves, since the wheel locates its events
 // relative to the current cycle. The seq counter, the stop flag, the
@@ -287,6 +286,62 @@ func (e *Engine) Restore(now Cycle) {
 		e.popNext(0)
 	}
 	e.now = now
+}
+
+// Reset returns the engine to NewEngine's state — clock, sequence,
+// flags, watchdog and counters at zero, nothing pending — but keeps its
+// storage, so an engine reused for many short simulations allocates its
+// timing wheel once.
+func (e *Engine) Reset() {
+	e.Restore(0)
+	*e = Engine{slots: e.slots, pool: e.pool, free: e.free, heap: e.heap}
+}
+
+// Step fires the earliest pending event if it is due at or before
+// cycle limit, and reports whether it did. It drives a simulation whose
+// events are all plain callbacks (a persistence domain alone, with no
+// coroutine) one event at a time; stop flags and the watchdog are not
+// consulted.
+func (e *Engine) Step(limit Cycle) bool {
+	if limit == 0 { // popNext reads a zero limit as none
+		if next := e.peek(); next == nil || next.at > 0 {
+			return false
+		}
+	}
+	ev, ok := e.popNext(limit)
+	if !ok {
+		return false
+	}
+	if ev.co != nil {
+		panic("sim: Step fired a coroutine resumption")
+	}
+	e.fired(&ev)
+	ev.fn()
+	return true
+}
+
+// Advance fires, in (cycle, seq) order, every pending event due before
+// cycle at, then moves the clock to at. Later events stay pending. Like
+// Step, it serves simulations of plain callbacks alone.
+func (e *Engine) Advance(at Cycle) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: Advance(%d) into the past (now=%d)", at, e.now))
+	}
+	for at > 0 && e.Step(at-1) {
+	}
+	e.now = at
+}
+
+// peek returns the earliest pending event, or nil when none is pending.
+func (e *Engine) peek() *eventEntry {
+	var head *eventEntry
+	if e.wheelLen != 0 {
+		head = &e.pool[e.slots[e.wheelFirst()].head].ev
+	}
+	if len(e.heap) != 0 && (head == nil || e.heap[0].before(head)) {
+		return &e.heap[0]
+	}
+	return head
 }
 
 // Stop makes Run return after the event currently executing (if any)

@@ -418,3 +418,81 @@ func TestEngineStatsCounters(t *testing.T) {
 		t.Errorf("FreelistHits grew by %d over 5 schedules into a drained pool, want 5", got)
 	}
 }
+
+// advance moves the engine with Advance or Step, as a walk of a
+// persistence domain does, and checks the reference: every event due
+// before the cycle fired, in order, and the rest wait.
+func (c *orderChecker) advance(at Cycle, step bool) {
+	c.t.Helper()
+	if step {
+		for c.e.Step(at) {
+		}
+	} else {
+		c.e.Advance(at)
+	}
+	for _, p := range c.pending {
+		if p.at < at || (step && p.at == at) {
+			c.t.Fatalf("event %+v still pending after moving to %d (step %t)", p, at, step)
+		}
+	}
+	if got := c.e.Pending(); got != len(c.pending) {
+		c.t.Fatalf("engine holds %d events, reference %d", got, len(c.pending))
+	}
+	if !step && c.e.Now() != at {
+		c.t.Fatalf("Advance(%d) left the clock at %d", at, c.e.Now())
+	}
+}
+
+// Step and Advance fire events in (cycle, seq) order on the wheel and
+// the far heap alike, and Advance parks the clock between events
+// without dropping any: events scheduled from the parked clock keep the
+// order. Reset then leaves an engine indistinguishable from a new one.
+func TestStepAndAdvanceKeepOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	c := newOrderChecker(t)
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 2000; i++ {
+			switch rng.Intn(6) {
+			case 0:
+				c.schedule(Cycle(rng.Intn(4)), nil)
+			case 1:
+				c.schedule(Cycle(rng.Intn(3*wheelSpan)), func() { c.schedule(Cycle(rng.Intn(300)), nil) })
+			case 2:
+				c.schedule(Cycle(rng.Intn(wheelSpan)), nil)
+			case 3:
+				c.advance(c.e.Now()+Cycle(rng.Intn(400)), false)
+			case 4:
+				c.advance(c.e.Now()+Cycle(rng.Intn(400)), true)
+			case 5:
+				c.advance(c.e.Now(), false)
+			}
+		}
+		c.advance(^Cycle(0), true)
+		if c.e.Pending() != 0 {
+			t.Fatalf("%d events pending after stepping to the end", c.e.Pending())
+		}
+		c.e.Reset()
+		if c.e.Now() != 0 || c.e.Stats() != (Stats{}) || c.e.Pending() != 0 {
+			t.Fatalf("Reset left clock %d, stats %+v, %d pending", c.e.Now(), c.e.Stats(), c.e.Pending())
+		}
+		c.seq = 0
+	}
+}
+
+// A reset engine schedules without growing: the wheel, its pool and
+// the far heap are kept.
+func TestResetKeepsStorage(t *testing.T) {
+	e := NewEngine()
+	fill := func() {
+		for i := 0; i < 64; i++ {
+			e.Schedule(Cycle(i), func() {})
+			e.Schedule(wheelSpan+Cycle(i), func() {})
+		}
+	}
+	fill()
+	e.Restore(5)
+	e.Reset()
+	if allocs := testing.AllocsPerRun(10, func() { fill(); e.Reset() }); allocs != 0 {
+		t.Errorf("scheduling on a reset engine allocated %.1f times per run", allocs)
+	}
+}

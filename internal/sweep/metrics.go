@@ -43,9 +43,10 @@ type CellMetrics struct {
 	// Engine folds the cell's discrete-event-core counters: event and
 	// switch counts sum across the simulated runs the cell reports, the
 	// heap high-water mark takes the maximum. A torture cell reports its
-	// subject's crash-free run; its crash cuts are replayed from the PM
-	// log, which fires no event, so they add nothing. Deterministic for
-	// a given cell.
+	// subject's crash-free run (under a media plan, the counters
+	// crashcut.Prefix derives from the media-free run); its crash cuts
+	// are walked from the PM log on an engine of their own, so they add
+	// nothing. Deterministic for a given cell.
 	Engine *sim.Stats `json:"engine,omitempty"`
 	// PrefixReused reports that the cell forked from a crash-prefix
 	// checkpoint built by another cell (the warm-start sharing in
@@ -55,13 +56,13 @@ type CellMetrics struct {
 	PrefixReused bool `json:"prefix_reused,omitempty"`
 	// CheckpointHits counts crash cuts this cell served from a prefix
 	// checkpoint instead of re-simulating from cycle zero;
-	// CheckpointMisses counts checkpoints the cell had to replay
+	// CheckpointMisses counts checkpoints the cell had to walk to
 	// itself. Like PrefixReused, scheduling-dependent under parallelism.
 	CheckpointHits   uint64 `json:"checkpoint_hits,omitempty"`
 	CheckpointMisses uint64 `json:"checkpoint_misses,omitempty"`
 	// COW folds the cell's copy-on-write checkpoint counters (pages
-	// frozen by the snapshots of the crash-cut replays it ran, COW
-	// faults those replays paid, restore pages-diverged, peak unique
+	// frozen by the snapshots of the crash-cut walks it ran, COW faults
+	// those walks paid, restore pages-diverged, peak unique
 	// checkpoint bytes; mem.Stats.Add is the merge rule). Nil for cells
 	// that never capture images, so existing metrics keep their pre-COW
 	// JSON shape.
@@ -108,7 +109,7 @@ func (m *CellMetrics) AddEngine(st sim.Stats) {
 
 // AddCOW folds copy-on-write checkpoint counters into the record.
 // Called by cell bodies that capture memory images (torture cells fold
-// their crash-cut replay's counters; the gauge field CheckpointBytes
+// their crash-cut walk's counters; the gauge field CheckpointBytes
 // merges by maximum).
 func (m *CellMetrics) AddCOW(st mem.Stats) {
 	if st == (mem.Stats{}) {
