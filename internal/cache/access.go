@@ -106,7 +106,6 @@ func (r *mshr) finish() {
 	}
 	de.sharers = 0
 	de.owner = l.core
-	de.ownerDirty = true
 	l.install(r.line, true)
 	r.complete()
 }
@@ -156,7 +155,6 @@ func (l *L1) Load(line mem.Addr, done func()) {
 		}
 		de.sharers |= 1 << uint(de.owner)
 		de.owner = noOwner
-		de.ownerDirty = false
 		de.sharers |= 1 << uint(l.core)
 		l.install(line, false)
 		h.stats.L2Hits++
@@ -184,7 +182,6 @@ func (l *L1) Store(line mem.Addr, done func()) {
 		// Write hit with ownership.
 		l.touch(e)
 		e.dirty = true
-		de.ownerDirty = true
 		h.stats.L1Hits++
 		h.after(h.cfg.L1HitCycles, done)
 		return
@@ -235,11 +232,8 @@ func (l *L1) Flush(line mem.Addr, done func()) {
 	if e := l.lookup(line); e != nil && e.dirty {
 		h.stats.FlushL1Dirty++
 		e.dirty = false
-		de := h.dir.entry(line)
-		if de.owner == l.core {
-			de.ownerDirty = false
-		}
 		if h.cfg.FlushInvalidates {
+			de := h.dir.entry(line)
 			// CLFLUSHOPT semantics: the line leaves the cache entirely.
 			l.drop(line)
 			if de.owner == l.core {
@@ -260,7 +254,6 @@ func (l *L1) Flush(line mem.Addr, done func()) {
 			// cleaned but retained.
 			h.stats.FlushRemote++
 			re.dirty = false
-			de.ownerDirty = false
 			h.writeLineAfter(h.cfg.L1HitCycles+h.cfg.L2HitCycles, line, done)
 			return
 		}

@@ -59,8 +59,6 @@ const noOwner = -1
 type dirEntry struct {
 	// owner is the core holding the line in M/E state, or noOwner.
 	owner int
-	// ownerDirty reports whether the owner's copy is dirty.
-	ownerDirty bool
 	// sharers is a bitmask of cores holding the line in S state, one
 	// bit per core: config.MaxCores bounds the core count to fit it.
 	sharers uint64
@@ -329,7 +327,6 @@ func (l *L1) evict(e *l1Line) {
 	de := l.h.dir.entry(e.line)
 	if de.owner == l.core {
 		de.owner = noOwner
-		de.ownerDirty = false
 	}
 	de.sharers &^= 1 << uint(l.core)
 	if e.dirty {

@@ -20,8 +20,6 @@ import (
 type refDirEntry struct {
 	// owner is the core holding the line in M/E state, or noOwner.
 	owner int
-	// ownerDirty reports whether the owner's copy is dirty.
-	ownerDirty bool
 	// sharers is a bitmask of cores holding the line in S state.
 	sharers uint64
 }
@@ -183,7 +181,6 @@ func (l *refL1) evict(e *refL1Line) {
 	de := l.h.entry(e.line)
 	if de.owner == l.core {
 		de.owner = noOwner
-		de.ownerDirty = false
 	}
 	de.sharers &^= 1 << uint(l.core)
 	if e.dirty {
@@ -267,7 +264,6 @@ func (l *refL1) Load(line mem.Addr, done func()) {
 		}
 		de.sharers |= 1 << uint(de.owner)
 		de.owner = noOwner
-		de.ownerDirty = false
 		de.sharers |= 1 << uint(l.core)
 		l.install(line, false)
 		h.stats.L2Hits++
@@ -303,7 +299,6 @@ func (l *refL1) Store(line mem.Addr, done func()) {
 		// Write hit with ownership.
 		l.touch(e)
 		e.dirty = true
-		de.ownerDirty = true
 		h.stats.L1Hits++
 		h.after(h.cfg.L1HitCycles, done)
 		return
@@ -335,7 +330,6 @@ func (l *refL1) Store(line mem.Addr, done func()) {
 		}
 		de.sharers = 0
 		de.owner = l.core
-		de.ownerDirty = true
 		l.install(line, true)
 		done()
 	}
@@ -385,11 +379,8 @@ func (l *refL1) Flush(line mem.Addr, done func()) {
 	if e := l.lookup(line); e != nil && e.dirty {
 		h.stats.FlushL1Dirty++
 		e.dirty = false
-		de := h.entry(line)
-		if de.owner == l.core {
-			de.ownerDirty = false
-		}
 		if h.cfg.FlushInvalidates {
+			de := h.entry(line)
 			// CLFLUSHOPT semantics: the line leaves the cache entirely.
 			l.drop(line)
 			if de.owner == l.core {
@@ -414,7 +405,6 @@ func (l *refL1) Flush(line mem.Addr, done func()) {
 			// cleaned but retained.
 			h.stats.FlushRemote++
 			re.dirty = false
-			de.ownerDirty = false
 			h.after(h.cfg.L1HitCycles+h.cfg.L2HitCycles, func() {
 				var data [mem.LineSize]byte
 				h.machine.Volatile.CopyLine(line, &data)

@@ -82,7 +82,6 @@ type Core struct {
 	cfg     config.Config
 	machine *mem.Machine
 	l1      *cache.L1
-	pm      *pmem.Topology
 
 	sq *storeQueue
 	be backend.Backend
@@ -116,18 +115,16 @@ type Core struct {
 	// opDone plus the cached completion thunks below serve the blocking
 	// memory ops (access, CAS64, AtomicAdd64). The coroutine blocks
 	// until its one in-flight operation completes, so a single pending
-	// slot per core suffices and no memory op allocates a closure.
-	opDone       bool
-	accessDoneFn func()
-	casAddr      mem.Addr
-	casOld       uint64
-	casNew       uint64
-	casOK        bool
-	casFn        func()
-	addAddr      mem.Addr
-	addDelta     uint64
-	addResult    uint64
-	addFn        func()
+	// slot per core suffices and no memory op allocates a closure. An
+	// RMW thunk reads rmwAddr into rmwRead, then writes.
+	opDone         bool
+	accessDoneFn   func()
+	rmwAddr        mem.Addr
+	rmwRead        uint64
+	casOld, casNew uint64
+	casFn          func()
+	addDelta       uint64
+	addFn          func()
 
 	// rng drives lock backoff jitter. It is seeded from the core id and
 	// created on the first backoff draw: seeding one costs more than the
@@ -151,7 +148,6 @@ func NewCore(id int, eng *sim.Engine, cfg config.Config, design hwdesign.Design,
 		cfg:     cfg,
 		machine: machine,
 		l1:      l1,
-		pm:      pm,
 		wake:    sim.NewWaiter(eng),
 		design:  design,
 		plan:    plan,
@@ -169,21 +165,19 @@ func NewCore(id int, eng *sim.Engine, cfg config.Config, design hwdesign.Design,
 		c.wake.Broadcast()
 	}
 	c.casFn = func() {
-		cur := c.machine.Volatile.Read64(c.casAddr)
-		if cur == c.casOld {
-			c.machine.Volatile.Write64(c.casAddr, c.casNew)
-			c.be.OnStoreVisible(c.casAddr, c.casNew, 8)
-			c.casOK = true
+		c.rmwRead = c.machine.Volatile.Read64(c.rmwAddr)
+		if c.rmwRead == c.casOld {
+			c.machine.Volatile.Write64(c.rmwAddr, c.casNew)
+			c.be.OnStoreVisible(c.rmwAddr, c.casNew, 8)
 		}
-		c.opDone = true
-		c.wake.Broadcast()
+		c.accessDoneFn()
 	}
 	c.addFn = func() {
-		c.addResult = c.machine.Volatile.Read64(c.addAddr) + c.addDelta
-		c.machine.Volatile.Write64(c.addAddr, c.addResult)
-		c.be.OnStoreVisible(c.addAddr, c.addResult, 8)
-		c.opDone = true
-		c.wake.Broadcast()
+		c.rmwRead = c.machine.Volatile.Read64(c.rmwAddr)
+		sum := c.rmwRead + c.addDelta
+		c.machine.Volatile.Write64(c.rmwAddr, sum)
+		c.be.OnStoreVisible(c.rmwAddr, sum, 8)
+		c.accessDoneFn()
 	}
 	be, err := backend.New(design, backend.Deps{
 		Eng:     eng,

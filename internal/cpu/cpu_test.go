@@ -2,15 +2,19 @@ package cpu
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 
 	"strandweaver/internal/backend"
 	"strandweaver/internal/cache"
 	"strandweaver/internal/config"
 	"strandweaver/internal/hwdesign"
+	"strandweaver/internal/isa"
 	"strandweaver/internal/mem"
 	"strandweaver/internal/pmem"
 	"strandweaver/internal/sim"
+	"strandweaver/internal/trace"
 )
 
 // rig wires cores directly (without the machine package, which would be
@@ -152,6 +156,39 @@ func TestLockMutualExclusion(t *testing.T) {
 	// Drain residual stores.
 	if got := r.m.Volatile.Read64(counter); got != 40 {
 		t.Errorf("counter = %d, want 40 (lost update => broken lock)", got)
+	}
+}
+
+// TestTraceLockAndLoad32: a traced Lock records its test load and its
+// CAS as an RMW that read the free lock, AtomicAdd64 an RMW that read
+// the old value, and Load32 a load.
+func TestTraceLockAndLoad32(t *testing.T) {
+	r := newRig(t, config.Default(), hwdesign.StrandWeaver, 1)
+	rec := trace.New()
+	r.cores[0].SetTracer(rec)
+	lock := mem.DRAMBase + 0x200
+	word := mem.DRAMBase + 0x240
+	r.spawn(0, func(c *Core) {
+		c.Lock(lock)
+		c.AtomicAdd64(word, 5)
+		c.Load32(word)
+	})
+	r.run(t)
+	type op struct {
+		kind isa.OpKind
+		addr mem.Addr
+		val  uint64
+	}
+	var got []op
+	for _, e := range rec.Events() {
+		got = append(got, op{e.Kind, e.Addr, e.Value})
+	}
+	want := []op{{isa.OpLoad, lock, 0}, {isa.OpRMW, lock, 0}, {isa.OpRMW, word, 0}, {isa.OpLoad, word, 5}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("trace %v, want %v", got, want)
+	}
+	if s := rec.ByKind(isa.OpRMW)[0].String(); !strings.Contains(s, "RMW") || !strings.Contains(s, "val=0") {
+		t.Errorf("RMW trace line %q", s)
 	}
 }
 

@@ -25,29 +25,27 @@ func (c *Core) issueCycle() {
 // Load64 returns the 8-byte value at addr, modelling store-to-load
 // forwarding and the cache access path. Loads never wait on persist
 // state (TSO allows loads to pass stores to other addresses).
-func (c *Core) Load64(addr mem.Addr) uint64 {
-	c.stats.Loads++
-	start := c.eng.Now()
-	if v, ok := c.sq.forward(addr, 8); ok {
-		c.issueCycle()
-		c.traceOp(isa.OpLoad, addr, v, start)
-		return v
-	}
-	c.access(mem.LineAddr(addr), c.l1.Load)
-	v := c.machine.Volatile.Read64(addr)
-	c.traceOp(isa.OpLoad, addr, v, start)
-	return v
-}
+func (c *Core) Load64(addr mem.Addr) uint64 { return c.load(addr, 8) }
 
 // Load32 returns the 4-byte value at addr.
-func (c *Core) Load32(addr mem.Addr) uint32 {
+func (c *Core) Load32(addr mem.Addr) uint32 { return uint32(c.load(addr, 4)) }
+
+func (c *Core) load(addr mem.Addr, size uint8) uint64 {
 	c.stats.Loads++
-	if v, ok := c.sq.forward(addr, 4); ok {
+	start := c.eng.Now()
+	v, ok := c.sq.forward(addr, size)
+	switch {
+	case ok:
 		c.issueCycle()
-		return uint32(v)
+	case size == 8:
+		c.access(mem.LineAddr(addr), c.l1.Load)
+		v = c.machine.Volatile.Read64(addr)
+	default:
+		c.access(mem.LineAddr(addr), c.l1.Load)
+		v = uint64(c.machine.Volatile.Read32(addr))
 	}
-	c.access(mem.LineAddr(addr), c.l1.Load)
-	return c.machine.Volatile.Read32(addr)
+	c.traceOp(isa.OpLoad, addr, v, start)
+	return v
 }
 
 // access performs a blocking cache access through fn and charges its
@@ -152,40 +150,38 @@ func (c *Core) DrainAll() {
 	c.stallUntil(c.drainedFn, &c.stats.StallFenceCycles)
 }
 
-// CAS64 performs an atomic compare-and-swap (x86 LOCK CMPXCHG): it
-// drains the store queue (full-fence semantics), obtains exclusive
-// ownership, and atomically updates the value. Returns whether the swap
-// succeeded.
+// CAS64 performs an atomic compare-and-swap (x86 LOCK CMPXCHG).
+// Returns whether the swap succeeded.
 func (c *Core) CAS64(addr mem.Addr, old, new uint64) bool {
-	c.stats.RMWs++
-	c.stallUntil(c.sqEmpty, &c.stats.LockSpinCycles)
-	line := mem.LineAddr(addr)
-	c.casAddr, c.casOld, c.casNew, c.casOK = addr, old, new, false
-	c.opDone = false
-	c.l1.Store(line, c.casFn)
-	for !c.opDone {
-		c.wake.Park(c.co)
-	}
-	c.NextSeq()
-	c.stats.BusyUntil = c.eng.Now()
-	return c.casOK
+	c.casOld, c.casNew = old, new
+	return c.rmw(addr, c.casFn) == old
 }
 
 // AtomicAdd64 atomically adds delta to the value at addr and returns the
 // new value (x86 LOCK XADD semantics).
 func (c *Core) AtomicAdd64(addr mem.Addr, delta uint64) uint64 {
+	c.addDelta = delta
+	return c.rmw(addr, c.addFn) + delta
+}
+
+// rmw performs an atomic read-modify-write of the 8 bytes at addr: it
+// drains the store queue (full-fence semantics), obtains exclusive
+// ownership, and runs fn, which updates the value. It returns the value
+// read, which the trace records.
+func (c *Core) rmw(addr mem.Addr, fn func()) uint64 {
 	c.stats.RMWs++
+	start := c.eng.Now()
 	c.stallUntil(c.sqEmpty, &c.stats.LockSpinCycles)
-	line := mem.LineAddr(addr)
-	c.addAddr, c.addDelta = addr, delta
+	c.rmwAddr = addr
 	c.opDone = false
-	c.l1.Store(line, c.addFn)
+	c.l1.Store(mem.LineAddr(addr), fn)
 	for !c.opDone {
 		c.wake.Park(c.co)
 	}
 	c.NextSeq()
 	c.stats.BusyUntil = c.eng.Now()
-	return c.addResult
+	c.traceOp(isa.OpRMW, addr, c.rmwRead, start)
+	return c.rmwRead
 }
 
 // Compute models n cycles of non-memory work.

@@ -110,10 +110,9 @@ func (r Request) key() string {
 	return string(r.Plan.AppendRunKey(append(append(buf[:0], r.Target.Key...), '|')))
 }
 
-// Cut is one crash cut: the machine checkpoint at cycle At (CP.At ==
-// At) and the armed injector's stream position there.
+// Cut is one crash cut: the machine checkpoint at the cut cycle
+// (CP.At) and the armed injector's stream position there.
 type Cut struct {
-	At sim.Cycle
 	CP *machine.Checkpoint
 	FI faultinject.InjectorSnapshot
 }
@@ -492,8 +491,8 @@ func (c *Cache) capture(r Request, key string, rec *record, resim bool, p *Prefi
 		if err := w.To(ats[i]); err != nil {
 			return fmt.Errorf("crashcut: %s: %w", r.Target.Key, err)
 		}
-		cp := &machine.Checkpoint{At: ats[i], Mem: d.m.Snapshot(), PM: d.pm.Snapshot()}
-		p.Cuts[i] = Cut{At: ats[i], CP: cp, FI: d.fi.Snapshot()}
+		cp := &machine.Checkpoint{At: ats[i], Image: d.m.Snapshot(), PM: d.pm.Snapshot()}
+		p.Cuts[i] = Cut{CP: cp, FI: d.fi.Snapshot()}
 	}
 	p.Captured = len(missing)
 	p.COW = d.m.Persistent.CowStats()
@@ -512,7 +511,7 @@ func (c *Cache) capture(r Request, key string, rec *record, resim bool, p *Prefi
 		}
 		cut := p.Cuts[i]
 		c.cps[k] = c.lru.PushFront(&lruEntry{key: k, cut: cut})
-		c.refs.Retain(cut.CP.Mem.Persistent)
+		c.refs.Retain(cut.CP.Image)
 	}
 	p.COW.CheckpointBytes = c.refs.UniqueBytes() - before
 	for c.refs.UniqueBytes() > c.budget && c.lru.Len() > 1 {
@@ -520,7 +519,7 @@ func (c *Cache) capture(r Request, key string, rec *record, resim bool, p *Prefi
 		ev := back.Value.(*lruEntry)
 		c.lru.Remove(back)
 		delete(c.cps, ev.key)
-		c.refs.Release(ev.cut.CP.Mem.Persistent)
+		c.refs.Release(ev.cut.CP.Image)
 	}
 	return nil
 }

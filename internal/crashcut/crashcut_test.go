@@ -130,7 +130,7 @@ func forked(t *testing.T, tg Target, plan faultinject.Plan, cut Cut) state {
 // read makes the post-crash queries straight from a served cut's
 // checkpoint, with no system at all.
 func read(plan faultinject.Plan, cut Cut) queries {
-	return ask(armedAt(plan, cut), cut.CP.PMStats(), func(fi *faultinject.Injector) *mem.Image {
+	return ask(armedAt(plan, cut), cut.CP.PM.Stats(), func(fi *faultinject.Injector) *mem.Image {
 		return fi.CheckpointImage(cut.CP)
 	})
 }
@@ -145,14 +145,14 @@ func request(tg Target, cuts func(sim.Cycle) []sim.Cycle) Request {
 func matchesCold(t *testing.T, tg Target, plan faultinject.Plan, p *Prefix, what string) {
 	t.Helper()
 	for i, cut := range p.Cuts {
-		cold := coldAt(t, tg, plan, cut.At)
+		cold := coldAt(t, tg, plan, cut.CP.At)
 		if got := forked(t, tg, plan, cut); !reflect.DeepEqual(cold, got) {
 			t.Errorf("%s cut %d (cycle %d): forked state differs from cold\ncold: %+v\nforked: %+v",
-				what, i, cut.At, cold, got)
+				what, i, cut.CP.At, cold, got)
 		}
 		if got := read(plan, cut); !reflect.DeepEqual(cold.queries, got) {
 			t.Errorf("%s cut %d (cycle %d): queries read from the checkpoint differ from cold\ncold: %+v\nread: %+v",
-				what, i, cut.At, cold.queries, got)
+				what, i, cut.CP.At, cold.queries, got)
 		}
 	}
 }

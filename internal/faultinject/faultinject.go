@@ -268,7 +268,7 @@ func (in *Injector) CrashImage(sys *machine.System) *mem.Image {
 // number of goroutines may draw images from one shared checkpoint,
 // each with its own injector.
 func (in *Injector) CheckpointImage(cp *machine.Checkpoint) *mem.Image {
-	return in.powerCut(cp.Mem.Persistent.Clone(), cp.PM)
+	return in.powerCut(cp.Image.Clone(), cp.PM)
 }
 
 // powerCut applies the power cut to img, a writable copy of the

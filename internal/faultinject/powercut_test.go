@@ -38,7 +38,7 @@ func oneCutCheckpoint(r *rand.Rand) *machine.Checkpoint {
 		eng.ScheduleAt(at, func() { tp.SubmitPMWrite(addr, data, nil) })
 	}
 	eng.Run(sim.Cycle(r.Intn(int(at) + 3000)))
-	return &machine.Checkpoint{At: eng.Now(), Mem: m.Snapshot(), PM: tp.Snapshot()}
+	return &machine.Checkpoint{At: eng.Now(), Image: m.Snapshot(), PM: tp.Snapshot()}
 }
 
 // TestPowerCutIsOneCutOfTheStream: at every controller count the power

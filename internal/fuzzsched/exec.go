@@ -123,7 +123,7 @@ func Execute(g Genome, o ExecOptions) (*Outcome, error) {
 		return nil, fmt.Errorf("fuzzsched: %s %w", g.Target, err)
 	}
 	end, cut := p.End, p.Cuts[0]
-	crashAt := cut.At
+	crashAt := cut.CP.At
 	fi := faultinject.New(plan)
 	if plan.RunVisible() != (faultinject.Plan{}) {
 		// The run drew media faults from the armed injector. Under a

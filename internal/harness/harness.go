@@ -186,14 +186,14 @@ func RunWithCrash(spec Spec, cuts func(end sim.Cycle) []sim.Cycle) ([]*undolog.R
 	}
 	reps := make([]*undolog.Report, 0, len(pre.Cuts))
 	for _, cut := range pre.Cuts {
-		img := cut.CP.Mem.Persistent.Clone()
+		img := cut.CP.Image.Clone()
 		rep, err := undolog.Recover(img, spec.Threads)
 		reps = append(reps, rep)
 		if err != nil {
-			return reps, fmt.Errorf("harness: crash at %d: recovery failed: %w", cut.At, err)
+			return reps, fmt.Errorf("harness: crash at %d: recovery failed: %w", cut.CP.At, err)
 		}
 		if err := inst.Verify(img); err != nil {
-			return reps, fmt.Errorf("harness: crash at %d: %w", cut.At, err)
+			return reps, fmt.Errorf("harness: crash at %d: %w", cut.CP.At, err)
 		}
 	}
 	return reps, nil

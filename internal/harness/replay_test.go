@@ -71,7 +71,7 @@ func TestReplayMatchesColdAllDesigns(t *testing.T) {
 					}
 					fi := faultinject.New(plan)
 					fi.Arm(sys)
-					sys.RunAt(cut.At, sys.Abandon)
+					sys.RunAt(cut.CP.At, sys.Abandon)
 					_, _ = sys.Run(ws, spec.CycleLimit)
 					cold := observeCut(sys, fi, plan)
 
@@ -84,7 +84,7 @@ func TestReplayMatchesColdAllDesigns(t *testing.T) {
 					armed.Restore(cut.FI)
 					if got := observeCut(sys, armed, plan); !reflect.DeepEqual(cold, got) {
 						t.Errorf("cut %d (cycle %d): replayed checkpoint differs from cold\ncold: %+v\nreplayed: %+v",
-							i, cut.At, cold, got)
+							i, cut.CP.At, cold, got)
 					}
 				}
 			})

@@ -422,7 +422,7 @@ func cutCell(o TortureOptions, cache *crashcut.Cache, s subject, pi int, plan fa
 				for i, cut := range p.Cuts {
 					m.CheckpointHits++
 					combos[i] = comboAt(o, s, target, pi, plan, comboBase+i+1, cut)
-					m.AddRun(uint64(cut.At), combos[i].ctrl)
+					m.AddRun(uint64(cut.CP.At), combos[i].ctrl)
 				}
 				return &tortureOutcome{combos: combos, redo: s.redo}, nil
 			},
@@ -440,9 +440,9 @@ func cutCell(o TortureOptions, cache *crashcut.Cache, s subject, pi int, plan fa
 // two touch disjoint Stats fields, so the merge is exact.
 func comboAt(o TortureOptions, s subject, target crashcut.Target, pi int, plan faultinject.Plan,
 	combo int, cut crashcut.Cut) comboOutcome {
-	fiImg := crashcut.CutInjector(plan, cut.At)
+	fiImg := crashcut.CutInjector(plan, cut.CP.At)
 	crash := fiImg.CheckpointImage(cut.CP)
-	co := comboOutcome{fingerprint: crash.Fingerprint(), fault: fiImg.Stats(), ctrl: cut.CP.PMStats()}
+	co := comboOutcome{fingerprint: crash.Fingerprint(), fault: fiImg.Stats(), ctrl: cut.CP.PM.Stats()}
 	co.fault.MediaFaults = cut.FI.Stats.MediaFaults
 	co.fault.MediaDelays = cut.FI.Stats.MediaDelays
 	co.torn = co.fault.TornLines > 0
@@ -455,7 +455,7 @@ func comboAt(o TortureOptions, s subject, target crashcut.Target, pi int, plan f
 		if plan.TearAccepted {
 			co.beyondADR = true
 		} else {
-			co.violation = fmt.Sprintf("%s plan %d crash@%d: %v", s.name, pi, cut.At, verr)
+			co.violation = fmt.Sprintf("%s plan %d crash@%d: %v", s.name, pi, cut.CP.At, verr)
 		}
 		return co
 	}
@@ -468,7 +468,7 @@ func comboAt(o TortureOptions, s subject, target crashcut.Target, pi int, plan f
 		}, o.MaxBudgets)
 		conv := &convOutcome{budgets: cv.BudgetsTried, cuts: cv.CutsObserved}
 		if err != nil {
-			conv.violation = fmt.Sprintf("%s plan %d crash@%d convergence: %v", s.name, pi, cut.At, err)
+			conv.violation = fmt.Sprintf("%s plan %d crash@%d convergence: %v", s.name, pi, cut.CP.At, err)
 		} else if cv.BudgetsTried == o.MaxBudgets && o.MaxBudgets > 0 {
 			conv.capped = true
 		}

@@ -125,7 +125,6 @@ type lockInfo struct {
 
 // Runtime binds a language-level model to a simulated system.
 type Runtime struct {
-	sys   *machine.System
 	model Model
 	opts  Options
 	logs  *undolog.Logs
@@ -141,7 +140,6 @@ func New(sys *machine.System, model Model, threads int, opts Options) *Runtime {
 		opts = DefaultOptions()
 	}
 	rt := &Runtime{
-		sys:      sys,
 		model:    model,
 		opts:     opts,
 		logs:     undolog.Init(sys, threads, opts.LogEntries),

@@ -226,20 +226,20 @@ func CheckWithFaults(p pmo.Program, stride uint64, plan faultinject.Plan) (*Resu
 
 	res := &Result{TotalCycles: uint64(pre.End), States: make(map[string]uint64)}
 	cuts, final := pre.Cuts[:len(pre.Cuts)-1], pre.Cuts[len(pre.Cuts)-1]
-	st := observedState(final.CP.Mem.Persistent, p)
+	st := observedState(final.CP.Image, p)
 	if _, ok := allowed[st.Key()]; !ok {
 		return res, fmt.Errorf("litmus: final state %q not allowed by the model", st.Key())
 	}
 	res.States[st.Key()] = uint64(pre.End)
 
 	for _, cut := range cuts {
-		st := observedState(crashcut.CutInjector(plan, cut.At).CheckpointImage(cut.CP), p)
+		st := observedState(crashcut.CutInjector(plan, cut.CP.At).CheckpointImage(cut.CP), p)
 		res.CrashPoints++
 		if _, ok := allowed[st.Key()]; !ok {
-			return res, fmt.Errorf("litmus: crash at cycle %d observed forbidden state %q", cut.At, st.Key())
+			return res, fmt.Errorf("litmus: crash at cycle %d observed forbidden state %q", cut.CP.At, st.Key())
 		}
 		if _, dup := res.States[st.Key()]; !dup {
-			res.States[st.Key()] = uint64(cut.At)
+			res.States[st.Key()] = uint64(cut.CP.At)
 		}
 	}
 	return res, nil

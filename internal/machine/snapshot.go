@@ -15,12 +15,12 @@ import (
 // each controller's accepted-in-flight writes and statistics — the
 // inputs of the crash image, recovery, invariant checks and PM.Stats.
 // Every post-crash query reads it directly
-// (faultinject.CheckpointImage, Mem.Persistent, PMStats). The image is
-// a frozen copy-on-write view sharing page storage with the live
-// system, but that storage is immutable from the moment of capture
-// (the system's next write to a captured page copies it first), so the
-// checkpoint shares no MUTABLE storage with its source and may be read
-// by any number of goroutines at once.
+// (faultinject.CheckpointImage, Image, PM.Stats). The image is a
+// frozen copy-on-write view sharing page storage with the live system
+// (mem.Machine.Snapshot), but that storage is immutable from the
+// moment of capture (the system's next write to a captured page copies
+// it first), so the checkpoint shares no MUTABLE storage with its
+// source and may be read by any number of goroutines at once.
 //
 // Everything else — the volatile image, pending simulation events, the
 // engine's counters, worker coroutines, cores, persist backends and
@@ -28,9 +28,9 @@ import (
 // post-crash query reads, and is not captured. See docs/SNAPSHOT.md for
 // the full state-capture contract.
 type Checkpoint struct {
-	At  sim.Cycle
-	Mem *mem.MachineState
-	PM  *pmem.TopologyState
+	At    sim.Cycle
+	Image *mem.Image
+	PM    *pmem.TopologyState
 }
 
 // Snapshot captures the system's crash-visible state. O(state), not
@@ -40,29 +40,10 @@ type Checkpoint struct {
 // copy their tracked writes, the rest is counters.
 func (s *System) Snapshot() *Checkpoint {
 	return &Checkpoint{
-		At:  s.Eng.Now(),
-		Mem: s.Mem.Snapshot(),
-		PM:  s.PM.Snapshot(),
+		At:    s.Eng.Now(),
+		Image: s.Mem.Snapshot(),
+		PM:    s.PM.Snapshot(),
 	}
-}
-
-// PMStats returns the PM statistics of the captured system at the
-// capture cycle: what PM.Stats reports, the controllers merged in index
-// order. The result shares no storage with the checkpoint.
-func (cp *Checkpoint) PMStats() pmem.Stats {
-	var st pmem.Stats
-	for i, c := range cp.PM.Ctrls {
-		cs := c.Stats
-		// Deep-copied as Controller.Stats does: checkpoints are shared
-		// across goroutines, and Add adopts the slice it keeps.
-		cs.OverflowHighWater = append([]pmem.OverflowSample(nil), cs.OverflowHighWater...)
-		if i == 0 {
-			st = cs
-			continue
-		}
-		st.Add(cs)
-	}
-	return st
 }
 
 // Restore rewinds the system's crash-visible state to a previously
@@ -80,6 +61,6 @@ func (s *System) Restore(cp *Checkpoint) {
 			len(cp.PM.Ctrls), s.PM.NumControllers()))
 	}
 	s.Eng.Restore(cp.At)
-	s.Mem.Restore(cp.Mem)
+	s.Mem.Restore(cp.Image)
 	s.PM.Restore(cp.PM)
 }

@@ -295,7 +295,7 @@ func TestRandomizedCOWDifferential(t *testing.T) {
 	}
 }
 
-// A frozen MachineState is never written by a restore, so many
+// A machine snapshot is never written by a restore, so many
 // machines may restore from the same state concurrently (the fuzz
 // executor's cached checkpoints do exactly this). Run under -race.
 func TestConcurrentRestoreSharedMachineState(t *testing.T) {
@@ -321,7 +321,7 @@ func TestConcurrentRestoreSharedMachineState(t *testing.T) {
 				m.Persistent.SetByte(Addr(g+pages)*PageBytes, byte(r))
 				m.Restore(s)
 			}
-			if !m.Persistent.Equal(s.Persistent) {
+			if !m.Persistent.Equal(s) {
 				errs <- fmt.Sprintf("goroutine %d: restored machine does not match the shared state", g)
 			}
 		}(g)
@@ -332,7 +332,7 @@ func TestConcurrentRestoreSharedMachineState(t *testing.T) {
 		t.Error(e)
 	}
 	// The shared state itself must be untouched by all that traffic.
-	if !src.Persistent.Equal(s.Persistent) {
-		t.Error("concurrent restores corrupted the shared MachineState")
+	if !src.Persistent.Equal(s) {
+		t.Error("concurrent restores corrupted the shared snapshot")
 	}
 }

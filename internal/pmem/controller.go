@@ -17,6 +17,8 @@
 package pmem
 
 import (
+	"slices"
+
 	"strandweaver/internal/config"
 	"strandweaver/internal/mem"
 	"strandweaver/internal/sim"
@@ -69,8 +71,6 @@ type drainEntry struct {
 	data [mem.LineSize]byte
 	// attempts counts media write tries (retries after transient faults).
 	attempts int
-	// draining marks the entry as owned by a bank.
-	draining bool
 	// pendingFail carries the fault verdict of the in-flight media
 	// attempt to doneFn; an entry has at most one attempt outstanding.
 	pendingFail bool
@@ -115,25 +115,20 @@ type Controller struct {
 	// pending holds PM writes that arrived while the write queue was
 	// full, oldest first; they are accepted FIFO as entries free.
 	pending sim.FIFO[*pendingWrite]
-	// volAcks queues completion callbacks for flushes of volatile lines
-	// (constant round trip, so FIFO; an entry may be nil); volAckFn pops
-	// the front.
-	volAcks  sim.FIFO[WriteAck]
-	volAckFn func()
 	// freePW and freeDE recycle tracking records so the steady-state
 	// write path allocates nothing.
 	freePW sim.FreeList[*pendingWrite]
 	freeDE sim.FreeList[*drainEntry]
 
-	// writeQOccupied counts accepted PM writes not yet drained to media.
-	writeQOccupied int
-	// drainq holds accepted writes not yet owned by a bank, FIFO.
-	drainq sim.FIFO[*drainEntry]
-	// inflight holds every accepted, undrained write in acceptance
-	// order (drainq entries plus those a bank is writing).
-	inflight []*drainEntry
-	// busyBanks counts banks currently writing to media.
-	busyBanks int
+	// inflight is the write queue: every accepted, undrained write in
+	// acceptance order, so its length is the queue's occupancy. Banks
+	// take writes in acceptance order, so the newest waiting entries
+	// are the writes no bank has started, and each older one holds a
+	// bank until its media write completes. Without media faults writes
+	// complete in the order they start, so a drained write leaves from
+	// the front.
+	inflight sim.FIFO[*drainEntry]
+	waiting  int
 
 	// faults, when non-nil, is consulted at each media write attempt.
 	faults FaultHook
@@ -148,15 +143,14 @@ type Controller struct {
 	// events a log holds against them.
 	fired [numLogKinds]uint64
 
-	// readsInFlight counts outstanding PM reads (bounded by the read
-	// queue). PM read latency is one constant, so in-flight reads
-	// complete FIFO: readAcks holds their completions in issue order and
+	// readAcks holds the completions of the outstanding PM reads, at
+	// most the read queue's entries. PM read latency is one constant, so
+	// in-flight reads complete FIFO: readAcks is in issue order and
 	// readDoneFn (built once) pops the front. pendingReads wait for a
 	// free read-queue slot.
-	readsInFlight int
-	pendingReads  sim.FIFO[ReadDone]
-	readAcks      sim.FIFO[ReadDone]
-	readDoneFn    func()
+	pendingReads sim.FIFO[ReadDone]
+	readAcks     sim.FIFO[ReadDone]
+	readDoneFn   func()
 
 	stats Stats
 }
@@ -239,24 +233,18 @@ type OverflowSample struct {
 // overflow queue grows past overflowSampleCap entries deep.
 const overflowSampleCap = 64
 
-// New returns a controller bound to the engine, configuration and
-// functional machine images.
-func New(eng *sim.Engine, cfg config.Config, machine *mem.Machine) *Controller {
-	c := &Controller{eng: eng, cfg: cfg, machine: machine}
-	c.seqSrc = new(uint64)
+// newController returns controller index of t, bound to its engine
+// and functional machine images and stamping submissions from its
+// counter.
+func newController(t *Topology, cfg config.Config, index int, atVisibility bool) *Controller {
+	c := &Controller{eng: t.eng, cfg: cfg, machine: t.machine, seqSrc: &t.submitSeq, atVisibility: atVisibility, index: index}
 	c.arriveFn = func() {
 		c.fire(logArrive)
 		c.arrive(c.transit.Pop())
 	}
-	c.volAckFn = func() {
-		if ack := c.volAcks.Pop(); ack != nil {
-			ack()
-		}
-	}
 	c.readDoneFn = func() {
 		c.fire(logReadDone)
 		done := c.readAcks.Pop()
-		c.readsInFlight--
 		c.stats.PMReads++
 		done()
 		if c.pendingReads.Len() > 0 {
@@ -265,6 +253,10 @@ func New(eng *sim.Engine, cfg config.Config, machine *mem.Machine) *Controller {
 	}
 	return c
 }
+
+// nop is the ack a volatile flush with none fires and the completion
+// walked reads carry.
+func nop() {}
 
 // allocPW returns a recycled (or new) pendingWrite, fields zeroed.
 func (c *Controller) allocPW() *pendingWrite {
@@ -297,10 +289,12 @@ func (c *Controller) allocDE() *drainEntry {
 // mutating a snapshot never aliases the live controller — results that
 // embed one can safely cross goroutines (the parallel sweep engine
 // reads per-cell snapshots from collector goroutines).
-func (c *Controller) Stats() Stats {
-	st := c.stats
-	st.OverflowHighWater = append([]OverflowSample(nil), c.stats.OverflowHighWater...)
-	return st
+func (c *Controller) Stats() Stats { return c.stats.clone() }
+
+// clone returns s with a private copy of its OverflowHighWater slice.
+func (s Stats) clone() Stats {
+	s.OverflowHighWater = append([]OverflowSample(nil), s.OverflowHighWater...)
+	return s
 }
 
 // SetFaultHook installs (or, with nil, removes) the media fault hook.
@@ -313,10 +307,11 @@ func (c *Controller) SetFaultHook(h FaultHook) { c.faults = h }
 func (c *Controller) SubmitPMWrite(line mem.Addr, data [mem.LineSize]byte, ack WriteAck) {
 	if !mem.IsPM(line) {
 		// Flush of a volatile line: no durability action; ack after the
-		// same round trip so timing stays uniform. The round trip is
-		// constant, so completions are FIFO through volAcks.
-		c.volAcks.Push(ack)
-		c.eng.Schedule(sim.Cycle(c.cfg.PMWriteToControllerCycles+c.cfg.PMAckCycles), c.volAckFn)
+		// same round trip so timing stays uniform.
+		if ack == nil {
+			ack = nop
+		}
+		c.eng.Schedule(sim.Cycle(c.cfg.PMWriteToControllerCycles+c.cfg.PMAckCycles), sim.Event(ack))
 		return
 	}
 	if c.log != nil {
@@ -331,7 +326,7 @@ func (c *Controller) SubmitPMWrite(line mem.Addr, data [mem.LineSize]byte, ack W
 }
 
 func (c *Controller) arrive(w *pendingWrite) {
-	if c.writeQOccupied >= c.cfg.PMWriteQueueEntries {
+	if c.inflight.Len() >= c.cfg.PMWriteQueueEntries {
 		c.stats.WriteQueueFullEvents++
 		w.arrivedAt = c.eng.Now()
 		c.pending.Push(w)
@@ -350,19 +345,16 @@ func (c *Controller) arrive(w *pendingWrite) {
 // accept is the persistence point, unless the topology persists at
 // visibility.
 func (c *Controller) accept(w *pendingWrite) {
-	c.writeQOccupied++
-	if c.writeQOccupied > c.stats.MaxWriteQueueDepth {
-		c.stats.MaxWriteQueueDepth = c.writeQOccupied
-	}
-	c.stats.PMWritesAccepted++
 	e := c.allocDE()
 	e.line, e.data = w.line, w.data
 	c.machine.Persistent.CopyLine(w.line, &e.old)
 	if !c.atVisibility {
 		c.machine.Persistent.StoreLine(w.line, &w.data)
 	}
-	c.drainq.Push(e)
-	c.inflight = append(c.inflight, e)
+	c.inflight.Push(e)
+	c.waiting++
+	c.stats.MaxWriteQueueDepth = max(c.stats.MaxWriteQueueDepth, c.inflight.Len())
+	c.stats.PMWritesAccepted++
 	if w.ack != nil {
 		c.eng.Schedule(sim.Cycle(c.cfg.PMAckCycles), sim.Event(w.ack))
 	}
@@ -373,12 +365,12 @@ func (c *Controller) accept(w *pendingWrite) {
 	c.tryDrain()
 }
 
-// tryDrain starts media writes on free banks.
+// tryDrain starts media writes on free banks, oldest waiting write
+// first.
 func (c *Controller) tryDrain() {
-	for c.busyBanks < c.cfg.PMBanks && c.drainq.Len() > 0 {
-		e := c.drainq.Pop()
-		e.draining = true
-		c.busyBanks++
+	for c.waiting > 0 && c.inflight.Len()-c.waiting < c.cfg.PMBanks {
+		e := c.inflight.Live()[c.inflight.Len()-c.waiting]
+		c.waiting--
 		c.startMediaWrite(e)
 	}
 }
@@ -414,30 +406,19 @@ func (c *Controller) mediaWriteDone(e *drainEntry, failed bool) {
 		// rather than wedging the write queue forever.
 		c.stats.MediaRetriesExhausted++
 	}
-	c.busyBanks--
-	c.writeQOccupied--
 	c.stats.PMWritesDrained++
-	c.removeInflight(e)
+	c.inflight.Remove(slices.Index(c.inflight.Live(), e))
 	// Recycle (keeping the cached thunks): nothing references the entry
 	// once it leaves inflight.
 	*e = drainEntry{doneFn: e.doneFn, retryFn: e.retryFn}
 	c.freeDE.Put(e)
 	// A queue entry freed: accept a waiting arrival, oldest first.
-	if c.pending.Len() > 0 && c.writeQOccupied < c.cfg.PMWriteQueueEntries {
+	if c.pending.Len() > 0 && c.inflight.Len() < c.cfg.PMWriteQueueEntries {
 		w := c.pending.Pop()
 		c.stats.PendingStallCycles += uint64(c.eng.Now() - w.arrivedAt)
 		c.accept(w)
 	}
 	c.tryDrain()
-}
-
-func (c *Controller) removeInflight(e *drainEntry) {
-	for i, x := range c.inflight {
-		if x == e {
-			c.inflight = append(c.inflight[:i], c.inflight[i+1:]...)
-			return
-		}
-	}
 }
 
 // SubmitRead requests a line fill from memory. For PM addresses the
@@ -456,7 +437,7 @@ func (c *Controller) SubmitRead(line mem.Addr, done ReadDone) {
 		c.eng.Schedule(sim.Cycle(c.cfg.DRAMReadCycles), sim.Event(done))
 		return
 	}
-	if c.readsInFlight >= c.cfg.PMReadQueueEntries {
+	if c.readAcks.Len() >= c.cfg.PMReadQueueEntries {
 		c.pendingReads.Push(done)
 		return
 	}
@@ -467,7 +448,6 @@ func (c *Controller) SubmitRead(line mem.Addr, done ReadDone) {
 // (constant latency, so reads complete in issue order) and readDoneFn
 // pops it — the steady-state read path allocates nothing.
 func (c *Controller) startRead(done ReadDone) {
-	c.readsInFlight++
 	c.readAcks.Push(done)
 	c.eng.Schedule(sim.Cycle(c.cfg.PMReadCycles), c.readDoneFn)
 }

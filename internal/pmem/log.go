@@ -136,7 +136,7 @@ func (t *Topology) Idle() bool {
 		return false
 	}
 	for _, c := range t.ctrls {
-		if c.readsInFlight != 0 || c.pendingReads.Len() != 0 || !reflect.DeepEqual(c.stats, Stats{}) {
+		if c.readAcks.Len() != 0 || c.pendingReads.Len() != 0 || !reflect.DeepEqual(c.stats, Stats{}) {
 			return false
 		}
 	}
@@ -230,9 +230,6 @@ func (t *Topology) Resimulate(l *Log) *Walker {
 	return w
 }
 
-// noRead is the completion walked reads carry.
-func noRead() {}
-
 // To walks every entry logged before cycle at and fires every event due
 // before at, and leaves the clock at at: the topology then stands where
 // the walked run's stood when a pre-spawn event at at fired. Successive
@@ -295,7 +292,7 @@ func (w *Walker) walk(at sim.Cycle) error {
 			c.SubmitPMWrite(e.addr, *w.log.lines.at(w.line), nil)
 			w.line++
 		case logSubmitRead:
-			c.SubmitRead(e.addr, noRead)
+			c.SubmitRead(e.addr, nop)
 		case logDRAMWrite:
 			c.SubmitDRAMWrite(e.addr)
 		case logPersistWord:

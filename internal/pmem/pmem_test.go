@@ -12,7 +12,13 @@ func newCtrl() (*sim.Engine, *Controller, *mem.Machine, config.Config) {
 	eng := sim.NewEngine()
 	cfg := config.Default()
 	m := mem.NewMachine()
-	return eng, New(eng, cfg, m), m, cfg
+	return eng, soleController(eng, cfg, m), m, cfg
+}
+
+// soleController returns the controller of a one-controller topology.
+func soleController(eng *sim.Engine, cfg config.Config, m *mem.Machine) *Controller {
+	cfg.PMControllers = 1
+	return NewTopology(eng, cfg, m, false).Controllers()[0]
 }
 
 func lineData(b byte) [mem.LineSize]byte {
@@ -76,7 +82,7 @@ func TestWriteQueueBackPressure(t *testing.T) {
 	cfg.PMWriteQueueEntries = 4
 	cfg.PMBanks = 1
 	m := mem.NewMachine()
-	c := New(eng, cfg, m)
+	c := soleController(eng, cfg, m)
 	n := 12
 	ackTimes := make([]sim.Cycle, 0, n)
 	for i := 0; i < n; i++ {
@@ -113,7 +119,7 @@ func TestReadLatencyAndQueue(t *testing.T) {
 	cfg := config.Default()
 	cfg.PMReadQueueEntries = 2
 	m := mem.NewMachine()
-	c := New(eng, cfg, m)
+	c := soleController(eng, cfg, m)
 	var done []sim.Cycle
 	for i := 0; i < 5; i++ {
 		c.SubmitRead(mem.PMBase+mem.Addr(i*64), func() { done = append(done, eng.Now()) })
@@ -151,7 +157,7 @@ func overflowCtrl(n int) (*sim.Engine, *Controller) {
 	cfg := config.Default()
 	cfg.PMWriteQueueEntries = 2
 	cfg.PMBanks = 1
-	c := New(eng, cfg, mem.NewMachine())
+	c := soleController(eng, cfg, mem.NewMachine())
 	for i := 0; i < n; i++ {
 		c.SubmitPMWrite(mem.PMBase+mem.Addr(i*mem.LineSize), lineData(byte(i)), nil)
 	}

@@ -15,11 +15,11 @@ type TopologyState struct {
 }
 
 // ControllerState is one controller's share of a checkpoint: its
-// accepted-but-undrained writes in acceptance order, with the
-// persistent image's pre-write contents, and its statistics.
-// Everything that only resuming the controller would need — queue
-// occupancy, bank state, media retries, the submission counter, ack
-// queues — is not captured.
+// accepted-but-undrained writes in acceptance order (the write queue),
+// with the persistent image's pre-write contents, and its statistics.
+// Everything that only resuming the controller would need — which
+// writes a bank has started, media retries, the submission counter,
+// ack queues — is not captured.
 type ControllerState struct {
 	Accepted []LineWrite
 	Stats    Stats
@@ -35,8 +35,8 @@ func (t *Topology) Snapshot() *TopologyState {
 	s := &TopologyState{Ctrls: make([]ControllerState, len(t.ctrls))}
 	n := 0
 	for i, c := range t.ctrls {
-		acc := make([]LineWrite, len(c.inflight))
-		for j, e := range c.inflight {
+		acc := make([]LineWrite, c.inflight.Len())
+		for j, e := range c.inflight.Live() {
 			acc[j] = LineWrite{Line: e.line, Old: e.old, Data: e.data}
 		}
 		s.Ctrls[i] = ControllerState{Accepted: acc, Stats: c.Stats()}
@@ -59,6 +59,17 @@ func (t *Topology) Snapshot() *TopologyState {
 		s.Unaccepted = append(s.Unaccepted, LineWrite{Line: first.line, Data: first.data})
 	}
 	return s
+}
+
+// Stats returns what Topology.Stats reported at the capture: the
+// controllers' statistics merged in index order. The result shares no
+// storage with the state, which goroutines may share.
+func (s *TopologyState) Stats() Stats {
+	per := make([]Stats, len(s.Ctrls))
+	for i, c := range s.Ctrls {
+		per[i] = c.Stats
+	}
+	return merged(per)
 }
 
 // unaccepted returns the controller's i-th unaccepted write in
@@ -98,13 +109,12 @@ func (t *Topology) Restore(s *TopologyState) {
 }
 
 // restore empties the controller's tracked writes and rebuilds the
-// accepted ones from s. Entries are rebuilt through the controller's
-// own alloc paths (recycling the live ones) so their cached completion
-// thunks bind this controller, never the one the checkpoint came from
-// (the cached-thunk rule, docs/SNAPSHOT.md).
+// accepted ones from s, none of them started on a bank. Entries are
+// rebuilt through the controller's own alloc paths (recycling the live
+// ones) so their cached completion thunks bind this controller, never
+// the one the checkpoint came from (the cached-thunk rule,
+// docs/SNAPSHOT.md).
 func (c *Controller) restore(s *ControllerState) {
-	// Recycle the tracked entries. drainq holds a subset of inflight,
-	// so entries are returned to the freelist via inflight only.
 	for _, w := range c.transit.Live() {
 		*w = pendingWrite{}
 		c.freePW.Put(w)
@@ -113,23 +123,20 @@ func (c *Controller) restore(s *ControllerState) {
 		*w = pendingWrite{}
 		c.freePW.Put(w)
 	}
-	for _, e := range c.inflight {
+	for _, e := range c.inflight.Live() {
 		*e = drainEntry{doneFn: e.doneFn, retryFn: e.retryFn}
 		c.freeDE.Put(e)
 	}
 	c.transit.Clear()
 	c.pending.Clear()
-	c.drainq.Clear()
-	clear(c.inflight)
-	c.inflight = c.inflight[:0]
+	c.inflight.Clear()
 
 	for i := range s.Accepted {
 		a := &s.Accepted[i]
 		e := c.allocDE()
 		e.line, e.old, e.data = a.Line, a.Old, a.Data
-		c.inflight = append(c.inflight, e)
+		c.inflight.Push(e)
 	}
-	st := s.Stats
-	st.OverflowHighWater = append([]OverflowSample(nil), s.Stats.OverflowHighWater...)
-	c.stats = st
+	c.waiting = len(s.Accepted)
+	c.stats = s.Stats.clone()
 }

@@ -54,17 +54,10 @@ type Topology struct {
 // line write's data was read when the cache submitted it and can be
 // older than words persisted at visibility since.
 func NewTopology(eng *sim.Engine, cfg config.Config, machine *mem.Machine, atVisibility bool) *Topology {
-	n := cfg.PMControllers
-	if n == 0 {
-		n = 1
-	}
+	n := max(cfg.PMControllers, 1)
 	t := &Topology{ctrls: make([]*Controller, n), mask: uint64(n - 1), eng: eng, machine: machine}
 	for i := range t.ctrls {
-		c := New(eng, cfg, machine)
-		c.seqSrc = &t.submitSeq
-		c.atVisibility = atVisibility
-		c.index = i
-		t.ctrls[i] = c
+		t.ctrls[i] = newController(t, cfg, i, atVisibility)
 	}
 	return t
 }
@@ -99,15 +92,18 @@ func (t *Topology) SubmitDRAMWrite(line mem.Addr) {
 	t.ctrls[t.IndexOf(line)].SubmitDRAMWrite(line)
 }
 
-// Stats aggregates all controllers' statistics in index order: counters
-// sum, high-water marks take the maximum across controllers (the
-// Stats.Add merge rule).
-func (t *Topology) Stats() Stats {
-	st := t.ctrls[0].Stats()
-	for _, c := range t.ctrls[1:] {
-		st.Add(c.Stats())
+// Stats aggregates all controllers' statistics (see merged).
+func (t *Topology) Stats() Stats { return merged(t.PerController()) }
+
+// merged folds per-controller statistics in index order by the
+// Stats.Add rule — counters sum, high-water marks take the maximum
+// across controllers — into a result sharing no storage with them.
+func merged(per []Stats) Stats {
+	st := per[0]
+	for _, o := range per[1:] {
+		st.Add(o)
 	}
-	return st
+	return st.clone()
 }
 
 // PerController snapshots each controller's statistics in index order.

@@ -90,7 +90,6 @@ func DescAddr(tid int) mem.Addr {
 
 // Log is one thread's redo log.
 type Log struct {
-	tid     int
 	desc    mem.Addr
 	bufBase mem.Addr
 	entries uint64
@@ -139,7 +138,7 @@ func Init(sys *machine.System, threads int, entries uint64) *Logs {
 			sys.Hier.Preload(bufBase + mem.Addr(e*mem.LineSize))
 		}
 		ls.PerThread = append(ls.PerThread, &Log{
-			tid: t, desc: desc, bufBase: bufBase, entries: entries, ticket: &ls.ticket,
+			desc: desc, bufBase: bufBase, entries: entries, ticket: &ls.ticket,
 		})
 	}
 	return ls

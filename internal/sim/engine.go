@@ -159,8 +159,9 @@ type Engine struct {
 	budgetHit   bool
 	stats       Stats
 	// Run state (see Coroutine): the running run's termination
-	// condition and limit, and the coroutine the host has resumed (nil
-	// while the host's own stack runs the loop).
+	// condition and the last cycle it may fire events at, and the
+	// coroutine the host has resumed (nil while the host's own stack
+	// runs the loop).
 	runCond  func() bool
 	runLimit Cycle
 	current  *Coroutine
@@ -283,7 +284,7 @@ func (e *Engine) ScheduleAt(at Cycle, fn Event) {
 // watchdog and the counters are left as they are.
 func (e *Engine) Restore(now Cycle) {
 	for e.Pending() != 0 {
-		e.popNext(0)
+		e.popNext(^Cycle(0))
 	}
 	e.now = now
 }
@@ -303,11 +304,6 @@ func (e *Engine) Reset() {
 // coroutine) one event at a time; stop flags and the watchdog are not
 // consulted.
 func (e *Engine) Step(limit Cycle) bool {
-	if limit == 0 { // popNext reads a zero limit as none
-		if next := e.peek(); next == nil || next.at > 0 {
-			return false
-		}
-	}
 	ev, ok := e.popNext(limit)
 	if !ok {
 		return false
@@ -330,18 +326,6 @@ func (e *Engine) Advance(at Cycle) {
 	for at > 0 && e.Step(at-1) {
 	}
 	e.now = at
-}
-
-// peek returns the earliest pending event, or nil when none is pending.
-func (e *Engine) peek() *eventEntry {
-	var head *eventEntry
-	if e.wheelLen != 0 {
-		head = &e.pool[e.slots[e.wheelFirst()].head].ev
-	}
-	if len(e.heap) != 0 && (head == nil || e.heap[0].before(head)) {
-		return &e.heap[0]
-	}
-	return head
 }
 
 // Stop makes Run return after the event currently executing (if any)
@@ -373,9 +357,9 @@ func (e *Engine) Stopped() bool { return e.stopped }
 func (e *Engine) Pending() int { return e.wheelLen + len(e.heap) }
 
 // popNext removes and returns the earliest pending event under the
-// (cycle, seq) order, unless it is due after limit (0 means no limit).
-// ok is false when no event is due: none is pending, or the earliest is
-// late and stays queued.
+// (cycle, seq) order, unless it is due after cycle limit. ok is false
+// when no event is due: none is pending, or the earliest is late and
+// stays queued.
 func (e *Engine) popNext(limit Cycle) (ev eventEntry, ok bool) {
 	var head *wheelNode
 	slot := 0
@@ -384,12 +368,12 @@ func (e *Engine) popNext(limit Cycle) (ev eventEntry, ok bool) {
 		head = &e.pool[e.slots[slot].head]
 	}
 	if len(e.heap) != 0 && (head == nil || e.heap[0].before(&head.ev)) {
-		if limit != 0 && e.heap[0].at > limit {
+		if e.heap[0].at > limit {
 			return eventEntry{}, false
 		}
 		return e.heapPop(), true
 	}
-	if head == nil || (limit != 0 && head.ev.at > limit) {
+	if head == nil || head.ev.at > limit {
 		return eventEntry{}, false
 	}
 	ev = head.ev
@@ -443,6 +427,9 @@ func (e *Engine) RunUntil(cond func() bool, limit Cycle) Cycle {
 func (e *Engine) run(cond func() bool, limit Cycle) Cycle {
 	e.runCond = cond
 	e.runLimit = limit
+	if limit == 0 {
+		e.runLimit = ^Cycle(0)
+	}
 	co := e.loop(nil)
 	for co != nil {
 		co = e.resume(co)

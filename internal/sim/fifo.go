@@ -6,7 +6,8 @@ package sim
 // queue.
 //
 // The live entries are buf[head:], oldest first. Pop advances head and
-// zeroes the vacated slot, so popped records are not retained. Push
+// zeroes the vacated slot, so popped records are not retained; Remove
+// takes an entry out of the middle the same way. Push
 // into a full array first slides the live entries to the front when
 // any slot has been vacated, so a queue that never empties reuses its
 // array: the array grows only when every slot is live, which keeps its
@@ -47,6 +48,15 @@ func (q *FIFO[T]) Pop() T {
 		q.buf, q.head = q.buf[:0], 0
 	}
 	return x
+}
+
+// Remove deletes the live entry at index i, oldest first, keeping the
+// others in order. The entries in front of it slide back one slot, so
+// a removal near the front moves few entries and Remove(0) is Pop.
+func (q *FIFO[T]) Remove(i int) {
+	live := q.Live()
+	copy(live[1:i+1], live[:i])
+	q.Pop()
 }
 
 // Clear drops every live entry, keeping the array.

@@ -12,12 +12,16 @@ import (
 // quarter at these sizes.
 func fifoCapBound(peak int) int { return 2*peak + 2*peak/4 }
 
-// FuzzFIFO runs a random Push/Pop/Clear sequence against a plain-slice
-// reference. Each input byte is one operation: Clear when its low four
-// bits are 15, else Pop when its low bit is set and the queue is not
-// empty, else Push.
+// FuzzFIFO runs a random Push/Pop/Remove/Clear sequence against a
+// plain-slice reference. Each input byte is one operation: Clear when
+// its low four bits are 15; else, when the queue is not empty, Remove
+// of the entry its high four bits index (modulo the length) when its
+// low four bits are 13, and Pop when its low bit is set; else Push.
 func FuzzFIFO(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 0, 1, 1, 1})
+	// Eight deep, then removals at the back, the middle and the front
+	// between pushes and pops, as out-of-order drains do.
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0x7d, 0x3d, 0, 0x0d, 1, 0x2d, 0, 0x1d, 0x5d, 1, 0x0d, 0x0d, 0x0d, 0})
 	// A queue that never empties: four deep, then push-pop pairs.
 	f.Add(append([]byte{0, 0, 0, 0}, bytes.Repeat([]byte{0, 1}, 200)...))
 	// Grow to 300, drain, refill to 100, clear, then grow by one per
@@ -33,6 +37,10 @@ func FuzzFIFO(f *testing.F) {
 			case op&15 == 15:
 				q.Clear()
 				ref = ref[:0]
+			case op&15 == 13 && len(ref) > 0:
+				j := int(op>>4) % len(ref)
+				q.Remove(j)
+				ref = slices.Delete(ref, j, j+1)
 			case op&1 == 1 && len(ref) > 0:
 				got, want := q.Pop(), ref[0]
 				ref = ref[1:]

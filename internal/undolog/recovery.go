@@ -50,7 +50,6 @@ type Report struct {
 
 type scannedEntry struct {
 	thread int
-	slot   uint64
 	addr   mem.Addr
 	typ    EntryType
 	target mem.Addr
@@ -96,7 +95,6 @@ func Recover(img *mem.Image, threads int) (*Report, error) {
 			}
 			se := scannedEntry{
 				thread: t,
-				slot:   s,
 				addr:   e,
 				typ:    EntryType(img.Read64(e + entType)),
 				target: mem.Addr(img.Read64(e + entAddr)),

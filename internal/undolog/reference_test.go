@@ -41,7 +41,6 @@ func referenceRecover(img *mem.Image, threads int) (*Report, error) {
 			}
 			se := scannedEntry{
 				thread: t,
-				slot:   s,
 				addr:   e,
 				typ:    EntryType(img.Read64(e + entType)),
 				target: mem.Addr(img.Read64(e + entAddr)),

@@ -33,7 +33,7 @@ func (w *BatchedSwapWL) Name() string { return "batched-swap" }
 
 // Setup lays out the array host-side.
 func (w *BatchedSwapWL) Setup(s *machine.System, rt *langmodel.Runtime) {
-	w.setupCommon(s, rt)
+	w.setupCommon(rt)
 	h := pds.Host{Sys: s}
 	w.a = pds.NewArray(h, w.arena, w.n)
 	h.Write64(undolog.RootAddr(0), uint64(w.a.Base()))

@@ -26,7 +26,7 @@ func newQueueWL(p Params) Instance { return &queueWL{common: common{p: p}} }
 func (w *queueWL) Name() string { return "queue" }
 
 func (w *queueWL) Setup(s *machine.System, rt *langmodel.Runtime) {
-	w.setupCommon(s, rt)
+	w.setupCommon(rt)
 	h := pds.Host{Sys: s}
 	w.q = pds.NewQueue(h, w.arena, 8192)
 	w.slotsBase = w.q.Slots()
@@ -83,7 +83,7 @@ func newHashmapWL(p Params) Instance { return &hashmapWL{common: common{p: p}, k
 func (w *hashmapWL) Name() string { return "hashmap" }
 
 func (w *hashmapWL) Setup(s *machine.System, rt *langmodel.Runtime) {
-	w.setupCommon(s, rt)
+	w.setupCommon(rt)
 	h := pds.Host{Sys: s}
 	w.m = pds.NewHashmap(h, w.arena, 1024)
 	for k := uint64(1); k <= w.keys; k++ {
@@ -141,7 +141,7 @@ func newArraySwapWL(p Params) Instance { return &arraySwapWL{common: common{p: p
 func (w *arraySwapWL) Name() string { return "arrayswap" }
 
 func (w *arraySwapWL) Setup(s *machine.System, rt *langmodel.Runtime) {
-	w.setupCommon(s, rt)
+	w.setupCommon(rt)
 	h := pds.Host{Sys: s}
 	w.a = pds.NewArray(h, w.arena, w.n)
 	h.Write64(undolog.RootAddr(0), uint64(w.a.Base()))
@@ -185,7 +185,7 @@ func newRBTreeWL(p Params) Instance { return &rbtreeWL{common: common{p: p}, key
 func (w *rbtreeWL) Name() string { return "rbtree" }
 
 func (w *rbtreeWL) Setup(s *machine.System, rt *langmodel.Runtime) {
-	w.setupCommon(s, rt)
+	w.setupCommon(rt)
 	h := pds.Host{Sys: s}
 	w.t = pds.NewRBTree(h, w.arena)
 	r := rng(w.p, 31337)

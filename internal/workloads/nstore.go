@@ -43,7 +43,7 @@ func (w *nstoreWL) Name() string {
 }
 
 func (w *nstoreWL) Setup(s *machine.System, rt *langmodel.Runtime) {
-	w.setupCommon(s, rt)
+	w.setupCommon(rt)
 	h := pds.Host{Sys: s}
 	w.m = pds.NewHashmap(h, w.arena, 2048)
 	for k := uint64(1); k <= w.keys; k++ {

@@ -48,7 +48,7 @@ func newTPCCWL(p Params) Instance {
 func (w *tpccWL) Name() string { return "tpcc" }
 
 func (w *tpccWL) Setup(s *machine.System, rt *langmodel.Runtime) {
-	w.setupCommon(s, rt)
+	w.setupCommon(rt)
 	h := pds.Host{Sys: s}
 	w.maxOrders = uint64(w.p.Threads*w.p.OpsPerThread + 16)
 	w.districtBase = w.arena.AllocLine(nil, uint64(w.districts)*mem.LineSize)

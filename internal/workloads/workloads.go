@@ -96,13 +96,11 @@ func Prepare(sys *machine.System, inst Instance, m langmodel.Model, opts langmod
 // common carries shared instance state.
 type common struct {
 	p     Params
-	sys   *machine.System
 	rt    *langmodel.Runtime
 	arena *palloc.Arena
 }
 
-func (c *common) setupCommon(s *machine.System, rt *langmodel.Runtime) {
-	c.sys = s
+func (c *common) setupCommon(rt *langmodel.Runtime) {
 	c.rt = rt
 	c.arena = palloc.NewPM(undolog.HeapOffset, 1<<34)
 }
