@@ -2,22 +2,73 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
 	"math/bits"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"strandweaver/internal/mem"
 )
 
-// runCheck applies the checker to an inline fixture and returns its
-// diagnostics.
+// testLoader is the loader every test shares, so each package, the
+// standard library's included, is type-checked once per test binary.
+var testLoader = sync.OnceValue(func() *loader { return newLoader(filepath.Join("..", "..")) })
+
+// modulePackages type-checks the packages strandvet checks by default.
+func modulePackages(t *testing.T) []*checkedPkg {
+	t.Helper()
+	ld := testLoader()
+	dirs, err := packageDirs(ld.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := make([]*checkedPkg, len(dirs))
+	for i, dir := range dirs {
+		if pkgs[i], err = ld.load(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return pkgs
+}
+
+// typeCheckFixture type-checks src as a file of the package whose
+// import path is path. At the path of a module package the fixture
+// joins that package's own files.
+func typeCheckFixture(t *testing.T, path, src string) *checkedPkg {
+	t.Helper()
+	ld := testLoader()
+	f, err := parser.ParseFile(ld.fset, "fixture.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []*ast.File{f}
+	if rel, ok := strings.CutPrefix(path, modulePath+"/"); ok {
+		if files, err = ld.parseDir(filepath.Join(ld.root, rel)); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, f)
+	}
+	p, err := ld.typeCheck(path, files)
+	if err != nil {
+		t.Fatalf("type-checking the fixture: %v", err)
+	}
+	return p
+}
+
+// checkAt applies the rules to a fixture in the package at path and
+// returns their diagnostics.
+func checkAt(t *testing.T, path, src string) []string {
+	t.Helper()
+	return vet(testLoader().fset, typeCheckFixture(t, path, src))
+}
+
+// runCheck applies the rules to a fixture package of its own.
 func runCheck(t *testing.T, src string) []string {
 	t.Helper()
-	diags, err := checkSource("fixture.go", []byte(src))
-	if err != nil {
-		t.Fatalf("checkSource: %v", err)
-	}
-	return diags
+	return checkAt(t, "fixture", src)
 }
 
 func wantDiags(t *testing.T, diags []string, substrs ...string) {
@@ -57,6 +108,14 @@ func g(t0 time.Time) time.Duration { return time.Until(t0) }
 	wantDiags(t, diags, "time.Since", "time.Until")
 }
 
+func TestFlagsTimeNowFunctionValue(t *testing.T) {
+	diags := runCheck(t, `package p
+import "time"
+var clock = time.Now
+`)
+	wantDiags(t, diags, "call to time.Now")
+}
+
 func TestAllowsOtherTimeFunctions(t *testing.T) {
 	diags := runCheck(t, `package p
 import "time"
@@ -72,6 +131,14 @@ import "math/rand"
 func f() int { return rand.Intn(10) }
 `)
 	wantDiags(t, diags, "rand.Intn")
+}
+
+func TestFlagsDotImportedGlobalRand(t *testing.T) {
+	diags := runCheck(t, `package p
+import . "math/rand"
+func f() int { return Intn(10) }
+`)
+	wantDiags(t, diags, "call to rand.Intn")
 }
 
 func TestAllowsSeededRandConstructors(t *testing.T) {
@@ -122,6 +189,32 @@ func f(m map[string]int) string {
 	wantDiags(t, diags, "map iteration feeds ordered output (.WriteString)")
 }
 
+func TestFlagsMapFieldRangePrinting(t *testing.T) {
+	diags := runCheck(t, `package p
+import "fmt"
+type index struct{ names map[string]int }
+func (x *index) dump() {
+	for k := range x.names {
+		fmt.Println(k)
+	}
+}
+`)
+	wantDiags(t, diags, "map iteration feeds ordered output (fmt.Println)")
+}
+
+func TestFlagsMapCallRangePrinting(t *testing.T) {
+	diags := runCheck(t, `package p
+import "fmt"
+func counts() map[string]int { return nil }
+func f() {
+	for k := range counts() {
+		fmt.Println(k)
+	}
+}
+`)
+	wantDiags(t, diags, "map iteration feeds ordered output (fmt.Println)")
+}
+
 func TestAllowsMapRangeAggregation(t *testing.T) {
 	diags := runCheck(t, `package p
 func f(m map[string]int) int {
@@ -170,13 +263,9 @@ func TestDefaultDirsAreClean(t *testing.T) {
 	// The CI wiring runs strandvet from the repo root over these
 	// packages; the tree must stay clean (legitimate uses carry
 	// //strandvet:ok with a justification).
-	for _, dir := range defaultDirs {
-		diags, err := checkDir("../../" + dir)
-		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
-		if len(diags) > 0 {
-			t.Errorf("%s: unexpected diagnostics: %v", dir, diags)
+	for _, p := range modulePackages(t) {
+		if diags := vet(testLoader().fset, p); len(diags) > 0 {
+			t.Errorf("%s: unexpected diagnostics: %v", p.pkg.Path(), diags)
 		}
 	}
 }
@@ -215,7 +304,8 @@ func TestAllowsPassiveCheckpointFields(t *testing.T) {
 import "strandweaver/internal/sim"
 type UnitState struct {
 	Seq     uint64
-	Eng     sim.EngineState
+	Eng     sim.Stats
+	At      sim.Cycle
 	Entries []struct{ Line uint64 }
 	Extra   any
 }
@@ -262,15 +352,28 @@ var p *[mem.PageBytes]byte
 	wantDiags(t, diags, "raw page pointer")
 }
 
+func TestFlagsRawPagePointerDerivedConstant(t *testing.T) {
+	diags := runCheck(t, `package p
+import "strandweaver/internal/mem"
+const pageLen = mem.PageBytes
+var p *[pageLen]byte
+`)
+	wantDiags(t, diags, "raw page pointer")
+}
+
+func TestFlagsRawPagePointerProduct(t *testing.T) {
+	diags := runCheck(t, fmt.Sprintf(`package p
+var p *[2 * %d]byte
+`, mem.PageBytes/2))
+	wantDiags(t, diags, "raw page pointer")
+}
+
 func TestAllowsPagePointerInsideMem(t *testing.T) {
-	diags, err := checkSource("internal/mem/fixture.go", []byte(fmt.Sprintf(`package mem
-type pageRef struct {
+	diags := checkAt(t, memPath, fmt.Sprintf(`package mem
+type fixturePage struct {
 	data *[%d]byte
 }
-`, mem.PageBytes)))
-	if err != nil {
-		t.Fatalf("checkSource: %v", err)
-	}
+`, mem.PageBytes))
 	wantDiags(t, diags)
 }
 
@@ -349,18 +452,30 @@ func f(prog model.Program) {
 	wantDiags(t, diags, "direct mutation of model.Program slice prog")
 }
 
-func TestAllowsProgramMutationInsideOwners(t *testing.T) {
-	src := `package pmo
+func TestFlagsReturnedProgramMutation(t *testing.T) {
+	diags := runCheck(t, `package p
 import "strandweaver/internal/pmo"
-func f(prog pmo.Program) { prog[0] = nil }
-`
-	for _, dir := range []string{"internal/pmo", "internal/relax"} {
-		diags, err := checkSource(dir+"/fixture.go", []byte(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(diags) != 0 {
-			t.Errorf("%s: got diagnostics %v, want none (exempt owner)", dir, diags)
+func build() pmo.Program { return make(pmo.Program, 1) }
+func f() {
+	prog := build()
+	prog[0] = nil
+}
+`)
+	wantDiags(t, diags, "direct mutation of pmo.Program slice prog")
+}
+
+func TestAllowsProgramMutationInsideOwners(t *testing.T) {
+	for _, owner := range []struct{ path, src string }{
+		{pmoPath, `package pmo
+func fixtureMutate(prog Program) { prog[0] = nil }
+`},
+		{relaxPath, `package relax
+import "strandweaver/internal/pmo"
+func fixtureMutate(prog pmo.Program) { prog[0] = nil }
+`},
+	} {
+		if diags := checkAt(t, owner.path, owner.src); len(diags) != 0 {
+			t.Errorf("%s: got diagnostics %v, want none (exempt owner)", owner.path, diags)
 		}
 	}
 }

@@ -2,22 +2,13 @@ package main
 
 import (
 	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
-
-// modulePath is the import path of the repository's module, whose
-// root is two directories above this package.
-const modulePath = "strandweaver"
 
 // TestNoWriteOnlyFields type-checks every package under internal/ and
 // cmd/ and fails on an unexported struct field that no non-test file
@@ -30,44 +21,17 @@ const modulePath = "strandweaver"
 // //strandvet:ok comment on the field's line, or the line above,
 // exempts it.
 func TestNoWriteOnlyFields(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dirs []string
-	for _, top := range []string{"internal", "cmd"} {
-		err := filepath.WalkDir(filepath.Join(root, top), func(path string, d os.DirEntry, err error) error {
-			if err != nil || !d.IsDir() || d.Name() == "testdata" {
-				return err
-			}
-			if names, _ := goFiles(path); len(names) > 0 {
-				dirs = append(dirs, path)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	ld := testLoader()
+	for _, p := range modulePackages(t) {
+		for _, d := range writeOnly(ld.fset, p) {
+			t.Errorf("%s: unexported field is written but never read outside tests", d)
 		}
-	}
-	fc := newFieldChecker(root, modulePath)
-	var found []string
-	for _, dir := range dirs {
-		rel, _ := filepath.Rel(root, dir)
-		ds, err := fc.writeOnly(modulePath + "/" + filepath.ToSlash(rel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		found = append(found, ds...)
-	}
-	for _, d := range found {
-		t.Errorf("%s: unexported field is written but never read outside tests", d)
 	}
 }
 
 // TestWriteOnlyFieldRules pins what counts as a read on a fixture
 // package.
 func TestWriteOnlyFieldRules(t *testing.T) {
-	dir := t.TempDir()
 	src := `package p
 
 type key struct{ a, b int }
@@ -103,15 +67,8 @@ func f(v *s, c cmpd) int {
 
 func g(*int) {}
 `
-	if err := os.WriteFile(filepath.Join(dir, "p.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := newFieldChecker(dir, "fixture").writeOnly("fixture")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var names []string
-	for _, d := range got {
+	for _, d := range writeOnly(testLoader().fset, typeCheckFixture(t, "fixture", src)) {
 		names = append(names, d[strings.LastIndex(d, " ")+1:])
 	}
 	want := []string{"written", "bumped", "inner", "deep", "arr"}
@@ -122,110 +79,15 @@ func g(*int) {}
 	}
 }
 
-// goFiles lists the non-test Go files of dir that the build includes.
-func goFiles(dir string) ([]string, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
-			continue
-		}
-		names = append(names, name)
-	}
-	return names, nil
-}
-
-// fieldChecker type-checks the module's packages from source, each
-// once, and the standard library through the source importer.
-type fieldChecker struct {
-	root, module string
-	fset         *token.FileSet
-	std          types.ImporterFrom
-	pkgs         map[string]*checkedPkg
-}
-
-type checkedPkg struct {
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
-}
-
-// newFieldChecker returns a checker of the module at root whose
-// import path is module.
-func newFieldChecker(root, module string) *fieldChecker {
-	fset := token.NewFileSet()
-	return &fieldChecker{
-		root: root, module: module, fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		pkgs: make(map[string]*checkedPkg),
-	}
-}
-
-func (fc *fieldChecker) Import(path string) (*types.Package, error) {
-	return fc.ImportFrom(path, "", 0)
-}
-
-func (fc *fieldChecker) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if path != fc.module && !strings.HasPrefix(path, fc.module+"/") {
-		return fc.std.ImportFrom(path, dir, mode)
-	}
-	p, err := fc.check(path)
-	if err != nil {
-		return nil, err
-	}
-	return p.pkg, nil
-}
-
-// check type-checks the module package at path.
-func (fc *fieldChecker) check(path string) (*checkedPkg, error) {
-	if p := fc.pkgs[path]; p != nil {
-		return p, nil
-	}
-	dir := filepath.Join(fc.root, filepath.FromSlash(strings.TrimPrefix(strings.TrimPrefix(path, fc.module), "/")))
-	names, err := goFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	p := &checkedPkg{info: &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}}
-	for _, name := range names {
-		f, err := parser.ParseFile(fc.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		p.files = append(p.files, f)
-	}
-	conf := types.Config{Importer: fc}
-	if p.pkg, err = conf.Check(path, fc.fset, p.files, p.info); err != nil {
-		return nil, err
-	}
-	fc.pkgs[path] = p
-	return p, nil
-}
-
 // writeOnly reports the package's unexported struct fields that its
 // non-test files never read, as "file:line: field".
-func (fc *fieldChecker) writeOnly(path string) ([]string, error) {
-	p, err := fc.check(path)
-	if err != nil {
-		return nil, err
-	}
+func writeOnly(fset *token.FileSet, p *checkedPkg) []string {
 	// The package's unexported named fields, by declaration; an
 	// embedded field is read wherever a promoted name is, and is not
 	// checked.
 	declared := make(map[*types.Var]*ast.Ident)
 	for _, f := range p.files {
-		exempt := suppressedLines(fc.fset, f)
+		exempt := suppressedLines(fset, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			st, ok := n.(*ast.StructType)
 			if !ok {
@@ -233,7 +95,7 @@ func (fc *fieldChecker) writeOnly(path string) ([]string, error) {
 			}
 			for _, fld := range st.Fields.List {
 				for _, id := range fld.Names {
-					if id.IsExported() || id.Name == "_" || exempt[fc.fset.Position(id.Pos()).Line] {
+					if id.IsExported() || id.Name == "_" || exempt[fset.Position(id.Pos()).Line] {
 						continue
 					}
 					if v, ok := p.info.Defs[id].(*types.Var); ok {
@@ -321,10 +183,9 @@ func (fc *fieldChecker) writeOnly(path string) ([]string, error) {
 		if read[v] {
 			continue
 		}
-		pos := fc.fset.Position(id.Pos())
-		rel, _ := filepath.Rel(fc.root, pos.Filename)
-		out = append(out, filepath.ToSlash(rel)+":"+strconv.Itoa(pos.Line)+": "+id.Name)
+		pos := fset.Position(id.Pos())
+		out = append(out, pos.Filename+":"+strconv.Itoa(pos.Line)+": "+id.Name)
 	}
 	sort.Strings(out)
-	return out, nil
+	return out
 }

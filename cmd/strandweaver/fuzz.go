@@ -78,8 +78,10 @@ func runFuzz(o options, metrics *sw.SweepReport) error {
 		fo.Schedules = math.MaxInt32 // unbounded; -duration stops the search
 	}
 	if o.fuzzDuration > 0 {
-		deadline := time.Now().Add(o.fuzzDuration)
-		fo.Deadline = func() bool { return time.Now().After(deadline) }
+		// -duration is a wall-clock budget: it decides when the search
+		// stops, never what a schedule computes.
+		deadline := time.Now().Add(o.fuzzDuration)                      //strandvet:ok -duration deadline
+		fo.Deadline = func() bool { return time.Now().After(deadline) } //strandvet:ok -duration deadline
 	}
 	res, err := sw.Fuzz(fo)
 	if err != nil {

@@ -252,7 +252,7 @@ func main() {
 		return rep
 	}
 
-	start := time.Now()
+	start := time.Now() //strandvet:ok completion banner on stderr only
 	switch o.cmd {
 	case "table2":
 		opt.Metrics = collect("table2")
@@ -321,7 +321,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "[heap profile written to %s]\n", o.memProfile)
 	}
-	fmt.Fprintf(os.Stderr, "\n[%s completed in %v]\n", o.cmd, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "\n[%s completed in %v]\n", o.cmd, time.Since(start).Round(time.Millisecond)) //strandvet:ok completion banner on stderr only
 }
 
 // writeHeapProfile forces a GC (so the profile shows live retention,

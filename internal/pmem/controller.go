@@ -19,7 +19,6 @@ package pmem
 import (
 	"slices"
 
-	"strandweaver/internal/config"
 	"strandweaver/internal/mem"
 	"strandweaver/internal/sim"
 )
@@ -95,17 +94,12 @@ type LineWrite struct {
 
 // Controller is the shared DRAM+PM memory controller.
 type Controller struct {
-	eng     *sim.Engine
-	cfg     config.Config
-	machine *mem.Machine
-
-	// seqSrc is the counter submissions are stamped from: the
-	// Topology's, shared by all its controllers, so stamps order the
-	// whole machine's submissions.
-	seqSrc *uint64
-	// atVisibility is the topology's persistence point (see
-	// NewTopology): when set, acceptance stores nothing.
-	atVisibility bool
+	// t is the topology the controller belongs to, which holds the
+	// engine, configuration, machine images, submission counter,
+	// persistence point and log every controller shares; index is the
+	// controller's position in it, which names it in the log.
+	t     *Topology
+	index int
 	// transit holds PM writes submitted but not yet arrived at the
 	// controller front-end (on-chip flight), in submission order. The
 	// on-chip latency is one constant, so arrivals are FIFO and arriveFn
@@ -133,11 +127,6 @@ type Controller struct {
 	// faults, when non-nil, is consulted at each media write attempt.
 	faults FaultHook
 
-	// log, when non-nil, records every call that changes crash-visible
-	// state (see Log); index is the controller's position in its
-	// topology, which names it there.
-	log   *Log
-	index int
 	// fired counts the controller's own events by log kind (arrivals,
 	// read completions, media writes and retries): a Walker matches the
 	// events a log holds against them.
@@ -233,11 +222,9 @@ type OverflowSample struct {
 // overflow queue grows past overflowSampleCap entries deep.
 const overflowSampleCap = 64
 
-// newController returns controller index of t, bound to its engine
-// and functional machine images and stamping submissions from its
-// counter.
-func newController(t *Topology, cfg config.Config, index int, atVisibility bool) *Controller {
-	c := &Controller{eng: t.eng, cfg: cfg, machine: t.machine, seqSrc: &t.submitSeq, atVisibility: atVisibility, index: index}
+// newController returns controller index of t.
+func newController(t *Topology, index int) *Controller {
+	c := &Controller{t: t, index: index}
 	c.arriveFn = func() {
 		c.fire(logArrive)
 		c.arrive(c.transit.Pop())
@@ -311,30 +298,30 @@ func (c *Controller) SubmitPMWrite(line mem.Addr, data [mem.LineSize]byte, ack W
 		if ack == nil {
 			ack = nop
 		}
-		c.eng.Schedule(sim.Cycle(c.cfg.PMWriteToControllerCycles+c.cfg.PMAckCycles), sim.Event(ack))
+		c.t.eng.Schedule(sim.Cycle(c.t.cfg.PMWriteToControllerCycles+c.t.cfg.PMAckCycles), sim.Event(ack))
 		return
 	}
-	if c.log != nil {
-		c.log.add(logSubmitPM, c.eng.Now(), c.index, line, 0)
-		c.log.lines.push(data)
+	if c.t.log != nil {
+		c.t.log.add(logSubmitPM, c.t.eng.Now(), c.index, line, 0)
+		c.t.log.lines.push(data)
 	}
-	*c.seqSrc++
+	c.t.submitSeq++
 	w := c.allocPW()
-	w.line, w.data, w.ack, w.seq = line, data, ack, *c.seqSrc
+	w.line, w.data, w.ack, w.seq = line, data, ack, c.t.submitSeq
 	c.transit.Push(w)
-	c.eng.Schedule(sim.Cycle(c.cfg.PMWriteToControllerCycles), c.arriveFn)
+	c.t.eng.Schedule(sim.Cycle(c.t.cfg.PMWriteToControllerCycles), c.arriveFn)
 }
 
 func (c *Controller) arrive(w *pendingWrite) {
-	if c.inflight.Len() >= c.cfg.PMWriteQueueEntries {
+	if c.inflight.Len() >= c.t.cfg.PMWriteQueueEntries {
 		c.stats.WriteQueueFullEvents++
-		w.arrivedAt = c.eng.Now()
+		w.arrivedAt = c.t.eng.Now()
 		c.pending.Push(w)
 		if n := c.pending.Len(); n > c.stats.MaxPendingArrivals {
 			c.stats.MaxPendingArrivals = n
 			if len(c.stats.OverflowHighWater) < overflowSampleCap {
 				c.stats.OverflowHighWater = append(c.stats.OverflowHighWater,
-					OverflowSample{Cycle: c.eng.Now(), Depth: n})
+					OverflowSample{Cycle: c.t.eng.Now(), Depth: n})
 			}
 		}
 		return
@@ -347,16 +334,16 @@ func (c *Controller) arrive(w *pendingWrite) {
 func (c *Controller) accept(w *pendingWrite) {
 	e := c.allocDE()
 	e.line, e.data = w.line, w.data
-	c.machine.Persistent.CopyLine(w.line, &e.old)
-	if !c.atVisibility {
-		c.machine.Persistent.StoreLine(w.line, &w.data)
+	c.t.machine.Persistent.CopyLine(w.line, &e.old)
+	if !c.t.atVisibility {
+		c.t.machine.Persistent.StoreLine(w.line, &w.data)
 	}
 	c.inflight.Push(e)
 	c.waiting++
 	c.stats.MaxWriteQueueDepth = max(c.stats.MaxWriteQueueDepth, c.inflight.Len())
 	c.stats.PMWritesAccepted++
 	if w.ack != nil {
-		c.eng.Schedule(sim.Cycle(c.cfg.PMAckCycles), sim.Event(w.ack))
+		c.t.eng.Schedule(sim.Cycle(c.t.cfg.PMAckCycles), sim.Event(w.ack))
 	}
 	// The tracking record is dead once accepted (the persistent image
 	// and drain entry hold copies of the data).
@@ -368,7 +355,7 @@ func (c *Controller) accept(w *pendingWrite) {
 // tryDrain starts media writes on free banks, oldest waiting write
 // first.
 func (c *Controller) tryDrain() {
-	for c.waiting > 0 && c.inflight.Len()-c.waiting < c.cfg.PMBanks {
+	for c.waiting > 0 && c.inflight.Len()-c.waiting < c.t.cfg.PMBanks {
 		e := c.inflight.Live()[c.inflight.Len()-c.waiting]
 		c.waiting--
 		c.startMediaWrite(e)
@@ -378,7 +365,7 @@ func (c *Controller) tryDrain() {
 // startMediaWrite performs one media write attempt for e on its bank,
 // consulting the fault hook for injected failures and latency spikes.
 func (c *Controller) startMediaWrite(e *drainEntry) {
-	latency := sim.Cycle(c.cfg.PMWriteToMediaCycles)
+	latency := sim.Cycle(c.t.cfg.PMWriteToMediaCycles)
 	fail := false
 	if c.faults != nil {
 		v := c.faults.MediaWrite(e.line, e.attempts)
@@ -387,19 +374,19 @@ func (c *Controller) startMediaWrite(e *drainEntry) {
 		fail = v.Fail
 	}
 	e.pendingFail = fail
-	c.eng.Schedule(latency, e.doneFn)
+	c.t.eng.Schedule(latency, e.doneFn)
 }
 
 func (c *Controller) mediaWriteDone(e *drainEntry, failed bool) {
 	if failed {
 		c.stats.MediaWriteFaults++
 		e.attempts++
-		if e.attempts <= c.cfg.PMMediaMaxRetries {
+		if e.attempts <= c.t.cfg.PMMediaMaxRetries {
 			// Transient failure: the bank holds the line and retries
 			// after the backoff.
-			backoff := sim.Cycle(c.cfg.PMMediaRetryBackoffCycles)
+			backoff := sim.Cycle(c.t.cfg.PMMediaRetryBackoffCycles)
 			c.stats.MediaFaultDelayCycles += uint64(backoff)
-			c.eng.Schedule(backoff, e.retryFn)
+			c.t.eng.Schedule(backoff, e.retryFn)
 			return
 		}
 		// Retry budget exhausted: force the write through (media scrub)
@@ -413,9 +400,9 @@ func (c *Controller) mediaWriteDone(e *drainEntry, failed bool) {
 	*e = drainEntry{doneFn: e.doneFn, retryFn: e.retryFn}
 	c.freeDE.Put(e)
 	// A queue entry freed: accept a waiting arrival, oldest first.
-	if c.pending.Len() > 0 && c.inflight.Len() < c.cfg.PMWriteQueueEntries {
+	if c.pending.Len() > 0 && c.inflight.Len() < c.t.cfg.PMWriteQueueEntries {
 		w := c.pending.Pop()
-		c.stats.PendingStallCycles += uint64(c.eng.Now() - w.arrivedAt)
+		c.stats.PendingStallCycles += uint64(c.t.eng.Now() - w.arrivedAt)
 		c.accept(w)
 	}
 	c.tryDrain()
@@ -429,15 +416,15 @@ func (c *Controller) SubmitRead(line mem.Addr, done ReadDone) {
 	if done == nil {
 		panic("pmem: SubmitRead with nil completion")
 	}
-	if c.log != nil {
-		c.log.add(logSubmitRead, c.eng.Now(), c.index, line, 0)
+	if c.t.log != nil {
+		c.t.log.add(logSubmitRead, c.t.eng.Now(), c.index, line, 0)
 	}
 	if !mem.IsPM(line) {
 		c.stats.DRAMReads++
-		c.eng.Schedule(sim.Cycle(c.cfg.DRAMReadCycles), sim.Event(done))
+		c.t.eng.Schedule(sim.Cycle(c.t.cfg.DRAMReadCycles), sim.Event(done))
 		return
 	}
-	if c.readAcks.Len() >= c.cfg.PMReadQueueEntries {
+	if c.readAcks.Len() >= c.t.cfg.PMReadQueueEntries {
 		c.pendingReads.Push(done)
 		return
 	}
@@ -449,14 +436,14 @@ func (c *Controller) SubmitRead(line mem.Addr, done ReadDone) {
 // pops it — the steady-state read path allocates nothing.
 func (c *Controller) startRead(done ReadDone) {
 	c.readAcks.Push(done)
-	c.eng.Schedule(sim.Cycle(c.cfg.PMReadCycles), c.readDoneFn)
+	c.t.eng.Schedule(sim.Cycle(c.t.cfg.PMReadCycles), c.readDoneFn)
 }
 
 // SubmitDRAMWrite absorbs a volatile write-back; DRAM writes complete
 // without modelled back-pressure.
 func (c *Controller) SubmitDRAMWrite(line mem.Addr) {
-	if c.log != nil {
-		c.log.add(logDRAMWrite, c.eng.Now(), c.index, line, 0)
+	if c.t.log != nil {
+		c.t.log.add(logDRAMWrite, c.t.eng.Now(), c.index, line, 0)
 	}
 	c.stats.DRAMWrites++
 }

@@ -121,12 +121,7 @@ func (c *chunked[T]) clip() { c.tail = slices.Clone(c.tail) }
 // Record(nil). The machine's other components never see the log. A
 // walk applies the log to a freshly built topology, so a recording
 // that is to be walked starts on an Idle topology.
-func (t *Topology) Record(l *Log) {
-	t.log = l
-	for _, c := range t.ctrls {
-		c.log = l
-	}
-}
+func (t *Topology) Record(l *Log) { t.log = l }
 
 // Idle reports whether the topology stands as NewTopology built it: no
 // PM write ever submitted, no PM read outstanding and no traffic
@@ -167,12 +162,12 @@ func (t *Topology) PersistVisible(addr mem.Addr, value uint64, size uint8) {
 // pays an increment and a nil check.
 func (c *Controller) fire(kind logKind) {
 	c.fired[kind]++
-	if c.log != nil {
+	if c.t.log != nil {
 		c.logFired(kind)
 	}
 }
 
-func (c *Controller) logFired(kind logKind) { c.log.add(kind, c.eng.Now(), c.index, 0, 0) }
+func (c *Controller) logFired(kind logKind) { c.t.log.add(kind, c.t.eng.Now(), c.index, 0, 0) }
 
 // Walker drives a fresh topology through a Log, in log order. It
 // applies each logged entry point — a PM submission, a read, a DRAM

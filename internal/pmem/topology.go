@@ -22,7 +22,7 @@ import (
 // no state and no draw, so routing never perturbs determinism.
 //
 // Submission stamps come from one topology-wide counter shared by every
-// controller (Controller.seqSrc), giving in-flight writes a global
+// controller (submitSeq), giving in-flight writes a global
 // submission order even though they queue on different controllers:
 // Snapshot merges them into the one stream a power cut truncates.
 // Every fan-out — stats, snapshots — iterates controllers in index
@@ -36,13 +36,18 @@ type Topology struct {
 	ctrls []*Controller
 	mask  uint64
 	eng   *sim.Engine
-	// machine is the functional images PersistVisible writes; log, when
-	// non-nil, is the Log every controller records to (see Record).
+	cfg   config.Config
+	// machine is the functional images acceptance and PersistVisible
+	// write; log, when non-nil, is the Log every controller records to
+	// (see Record).
 	machine *mem.Machine
 	log     *Log
 	// submitSeq is the shared submission counter all controllers stamp
-	// from (see Controller.seqSrc).
+	// from.
 	submitSeq uint64
+	// atVisibility is the persistence point (see NewTopology): when
+	// set, acceptance stores nothing.
+	atVisibility bool
 }
 
 // NewTopology builds cfg.PMControllers controllers (0 means 1) bound to
@@ -55,9 +60,9 @@ type Topology struct {
 // older than words persisted at visibility since.
 func NewTopology(eng *sim.Engine, cfg config.Config, machine *mem.Machine, atVisibility bool) *Topology {
 	n := max(cfg.PMControllers, 1)
-	t := &Topology{ctrls: make([]*Controller, n), mask: uint64(n - 1), eng: eng, machine: machine}
+	t := &Topology{ctrls: make([]*Controller, n), mask: uint64(n - 1), eng: eng, cfg: cfg, machine: machine, atVisibility: atVisibility}
 	for i := range t.ctrls {
-		t.ctrls[i] = newController(t, cfg, i, atVisibility)
+		t.ctrls[i] = newController(t, i)
 	}
 	return t
 }
